@@ -12,7 +12,10 @@ Three provider modes share the ``embed(label) -> vector`` interface:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 
 import numpy as np
 
@@ -177,29 +180,59 @@ class ServiceEmbeddings:
                 ) from exc
             if resp.status_code != 200:
                 retryable = resp.status_code in (429, 502, 503, 504)
-                retry_after = resp.headers.get("Retry-After")
                 raise ServiceError(
                     f"embedding service returned {resp.status_code}",
                     retryable=retryable,
-                    retry_after=float(retry_after) if retry_after else None,
+                    retry_after=_retry_after_seconds(
+                        resp.headers.get("Retry-After")),
                     status=resp.status_code,
                 )
-            vectors = resp.json()["vectors"]
-            if len(vectors) != len(missing):
+            try:
+                vectors = resp.json()["vectors"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ServiceError(
+                    f"malformed embedding service reply: {exc!r}") from exc
+            if not isinstance(vectors, list) or len(vectors) != len(missing):
                 raise ServiceError("vector count mismatch in service reply")
             for label, vec in zip(missing, vectors):
-                arr = np.asarray(vec, dtype=float)
+                try:
+                    arr = np.asarray(vec, dtype=float)
+                except (ValueError, TypeError) as exc:
+                    raise ServiceError(
+                        f"malformed service vector for {label!r}: {exc}"
+                    ) from exc
                 if arr.shape != (self.dimension,):
                     raise ServiceError(
                         f"service vector for {label!r} has dimension "
                         f"{arr.shape}, expected ({self.dimension},)"
                     )
+                if not np.all(np.isfinite(arr)):
+                    raise ServiceError(
+                        f"non-finite service vector for {label!r}")
                 arr.setflags(write=False)
                 self._cache[label] = arr
         return [self._cache[l] for l in labels]
 
     def has(self, label: str) -> bool:
         return True
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` header in seconds: delay-seconds or an HTTP date.
+    ``None`` when the header is absent or unreadable."""
+    if not value:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": UTC with no stated zone
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
+    return seconds if math.isfinite(seconds) else None
 
 
 def query_embedding(provider, question: str, graph) -> np.ndarray:

@@ -265,14 +265,6 @@ class Subgraph:
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
 
-    def out_edges(self, entity: int) -> list[Triple]:
-        result = []
-        for r, t in self.graph.out_adj[entity]:
-            triple = Triple(entity, r, t)
-            if triple in self.edges:
-                result.append(triple)
-        return result
-
     def add_node(self, entity: int, round_index: int) -> None:
         if entity not in self.nodes:
             self.nodes.add(entity)

@@ -148,7 +148,6 @@ def map_diagnostic(
 
 @dataclass(frozen=True)
 class DiagnosticContext:
-    mu: np.ndarray | None  # diagnostic text embedding, when available
     uncertainty: float
 
 
@@ -651,12 +650,7 @@ def run_loop(
             remaining = config.edit_budget - edits_applied
             edits = edits[:max(remaining, 0)]
 
-            diag_text = (message.canonical() if message is not None
-                         else reply.diagnostic)
-            context = DiagnosticContext(
-                mu=embeddings.embed(diag_text) if embeddings.has(diag_text)
-                else None,
-                uncertainty=1.0 - reply.confidence)
+            context = DiagnosticContext(uncertainty=1.0 - reply.confidence)
             edge_deltas = soft_mask(
                 context, candidates, edits,
                 gain=config.mask_gain,

@@ -4,6 +4,21 @@ Three generators feed a shared candidate pool: exact k-lowest-cost bounded
 simple paths, beam expansion keeping the highest-scoring prefixes per depth,
 and restart-limited random walks biased toward cheap edges. The union is
 deduplicated, ranked by path score, and truncated to the candidate cap.
+
+Edge costs are computed on first read: ``edge_costs`` returns a mapping
+that weights an edge when a generator or the final ranking first asks for
+it, so a round pays only for the edges its search touches.
+
+Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
+with a ``target`` first runs a backwards breadth-first search from the
+target, bounded by L, and never pushes a partial path whose tail cannot
+reach the target in the hops left. The hop bound ignores the simple-path
+rule, so it never overestimates the distance: only partial paths with no
+completion are dropped, and the output is exactly the unpruned one. When
+every seed pair's k-shortest search returns fewer than K paths, it has
+listed every simple path of length <= L between seeds, which is all that a
+beam or walk proposal can contribute after the endpoint filter, so
+``enumerate_paths`` then skips beam expansion and random walks.
 """
 
 from __future__ import annotations
@@ -40,14 +55,29 @@ class EnumerationBudget:
             raise ValueError("restart_prob must lie in (0, 1)")
 
 
+class _EdgeCosts(dict):
+    """Edge -> effective traversal cost, computed on first read."""
+
+    def __init__(self, subgraph: Subgraph, coeffs: WeightCoefficients,
+                 embeddings):
+        super().__init__()
+        self._subgraph = subgraph
+        self._coeffs = coeffs
+        self._embeddings = embeddings
+
+    def __missing__(self, edge: Triple) -> float:
+        cost = effective_cost(edge, self._coeffs, self._embeddings,
+                              self._subgraph.graph, self._subgraph)
+        self[edge] = cost
+        return cost
+
+
 def edge_costs(
     subgraph: Subgraph, coeffs: WeightCoefficients, embeddings
 ) -> dict[Triple, float]:
-    """Effective traversal cost for every subgraph edge, computed once."""
-    return {
-        e: effective_cost(e, coeffs, embeddings, subgraph.graph, subgraph)
-        for e in subgraph.edges
-    }
+    """Effective traversal cost of subgraph edges, each computed once, when
+    it is first read."""
+    return _EdgeCosts(subgraph, coeffs, embeddings)
 
 
 def _adjacency(subgraph: Subgraph) -> dict[int, list[Triple]]:
@@ -55,6 +85,25 @@ def _adjacency(subgraph: Subgraph) -> dict[int, list[Triple]]:
     for e in sorted(subgraph.edges):
         adj.setdefault(e.head, []).append(e)
     return adj
+
+
+def _hops_to(subgraph: Subgraph, target: int, max_hops: int) -> dict[int, int]:
+    """Fewest subgraph edges from each node to ``target``, for nodes within
+    ``max_hops``; a backwards breadth-first search that ignores simplicity."""
+    into: dict[int, list[int]] = {}
+    for e in subgraph.edges:
+        into.setdefault(e.tail, []).append(e.head)
+    hops = {target: 0}
+    frontier = [target]
+    for d in range(1, max_hops + 1):
+        nxt = []
+        for node in frontier:
+            for head in into.get(node, ()):
+                if head not in hops:
+                    hops[head] = d
+                    nxt.append(head)
+        frontier = nxt
+    return hops
 
 
 def k_shortest_weighted(
@@ -74,27 +123,52 @@ def k_shortest_weighted(
     complete paths in exactly nondecreasing cost order with lexicographic
     node-id tie-breaking. ``target`` restricts output to paths ending there
     (pair mode); by default any endpoint counts.
+
+    With a ``target``, the search is goal-directed: a backwards breadth-first
+    search from the target gives each node's fewest hops to it, and a partial
+    path is pushed only if its tail is within the hops it has left. Paths
+    that reach the target are not extended, since a simple path cannot
+    return to it. The hop count ignores the simple-path rule, so it never
+    overestimates: the pruned partial paths are exactly some with no
+    completion, the heap pops the remaining ones in the same order, and the
+    output equals the unpruned search's. A seed that cannot reach the target
+    within L hops costs no expansion at all.
     """
     if seed not in subgraph.nodes:
         raise ValueError(f"seed {seed} not in subgraph")
+    max_length = budget.max_length
+    if target is None:
+        hops = None
+    else:
+        hops = _hops_to(subgraph, target, max_length)
+        if seed not in hops:
+            return []
     if costs is None:
         costs = edge_costs(subgraph, coeffs, embeddings)
     adj = _adjacency(subgraph)
+
+    def too_far(node: int, left: int) -> bool:
+        """Whether ``node`` cannot reach the target in ``left`` more hops."""
+        return hops is not None and hops.get(node, left + 1) > left
 
     out: list[Path] = []
     # heap entries: (cost, node sequence, relation sequence, edges)
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
     for e in adj.get(seed, []):
-        heapq.heappush(heap, (costs[e], (seed, e.tail), (e.relation,), (e,)))
+        if not too_far(e.tail, max_length - 1):
+            heapq.heappush(heap, (costs[e], (seed, e.tail), (e.relation,), (e,)))
 
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)
         if target is None or nodes[-1] == target:
             out.append(Path(edges))
-        if len(edges) < budget.max_length:
+            if target is not None:
+                continue
+        if len(edges) < max_length:
             visited = set(nodes)
+            left = max_length - len(edges) - 1
             for e in adj.get(nodes[-1], []):
-                if e.tail in visited:
+                if e.tail in visited or too_far(e.tail, left):
                     continue
                 heapq.heappush(
                     heap,
@@ -205,7 +279,13 @@ def enumerate_paths(
     pair_mode: bool = False,
 ) -> list[Path]:
     """Union of the three generators, deduplicated on (node sequence,
-    relation sequence), ranked by path score descending, truncated to K."""
+    relation sequence), ranked by path score descending, truncated to K.
+
+    In pair mode only paths from one seed to another are kept. If every seed
+    pair's k-shortest search came back with fewer than K paths, those
+    searches were exhaustive and already hold every path a beam or walk
+    proposal could add, so beam expansion and random walks are skipped.
+    """
     if not seeds:
         raise ValueError("seeds must be nonempty")
     seeds = [s for s in seeds if s in subgraph.nodes]
@@ -219,21 +299,25 @@ def enumerate_paths(
         for p in paths:
             pool.setdefault(p.key(), p)
 
+    exhaustive = pair_mode
     for s in sorted(set(seeds)):
         if pair_mode:
             for t in sorted(set(seeds)):
                 if t != s:
-                    absorb(k_shortest_weighted(
+                    found = k_shortest_weighted(
                         subgraph, s, budget.max_candidates, budget, coeffs,
-                        embeddings, target=t, costs=costs))
+                        embeddings, target=t, costs=costs)
+                    exhaustive = exhaustive and len(found) < budget.max_candidates
+                    absorb(found)
         else:
             absorb(k_shortest_weighted(
                 subgraph, s, budget.max_candidates, budget, coeffs,
                 embeddings, costs=costs))
-    absorb(beam_expand(subgraph, seeds, budget, query_embedding, coeffs,
-                       embeddings, costs=costs))
-    absorb(random_walk_proposals(subgraph, seeds, budget, rng_seed, coeffs,
-                                 embeddings, costs=costs))
+    if not exhaustive:
+        absorb(beam_expand(subgraph, seeds, budget, query_embedding, coeffs,
+                           embeddings, costs=costs))
+        absorb(random_walk_proposals(subgraph, seeds, budget, rng_seed,
+                                     coeffs, embeddings, costs=costs))
 
     candidates = pool.values()
     if pair_mode:  # beam/walk proposals must also satisfy the endpoint rule

@@ -149,3 +149,55 @@ def test_query_embedding_hash_fallback(hash_embeddings):
     g = build_graph([("a", "r", "b")])
     vec = query_embedding(hash_embeddings, "completely unrelated text", g)
     assert np.allclose(vec, hash_embeddings.embed("completely unrelated text"))
+
+
+class _FakeResponse:
+    def __init__(self, status_code=200, body="", headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+class _FakeSession:
+    """Stands in for ``requests.Session``; replies with one canned response."""
+
+    def __init__(self, response):
+        self.response = response
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.response
+
+
+def _service(response):
+    return ServiceEmbeddings(2, url="http://embed.invalid",
+                             session=_FakeSession(response))
+
+
+@pytest.mark.parametrize("body", ["<html>oops</html>", '{"vecs": [[1, 2]]}',
+                                  '[[1.0, 2.0]]'])
+def test_service_embeddings_malformed_reply_is_service_error(body):
+    with pytest.raises(ServiceError, match="malformed"):
+        _service(_FakeResponse(body=body)).embed("x")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_service_embeddings_rejects_non_finite_vectors(value):
+    emb = _service(_FakeResponse(body=f'{{"vectors": [[1.0, {value}]]}}'))
+    with pytest.raises(ServiceError, match="non-finite"):
+        emb.embed("x")
+
+
+@pytest.mark.parametrize("header, expected", [
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date in the past
+    ("not a date", None),
+])
+def test_service_embeddings_retry_after_http_date(header, expected):
+    emb = _service(_FakeResponse(status_code=429,
+                                 headers={"Retry-After": header}))
+    with pytest.raises(ServiceError) as exc:
+        emb.embed("x")
+    assert exc.value.retryable and exc.value.status == 429
+    assert exc.value.retry_after == expected

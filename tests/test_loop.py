@@ -102,7 +102,7 @@ def test_map_diagnostic_failures_yield_no_edits(chain_graph):
 
 
 def _ctx(uncertainty=0.0):
-    return DiagnosticContext(mu=None, uncertainty=uncertainty)
+    return DiagnosticContext(uncertainty=uncertainty)
 
 
 def test_soft_mask_values():

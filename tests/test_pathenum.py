@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import HashEmbeddings
@@ -15,7 +15,7 @@ from kgpaths.pathenum import (
     k_shortest_weighted,
     random_walk_proposals,
 )
-from kgpaths.weights import WeightCoefficients
+from kgpaths.weights import WeightCoefficients, path_score
 
 from conftest import build_graph, full_subgraph, random_graph
 
@@ -97,17 +97,19 @@ def test_k_shortest_matches_brute_force_on_random_graphs():
             [(nodes, rels) for _, nodes, rels, _ in want], f"graph {i}"
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8))
-def test_k_shortest_brute_force_property(graph_seed, k):
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8),
+       st.one_of(st.none(), st.integers(0, 11)))
+def test_k_shortest_brute_force_property(graph_seed, k, target):
     rng = random.Random(graph_seed)
     g = random_graph(rng)
     sub = full_subgraph(g)
     costs = edge_costs(sub, COEFFS, EMB)
     seed = rng.randrange(g.num_entities)
     budget = EnumerationBudget(max_length=3)
-    got = k_shortest_weighted(sub, seed, k, budget, COEFFS, EMB, costs=costs)
-    want = brute_force(sub, seed, k, 3, costs)
+    got = k_shortest_weighted(sub, seed, k, budget, COEFFS, EMB,
+                              target=target, costs=costs)
+    want = brute_force(sub, seed, k, 3, costs, target=target)
     assert [(p.nodes, p.relations) for p in got] == \
         [(nodes, rels) for _, nodes, rels, _ in want]
 
@@ -153,8 +155,6 @@ def test_enumerate_paths_dedups_and_truncates(chain_graph):
 
 
 def test_enumerate_paths_ranked_by_score(chain_graph):
-    from kgpaths.weights import path_score
-
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4, walks=0)
     q = EMB.embed("q")
@@ -182,3 +182,45 @@ def test_enumerate_paths_pair_mode():
     paths = enumerate_paths(sub, seeds, budget, q, COEFFS, EMB, pair_mode=True)
     assert all(p.nodes[0] in seeds and p.terminal in seeds for p in paths)
     assert [p.nodes for p in paths] == [(0, 1, 2)]
+
+
+def pair_mode_reference(sub, seeds, budget, q, rng_seed):
+    """Pair mode with every generator run: the pooled k-shortest, beam and
+    walk proposals, filtered to seed-to-seed paths, ranked and cut to K."""
+    costs = edge_costs(sub, COEFFS, EMB)
+    present = sorted({s for s in seeds if s in sub.nodes})
+    pool = {}
+    proposals = [
+        p
+        for s in present for t in present if t != s
+        for p in k_shortest_weighted(sub, s, budget.max_candidates, budget,
+                                     COEFFS, EMB, target=t, costs=costs)
+    ]
+    proposals += beam_expand(sub, present, budget, q, COEFFS, EMB, costs=costs)
+    proposals += random_walk_proposals(sub, present, budget, rng_seed, COEFFS,
+                                       EMB, costs=costs)
+    for p in proposals:
+        if p.terminal in present and p.terminal != p.nodes[0]:
+            pool.setdefault(p.key(), p)
+    ranked = sorted(pool.values(), key=lambda p: (
+        -path_score(p, q, COEFFS, EMB, sub.graph, sub, edge_cost_cache=costs),
+        p.nodes, p.relations))
+    return [p.key() for p in ranked[:budget.max_candidates]]
+
+
+@settings(max_examples=60, deadline=None)
+@example(101, 2, 3, [0, 10])  # K saturated; beam adds a better-scoring path
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([1, 2, 3, 200]), st.integers(1, 4),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+def test_enumerate_paths_pair_mode_matches_reference(graph_seed, k, length,
+                                                      seeds):
+    g = random_graph(random.Random(graph_seed))
+    sub = full_subgraph(g)
+    budget = EnumerationBudget(max_length=length, max_candidates=k,
+                               beam_size=4, walks=30)
+    q = EMB.embed(f"q{graph_seed}")
+    got = enumerate_paths(sub, seeds, budget, q, COEFFS, EMB,
+                          rng_seed=graph_seed, pair_mode=True)
+    assert [p.key() for p in got] == \
+        pair_mode_reference(sub, seeds, budget, q, graph_seed)
