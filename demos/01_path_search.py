@@ -7,6 +7,7 @@ from kgpaths import (
     EnumerationBudget,
     HashEmbeddings,
     KnowledgeGraph,
+    ScoreTable,
     SeedCandidate,
     WeightCoefficients,
     enumerate_paths,
@@ -38,9 +39,10 @@ query = "Where was the screenwriter of Argo born?"
 qvec = embeddings.embed(query)
 coeffs = WeightCoefficients()  # alpha=0.4 beta=0.4 gamma=0.2
 budget = EnumerationBudget(max_length=4, max_candidates=20)
-paths = enumerate_paths(subgraph, [s.entity for s in seeds], budget, qvec,
-                        coeffs, embeddings, rng_seed=0)
+# one table per round: edge costs and path scores, each computed once
+table = ScoreTable(subgraph, coeffs, embeddings, qvec)
+paths = enumerate_paths(table, [s.entity for s in seeds], budget, rng_seed=0)
 
 print(f"\ntop candidate paths (of {len(paths)}):")
 for p in paths[:8]:
-    print("  " + p.verbalize(graph))
+    print(f"  score={table.score(p):+.3f}  " + p.verbalize(graph))

@@ -10,6 +10,7 @@ from kgpaths import (
     GumbelConfig,
     HashEmbeddings,
     KnowledgeGraph,
+    ScoreTable,
     SeedCandidate,
     WeightCoefficients,
     attention_mass,
@@ -43,14 +44,15 @@ subgraph = expand_neighborhood(graph, seeds, radius=2, knn=0,
 query = "Where was the screenwriter of Argo born?"
 qvec = embeddings.embed(query)
 
-paths = enumerate_paths(subgraph, [s.entity for s in seeds],
-                        EnumerationBudget(max_candidates=10), qvec, coeffs,
-                        embeddings)
-candidates = score_candidates(paths, qvec, coeffs, embeddings, graph,
-                              subgraph)
+# enumeration, scoring, the verifier and the latents share one table, so
+# each path is pooled and scored once
+table = ScoreTable(subgraph, coeffs, embeddings, qvec)
+paths = enumerate_paths(table, [s.entity for s in seeds],
+                        EnumerationBudget(max_candidates=10))
+candidates = score_candidates(paths, table)
 gumbel_soft_weights(candidates, GumbelConfig(temperature=0.2, rng_seed=0))
 for c in candidates:
-    c.verifier = verify(c.path, qvec, embeddings, graph)
+    c.verifier = verify(c.path, table)
 
 print("candidate table (u, soft weight, verifier):")
 for c in candidates:
@@ -60,7 +62,7 @@ for c in candidates:
 selected = select_and_inject(
     candidates, top_k=4,
     seed_confidence={s.entity: s.confidence for s in seeds})
-latents = [encode_path(c.path, embeddings, graph, path_id=i)
+latents = [encode_path(c.path, table, path_id=i)
            for i, c in enumerate(selected)]
 mixture = context_mixture(
     list(zip(latents, (c.adjusted_injection for c in selected))))

@@ -26,11 +26,9 @@ from .errors import (
 )
 from .evaluation import (
     BenchmarkRecord,
-    CostEstimate,
     EpisodeMetrics,
     answer_metrics,
     coverage,
-    estimate_round_cost,
     load_benchmark,
     rank_metrics,
     run_benchmark,
@@ -104,6 +102,7 @@ from .scoring import (
     verify,
 )
 from .weights import (
+    ScoreTable,
     WeightCoefficients,
     edge_weight,
     effective_cost,

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .pathenum import EnumerationBudget
+from .scoring import GumbelConfig
 from .weights import WeightCoefficients
 
 
@@ -53,19 +54,15 @@ class RunConfig:
     no_align_diagnostics: bool = False
 
     def validate(self) -> "RunConfig":
+        """Check every value once: the weighting, budget and Gumbel values
+        by building the objects that own them, the rest here."""
+        try:
+            self.coefficients()
+            self.budget()
+            GumbelConfig(temperature=self.tau)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         checks = [
-            (self.alpha >= 0, "alpha must be >= 0"),
-            (self.beta >= 0, "beta must be >= 0"),
-            (self.gamma >= 0, "gamma must be >= 0"),
-            (self.lambda_sem >= 0, "lambda_sem must be >= 0"),
-            (self.struct_mode in ("uniform", "degree"),
-             "struct_mode must be uniform or degree"),
-            (self.L >= 1, "L must be >= 1"),
-            (self.K >= 1, "K must be >= 1"),
-            (self.beam >= 1, "beam must be >= 1"),
-            (self.walks >= 0, "walks must be >= 0"),
-            (0.0 < self.restart < 1.0, "restart must lie in (0, 1)"),
-            (self.tau > 0, "tau must be > 0"),
             (self.select_top_k >= 1, "select_top_k must be >= 1"),
             (self.rho >= 0, "rho must be >= 0"),
             (self.rounds >= 1, "rounds must be >= 1"),

@@ -1,5 +1,5 @@
-"""Benchmark harness: answer/retrieval metrics, per-hop breakdowns, round
-cost estimation, parameter sweeps, and report writers.
+"""Benchmark harness: answer/retrieval metrics, per-hop breakdowns,
+parameter sweeps, and report writers.
 
 Reports are deterministic: JSON with sorted keys, no timestamps, and wall
 times excluded unless explicitly requested via ``include_timings``.
@@ -153,34 +153,6 @@ def median_mad(values: list[float]) -> tuple[float, float]:
     med = statistics.median(values)
     mad = statistics.median([abs(v - med) for v in values])
     return med, mad
-
-
-# --- per-round cost model ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    gnn_term: float
-    path_term: float
-    attention_term: float
-
-    @property
-    def total(self) -> float:
-        return self.gnn_term + self.path_term + self.attention_term
-
-
-def estimate_round_cost(gnn_layers, edges, dim, num_paths, avg_len,
-                        tokens, keys) -> CostEstimate:
-    """Dominant per-round operation counts: encoder L_GNN * |E| * d,
-    path scoring K * avg_len * d, attention S * M * d."""
-    inputs = (gnn_layers, edges, dim, num_paths, avg_len, tokens, keys)
-    if any(x < 0 for x in inputs):
-        raise ValueError("cost inputs must be >= 0")
-    return CostEstimate(
-        gnn_term=gnn_layers * edges * dim,
-        path_term=num_paths * avg_len * dim,
-        attention_term=tokens * keys * dim,
-    )
 
 
 # --- per-episode evaluation --------------------------------------------------

@@ -1,5 +1,5 @@
-"""Path latent pooling, soft context mixtures, standalone cross-attention,
-and injection-utilization diagnostics.
+"""Path latents, soft context mixtures, standalone cross-attention, and
+injection-utilization diagnostics.
 
 Keys/values are one row per selected path with identity projections; the
 diagnostics also accept attention matrices ingested from a JSON file for
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, KgError
-from .graph import KnowledgeGraph
-from .paths import Path, pool_path_vector
+from .paths import Path
+from .weights import ScoreTable
 
 ROW_SUM_TOL = 1e-9
 
@@ -73,11 +73,10 @@ def load_attention_json(source) -> AttentionMatrix:
     return AttentionMatrix(rows)
 
 
-def encode_path(path: Path, embeddings, graph: KnowledgeGraph,
-                path_id: int = 0) -> PathLatent:
-    """Pooled path latent: normalized mean over node and relation embeddings."""
-    return PathLatent(vector=pool_path_vector(path, embeddings, graph),
-                      path_id=path_id)
+def encode_path(path: Path, table: ScoreTable, path_id: int = 0) -> PathLatent:
+    """Path latent: the pooled vector (normalized mean over node and relation
+    embeddings) that the round's ``ScoreTable`` already holds for scoring."""
+    return PathLatent(vector=table.vector(path), path_id=path_id)
 
 
 def context_mixture(selected: list[tuple[PathLatent, float]]) -> ContextMixture:

@@ -47,6 +47,7 @@ from .scoring import (
     select_and_inject,
     verify,
 )
+from .weights import ScoreTable
 
 log = logging.getLogger(__name__)
 
@@ -146,68 +147,60 @@ def map_diagnostic(
     return []
 
 
-@dataclass(frozen=True)
-class DiagnosticContext:
-    uncertainty: float
-
-
 def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _edit_relevance(edits: list[GraphEdit]) -> tuple[set[Triple], set[Triple]]:
+def _mask_values(items: dict, edits: list[GraphEdit], uncertainty: float,
+                 gain: float, uncertainty_gain: float) -> dict:
+    """The one relevance rule behind both masks, for items given as
+    key -> edges: key -> delta in (0, 1).
+
+    delta = sigmoid(gain * relevance + uncertainty_gain * uncertainty) with
+    relevance -1 when the round's edits refute any of the item's edges,
+    else +1 when they confirm any, else 0.
+    """
     confirmed = {e.triple for e in edits if isinstance(e, ConfirmTriple)}
     refuted = {e.triple for e in edits if isinstance(e, RefuteTriple)}
-    return confirmed, refuted
+    out = {}
+    for key, edges in items.items():
+        relevance = (-1.0 if any(e in refuted for e in edges)
+                     else 1.0 if any(e in confirmed for e in edges) else 0.0)
+        out[key] = _sigmoid(gain * relevance + uncertainty_gain * uncertainty)
+    return out
 
 
 def soft_mask(
-    context: DiagnosticContext,
+    uncertainty: float,
     candidates: list[ScoredCandidate],
     edits: list[GraphEdit],
     gain: float = 4.0,
     uncertainty_gain: float = 0.0,
 ) -> dict[Triple, float]:
-    """Per-edge mask values delta in (0, 1).
+    """Per-edge mask values delta in (0, 1), keyed by edge.
 
-    delta = sigmoid(gain * relevance + uncertainty_gain * uncertainty) with
-    relevance +1 for edges confirmed by the round's edits, -1 for refuted,
-    0 otherwise. Edges covered are those on candidate paths plus the edit
-    triples themselves.
+    Edges covered are those on candidate paths plus the confirmed and
+    refuted triples of the round's edits; each edge is its own item under
+    the shared relevance rule (``_mask_values``).
     """
-    confirmed, refuted = _edit_relevance(edits)
-    edges: set[Triple] = set(confirmed) | set(refuted)
+    edges = {e.triple for e in edits if isinstance(e, (ConfirmTriple, RefuteTriple))}
     for c in candidates:
         edges.update(c.path.edges)
-    deltas = {}
-    for e in edges:
-        relevance = 1.0 if e in confirmed else -1.0 if e in refuted else 0.0
-        deltas[e] = _sigmoid(gain * relevance + uncertainty_gain * context.uncertainty)
-    return deltas
+    return _mask_values({e: (e,) for e in edges}, edits, uncertainty, gain,
+                        uncertainty_gain)
 
 
 def path_mask(
-    context: DiagnosticContext,
+    uncertainty: float,
     candidates: list[ScoredCandidate],
     edits: list[GraphEdit],
     gain: float = 4.0,
     uncertainty_gain: float = 0.0,
 ) -> dict[tuple, float]:
-    """Per-path mask values keyed by path identity; refutation of any edge
-    dominates confirmation."""
-    confirmed, refuted = _edit_relevance(edits)
-    out = {}
-    for c in candidates:
-        if any(e in refuted for e in c.path.edges):
-            relevance = -1.0
-        elif any(e in confirmed for e in c.path.edges):
-            relevance = 1.0
-        else:
-            relevance = 0.0
-        out[c.path.key()] = _sigmoid(
-            gain * relevance + uncertainty_gain * context.uncertainty
-        )
-    return out
+    """Per-path mask values keyed by path identity under the shared
+    relevance rule: refutation of any edge dominates confirmation."""
+    return _mask_values({c.path.key(): c.path.edges for c in candidates},
+                        edits, uncertainty, gain, uncertainty_gain)
 
 
 def discretize_target(k: int) -> int:
@@ -345,7 +338,10 @@ class ExternalReasoner:
 
     POST ``{"question", "paths": [{"text", "weight", "verifier"}],
     "mixture": [...]}`` and expect ``{"answer", "confidence", "diagnostic",
-    "attention"?, "logprob"?}``; confidence must be a scalar in [0, 1].
+    "attention"?, "tokens"?, "logprob"?}``; confidence must be a scalar in
+    [0, 1] and logprob, when given, a finite number. A reply that is not
+    JSON or breaks this shape raises ``ServiceError``, which fails the
+    episode and leaves the rest of a benchmark run going.
     """
 
     mode = "external-service"
@@ -397,21 +393,31 @@ class ExternalReasoner:
                 retryable=resp.status_code in (429, 502, 503, 504),
                 status=resp.status_code,
             )
-        body = resp.json()
-        confidence = float(body["confidence"])
-        if not 0.0 <= confidence <= 1.0:
-            raise ServiceError(f"confidence {confidence} outside [0, 1]")
-        attention = None
-        if body.get("attention") is not None:
-            attention = AttentionMatrix(np.asarray(body["attention"], dtype=float))
-        tokens = int(body.get("tokens", sum(
-            len(p["text"].split()) for p in payload["paths"])))
-        return ReasonerReply(
-            answer=str(body["answer"]), confidence=confidence,
-            diagnostic=str(body.get("diagnostic", NONE)),
-            attention=attention, tokens=tokens,
-            logprob=body.get("logprob"),
-        )
+        try:
+            body = resp.json()
+            confidence = float(body["confidence"])
+            if not 0.0 <= confidence <= 1.0:
+                raise ServiceError(f"confidence {confidence} outside [0, 1]")
+            attention = None
+            if body.get("attention") is not None:
+                attention = AttentionMatrix(
+                    np.asarray(body["attention"], dtype=float))
+            tokens = int(body.get("tokens", sum(
+                len(p["text"].split()) for p in payload["paths"])))
+            logprob = body.get("logprob")
+            if logprob is not None:
+                logprob = float(logprob)
+                if not math.isfinite(logprob):
+                    raise ValueError(f"logprob {logprob} is not finite")
+            reply = ReasonerReply(
+                answer=str(body["answer"]), confidence=confidence,
+                diagnostic=str(body.get("diagnostic", NONE)),
+                attention=attention, tokens=tokens, logprob=logprob)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"malformed reasoner reply: {type(exc).__name__}: {exc}"
+            ) from exc
+        return reply
 
 
 # --- episode driver --------------------------------------------------------
@@ -488,12 +494,19 @@ def _edit_repr(edit: GraphEdit, graph: KnowledgeGraph) -> str:
     return f"{name}({h}, {r}, {t})"
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts
+    return (below + (counts + 1) / 2)[inverse]
+
+
 def _spearman(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Spearman rank correlation: the Pearson correlation of average ranks;
+    ``None`` for fewer than two points or a (near-)constant input."""
     if len(a) < 2 or np.allclose(a, a[0]) or np.allclose(b, b[0]):
         return None
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(a, b).statistic
+    rho = np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0]
     return None if math.isnan(rho) else float(rho)
 
 
@@ -542,8 +555,11 @@ def run_loop(
             trace_file.write(json.dumps(state.to_record(), sort_keys=True) + "\n")
 
     for t in range(config.rounds):
+        # every score, cost and pooled vector of this round, each computed
+        # once; edits at the end of the round call for a new table
+        table = ScoreTable(subgraph, coeffs, embeddings, qvec)
         paths = enumerate_paths(
-            subgraph, seed_ids, budget, qvec, coeffs, embeddings,
+            table, seed_ids, budget,
             rng_seed=config.seed + 1000 * t, pair_mode=config.pair_mode)
 
         def forced_expand():
@@ -565,15 +581,13 @@ def run_loop(
             forced_expand()
             continue
 
-        candidates = score_candidates(
-            paths, qvec, coeffs, embeddings, graph, subgraph, scorer=scorer)
+        candidates = score_candidates(paths, table, scorer=scorer)
         gumbel_soft_weights(candidates, GumbelConfig(
             temperature=config.tau, rng_seed=config.seed + 7919 * (t + 1),
             deterministic=config.deterministic))
         for c in candidates:
             c.verifier = 1.0 if config.no_verifier else verify(
-                c.path, qvec, embeddings, graph, refuted=subgraph.refuted,
-                verifier=verifier, coeffs=coeffs, subgraph=subgraph)
+                c.path, table, refuted=subgraph.refuted, verifier=verifier)
 
         try:
             selected = select_and_inject(
@@ -584,7 +598,7 @@ def run_loop(
             forced_expand()
             continue
 
-        latents = [encode_path(c.path, embeddings, graph, i)
+        latents = [encode_path(c.path, table, i)
                    for i, c in enumerate(selected)]
         mixture = context_mixture([
             (lat, c.adjusted_injection) for lat, c in zip(latents, selected)
@@ -643,20 +657,19 @@ def run_loop(
         edits: list[GraphEdit] = []
         diagnostic = reply.diagnostic
         if not done and not last_round:
-            message = parse_diagnostic(
-                reply.diagnostic, uncertainty=1.0 - reply.confidence)
+            uncertainty = 1.0 - reply.confidence
+            message = parse_diagnostic(reply.diagnostic, uncertainty=uncertainty)
             edits = map_diagnostic(message, subgraph, graph,
                                    candidates=candidates)
             remaining = config.edit_budget - edits_applied
             edits = edits[:max(remaining, 0)]
 
-            context = DiagnosticContext(uncertainty=1.0 - reply.confidence)
             edge_deltas = soft_mask(
-                context, candidates, edits,
+                uncertainty, candidates, edits,
                 gain=config.mask_gain,
                 uncertainty_gain=config.mask_uncertainty_gain)
             per_path = path_mask(
-                context, candidates, edits,
+                uncertainty, candidates, edits,
                 gain=config.mask_gain,
                 uncertainty_gain=config.mask_uncertainty_gain)
             kept = set(discretize_topk(

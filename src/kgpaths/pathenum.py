@@ -5,9 +5,11 @@ simple paths, beam expansion keeping the highest-scoring prefixes per depth,
 and restart-limited random walks biased toward cheap edges. The union is
 deduplicated, ranked by path score, and truncated to the candidate cap.
 
-Edge costs are computed on first read: ``edge_costs`` returns a mapping
-that weights an edge when a generator or the final ranking first asks for
-it, so a round pays only for the edges its search touches.
+All three generators and the final ranking read one ``ScoreTable`` per
+round (see ``weights``): an edge is weighted, and a path pooled and scored,
+the first time anything asks for it, so a round pays only for the edges and
+paths its search touches, once each. The table outlives enumeration: the
+caller hands it on to candidate scoring, the verifier and injection.
 
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
 with a ``target`` first runs a backwards breadth-first search from the
@@ -27,11 +29,10 @@ import heapq
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Subgraph, Triple
 from .paths import Path
-from .weights import WeightCoefficients, effective_cost, path_score
+from .weights import ScoreTable, WeightCoefficients
+from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -44,40 +45,23 @@ class EnumerationBudget:
 
     def __post_init__(self):
         if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+            raise ValueError("max_length (L) must be >= 1")
         if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
+            raise ValueError("max_candidates (K) must be >= 1")
         if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+            raise ValueError("beam_size (beam) must be >= 1")
         if self.walks < 0:
             raise ValueError("walks must be >= 0")
         if not 0.0 < self.restart_prob < 1.0:
-            raise ValueError("restart_prob must lie in (0, 1)")
-
-
-class _EdgeCosts(dict):
-    """Edge -> effective traversal cost, computed on first read."""
-
-    def __init__(self, subgraph: Subgraph, coeffs: WeightCoefficients,
-                 embeddings):
-        super().__init__()
-        self._subgraph = subgraph
-        self._coeffs = coeffs
-        self._embeddings = embeddings
-
-    def __missing__(self, edge: Triple) -> float:
-        cost = effective_cost(edge, self._coeffs, self._embeddings,
-                              self._subgraph.graph, self._subgraph)
-        self[edge] = cost
-        return cost
+            raise ValueError("restart_prob (restart) must lie in (0, 1)")
 
 
 def edge_costs(
     subgraph: Subgraph, coeffs: WeightCoefficients, embeddings
-) -> dict[Triple, float]:
+) -> ScoreTable:
     """Effective traversal cost of subgraph edges, each computed once, when
-    it is first read."""
-    return _EdgeCosts(subgraph, coeffs, embeddings)
+    it is first read: a ``ScoreTable`` without a query embedding."""
+    return ScoreTable(subgraph, coeffs, embeddings)
 
 
 def _adjacency(subgraph: Subgraph) -> dict[int, list[Triple]]:
@@ -179,31 +163,20 @@ def k_shortest_weighted(
 
 
 def beam_expand(
-    subgraph: Subgraph,
+    table: ScoreTable,
     seeds: list[int],
     budget: EnumerationBudget,
-    query_embedding: np.ndarray,
-    coeffs: WeightCoefficients,
-    embeddings,
-    costs: dict[Triple, float] | None = None,
 ) -> list[Path]:
-    """Breadth-first expansion keeping the B highest-scoring partial paths
-    per depth; every retained prefix is returned as a candidate."""
-    if costs is None:
-        costs = edge_costs(subgraph, coeffs, embeddings)
-    adj = _adjacency(subgraph)
-
-    def score(path: Path) -> float:
-        return path_score(
-            path, query_embedding, coeffs, embeddings, subgraph.graph,
-            subgraph, edge_cost_cache=costs,
-        )
+    """Breadth-first expansion over ``table.subgraph`` keeping the B
+    highest-scoring partial paths per depth; every retained prefix is
+    returned as a candidate."""
+    adj = _adjacency(table.subgraph)
 
     frontier: list[Path] = []
     for s in sorted(set(seeds)):
         for e in adj.get(s, []):
             frontier.append(Path((e,)))
-    frontier.sort(key=lambda p: (-score(p), p.nodes, p.relations))
+    frontier.sort(key=lambda p: (-table.score(p), p.nodes, p.relations))
     frontier = frontier[: budget.beam_size]
 
     retained: list[Path] = list(frontier)
@@ -217,22 +190,20 @@ def beam_expand(
                 nxt.append(Path(p.edges + (e,)))
         if not nxt:
             break
-        nxt.sort(key=lambda p: (-score(p), p.nodes, p.relations))
+        nxt.sort(key=lambda p: (-table.score(p), p.nodes, p.relations))
         frontier = nxt[: budget.beam_size]
         retained.extend(frontier)
     return retained
 
 
 def random_walk_proposals(
-    subgraph: Subgraph,
+    costs: ScoreTable,
     seeds: list[int],
     budget: EnumerationBudget,
     rng_seed: int,
-    coeffs: WeightCoefficients,
-    embeddings,
-    costs: dict[Triple, float] | None = None,
 ) -> list[Path]:
-    """R restart-limited walks; each walk records its prefix as a path.
+    """R restart-limited walks over ``costs.subgraph``; each walk records its
+    prefix as a path.
 
     Step choice is proportional to inverse effective cost; revisits are
     treated as dead ends so proposals stay simple. Deterministic given
@@ -240,9 +211,7 @@ def random_walk_proposals(
     """
     if budget.walks == 0 or not seeds:
         return []
-    if costs is None:
-        costs = edge_costs(subgraph, coeffs, embeddings)
-    adj = _adjacency(subgraph)
+    adj = _adjacency(costs.subgraph)
     rng = random.Random(rng_seed)
     seeds = sorted(set(seeds))
 
@@ -269,17 +238,15 @@ def random_walk_proposals(
 
 
 def enumerate_paths(
-    subgraph: Subgraph,
+    table: ScoreTable,
     seeds: list[int],
     budget: EnumerationBudget,
-    query_embedding: np.ndarray,
-    coeffs: WeightCoefficients,
-    embeddings,
     rng_seed: int = 0,
     pair_mode: bool = False,
 ) -> list[Path]:
-    """Union of the three generators, deduplicated on (node sequence,
-    relation sequence), ranked by path score descending, truncated to K.
+    """Union of the three generators over ``table.subgraph``, deduplicated
+    on (node sequence, relation sequence), ranked by ``table.score``
+    descending, truncated to K.
 
     In pair mode only paths from one seed to another are kept. If every seed
     pair's k-shortest search came back with fewer than K paths, those
@@ -288,10 +255,10 @@ def enumerate_paths(
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    subgraph = table.subgraph
     seeds = [s for s in seeds if s in subgraph.nodes]
     if not seeds:
         return []
-    costs = edge_costs(subgraph, coeffs, embeddings)
 
     pool: dict[tuple, Path] = {}
 
@@ -299,25 +266,24 @@ def enumerate_paths(
         for p in paths:
             pool.setdefault(p.key(), p)
 
+    def k_shortest(seed, target=None):
+        return k_shortest_weighted(
+            subgraph, seed, budget.max_candidates, budget, table.coeffs,
+            table.embeddings, target=target, costs=table)
+
     exhaustive = pair_mode
     for s in sorted(set(seeds)):
         if pair_mode:
             for t in sorted(set(seeds)):
                 if t != s:
-                    found = k_shortest_weighted(
-                        subgraph, s, budget.max_candidates, budget, coeffs,
-                        embeddings, target=t, costs=costs)
+                    found = k_shortest(s, target=t)
                     exhaustive = exhaustive and len(found) < budget.max_candidates
                     absorb(found)
         else:
-            absorb(k_shortest_weighted(
-                subgraph, s, budget.max_candidates, budget, coeffs,
-                embeddings, costs=costs))
+            absorb(k_shortest(s))
     if not exhaustive:
-        absorb(beam_expand(subgraph, seeds, budget, query_embedding, coeffs,
-                           embeddings, costs=costs))
-        absorb(random_walk_proposals(subgraph, seeds, budget, rng_seed,
-                                     coeffs, embeddings, costs=costs))
+        absorb(beam_expand(table, seeds, budget))
+        absorb(random_walk_proposals(table, seeds, budget, rng_seed))
 
     candidates = pool.values()
     if pair_mode:  # beam/walk proposals must also satisfy the endpoint rule
@@ -325,12 +291,5 @@ def enumerate_paths(
         candidates = [p for p in candidates
                       if p.terminal in seed_set and p.terminal != p.nodes[0]]
     ranked = sorted(
-        candidates,
-        key=lambda p: (
-            -path_score(p, query_embedding, coeffs, embeddings,
-                        subgraph.graph, subgraph, edge_cost_cache=costs),
-            p.nodes,
-            p.relations,
-        ),
-    )
+        candidates, key=lambda p: (-table.score(p), p.nodes, p.relations))
     return ranked[: budget.max_candidates]

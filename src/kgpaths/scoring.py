@@ -2,28 +2,25 @@
 injection coefficients.
 
 The default scorer is the path score itself; the default verifier is a
-semantic-match heuristic hard-gated by episode refutations. Both are
-pluggable, with file-loadable linear models as the trained option.
+semantic-match heuristic hard-gated by episode refutations. Both defaults
+read the round's ``ScoreTable``, so a path scored during enumeration is not
+scored again. Both are pluggable, with file-loadable linear models as the
+trained option.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySelectionError, KgError, ParseError
-from .graph import KnowledgeGraph, Subgraph, Triple
+from .graph import Triple
 from .paths import Path
-from .weights import (
-    DEFAULT_TAU,
-    WeightCoefficients,
-    effective_cost,
-    path_score,
-    semantic_match,
-)
+from .weights import DEFAULT_TAU, ScoreTable, effective_cost, semantic_match
+from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 @dataclass
@@ -44,7 +41,7 @@ class GumbelConfig:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+            raise ValueError("temperature (tau) must be > 0")
 
 
 def _path_features(path, query_embedding, coeffs, embeddings, graph, subgraph):
@@ -119,26 +116,21 @@ class LinearVerifier:
 
 def score_candidates(
     paths: list[Path],
-    query_embedding: np.ndarray,
-    coeffs: WeightCoefficients,
-    embeddings,
-    graph: KnowledgeGraph,
-    subgraph: Subgraph | None = None,
+    table: ScoreTable,
     scorer=None,
 ) -> list[ScoredCandidate]:
     """Fill the scorer output u for every candidate (default: path score)."""
     if not paths:
         raise ValueError("paths must be nonempty")
-    cache: dict[Triple, float] = {}
     out = []
     for path in paths:
         if scorer is None:
-            u = path_score(path, query_embedding, coeffs, embeddings, graph,
-                           subgraph, edge_cost_cache=cache)
+            u = table.score(path)
         else:
             try:
-                u = float(scorer(path, query_embedding, coeffs, embeddings,
-                                 graph, subgraph))
+                u = float(scorer(path, table.query_embedding, table.coeffs,
+                                 table.embeddings, table.graph,
+                                 table.subgraph))
             except Exception as exc:
                 raise KgError(f"scorer failed on {path!r}: {exc}") from exc
         if not math.isfinite(u):
@@ -177,13 +169,9 @@ def gumbel_soft_weights(
 
 def verify(
     path: Path,
-    query_embedding: np.ndarray,
-    embeddings,
-    graph: KnowledgeGraph,
+    table: ScoreTable,
     refuted: set[Triple] = frozenset(),
     verifier=None,
-    coeffs: WeightCoefficients | None = None,
-    subgraph: Subgraph | None = None,
 ) -> float:
     """Path utility in [0, 1].
 
@@ -196,12 +184,10 @@ def verify(
     if any(e in refuted for e in path.edges) or path.terminal in refuted_heads:
         return 0.0
     if verifier is not None:
-        v = float(verifier(path, query_embedding,
-                           coeffs or WeightCoefficients(), embeddings, graph,
-                           subgraph))
+        v = float(verifier(path, table.query_embedding, table.coeffs,
+                           table.embeddings, table.graph, table.subgraph))
         return min(max(v, 0.0), 1.0)
-    sem = semantic_match(path, query_embedding, embeddings, graph)
-    return min(max((sem + 1.0) / 2.0, 0.0), 1.0)
+    return min(max((table.sem(path) + 1.0) / 2.0, 0.0), 1.0)
 
 
 def select_and_inject(

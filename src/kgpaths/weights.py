@@ -10,6 +10,12 @@ semantic match between the pooled path embedding and the query embedding.
 Soft multipliers lower effective traversal cost multiplicatively
 (``total / (1 + multiplier)``), so boosted edges are preferred by the
 shortest-path search.
+
+``ScoreTable`` holds one round's values: each edge's effective cost and each
+path's pooled vector, semantic match and score, each computed once, when
+first read. Path enumeration, candidate scoring, the verifier and latent
+injection all read the same table. ``effective_cost``, ``semantic_match``
+and ``path_score`` are the uncached reference forms.
 """
 
 from __future__ import annotations
@@ -104,19 +110,70 @@ def path_score(
     embeddings,
     graph: KnowledgeGraph,
     subgraph: Subgraph | None = None,
-    edge_cost_cache: dict[Triple, float] | None = None,
 ) -> float:
     """Eq.-style ranking score: higher is better."""
     if len(path) == 0:  # Path() already forbids this; belt and braces
         raise EmptyPathError("cannot score an empty path")
     cost = 0.0
     for e in path.edges:
-        if edge_cost_cache is not None and e in edge_cost_cache:
-            cost += edge_cost_cache[e]
-        else:
-            c = effective_cost(e, coeffs, embeddings, graph, subgraph)
-            if edge_cost_cache is not None:
-                edge_cost_cache[e] = c
-            cost += c
+        cost += effective_cost(e, coeffs, embeddings, graph, subgraph)
     sem = semantic_match(path, query_embedding, embeddings, graph)
     return -cost + coeffs.lambda_sem * sem
+
+
+class ScoreTable(dict):
+    """One round's weighting values, each computed once, when first read.
+
+    As a mapping it takes an edge to its effective traversal cost. The
+    methods ``vector``, ``sem`` and ``score`` give a path's pooled vector,
+    semantic match and score, keyed by ``path.key()``; they repeat the
+    float operations of ``pool_path_vector``, ``semantic_match`` and
+    ``path_score`` in the same order, so they return the same values. A
+    table built without a query embedding serves costs and vectors only.
+    The values hold while the subgraph's edges and soft multipliers stay
+    as they were, so build a new table after every edit.
+    """
+
+    def __init__(self, subgraph: Subgraph, coeffs: WeightCoefficients,
+                 embeddings, query_embedding: np.ndarray | None = None):
+        super().__init__()
+        self.subgraph = subgraph
+        self.graph = subgraph.graph
+        self.coeffs = coeffs
+        self.embeddings = embeddings
+        self.query_embedding = query_embedding
+        self._vectors: dict[tuple, np.ndarray] = {}
+        self._sems: dict[tuple, float] = {}
+        self._scores: dict[tuple, float] = {}
+
+    def __missing__(self, edge: Triple) -> float:
+        cost = self[edge] = effective_cost(
+            edge, self.coeffs, self.embeddings, self.graph, self.subgraph)
+        return cost
+
+    def vector(self, path: Path) -> np.ndarray:
+        key = path.key()
+        vec = self._vectors.get(key)
+        if vec is None:
+            vec = self._vectors[key] = pool_path_vector(
+                path, self.embeddings, self.graph)
+        return vec
+
+    def sem(self, path: Path) -> float:
+        key = path.key()
+        sem = self._sems.get(key)
+        if sem is None:
+            sem = self._sems[key] = cosine(self.vector(path),
+                                           self.query_embedding)
+        return sem
+
+    def score(self, path: Path) -> float:
+        key = path.key()
+        score = self._scores.get(key)
+        if score is None:
+            cost = 0.0
+            for e in path.edges:
+                cost += self[e]
+            score = self._scores[key] = (
+                -cost + self.coeffs.lambda_sem * self.sem(path))
+        return score

@@ -11,7 +11,6 @@ from kgpaths.evaluation import (
     answer_metrics,
     average_precision,
     coverage,
-    estimate_round_cost,
     expand_grid,
     load_benchmark,
     median_mad,
@@ -80,16 +79,6 @@ def test_median_mad():
     assert median_mad([1, 2, 3, 4, 100]) == (3, 1)
     with pytest.raises(ValueError):
         median_mad([])
-
-
-def test_estimate_round_cost():
-    est = estimate_round_cost(0, 0, 0, 0, 0, 0, 0)
-    assert est.total == 0
-    assert estimate_round_cost(3, 1000, 256, 0, 0, 0, 0).gnn_term == 768000
-    assert estimate_round_cost(0, 0, 256, 200, 2.8, 0, 0).path_term \
-        == pytest.approx(143360)
-    with pytest.raises(ValueError):
-        estimate_round_cost(-1, 0, 0, 0, 0, 0, 0)
 
 
 def test_run_benchmark_empty_is_fine():

@@ -19,10 +19,15 @@ from kgpaths.injection import (
     load_attention_json,
 )
 from kgpaths.paths import Path, pool_path_vector
+from kgpaths.weights import ScoreTable, WeightCoefficients
 
-from conftest import build_graph
+from conftest import build_graph, full_subgraph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
+
+
+def table_for(graph):
+    return ScoreTable(full_subgraph(graph), WeightCoefficients(), EMB)
 
 
 def test_attention_matrix_validation():
@@ -46,15 +51,16 @@ def test_load_attention_json_shape_check():
 
 def test_encode_path_matches_pooling(chain_graph):
     p = Path([Triple(0, 0, 1)])
-    latent = encode_path(p, EMB, chain_graph, path_id=3)
+    latent = encode_path(p, table_for(chain_graph), path_id=3)
     assert latent.path_id == 3
-    assert np.allclose(latent.vector, pool_path_vector(p, EMB, chain_graph))
+    assert np.array_equal(latent.vector, pool_path_vector(p, EMB, chain_graph))
 
 
 def test_context_mixture_weighted_sum(chain_graph):
     p1 = Path([Triple(0, 0, 1)])
     p2 = Path([Triple(1, 1, 2)])
-    l1, l2 = encode_path(p1, EMB, chain_graph, 0), encode_path(p2, EMB, chain_graph, 1)
+    table = table_for(chain_graph)
+    l1, l2 = encode_path(p1, table, 0), encode_path(p2, table, 1)
     mix = context_mixture([(l1, 0.25), (l2, 0.75)])
     assert np.allclose(mix.z_ctx, 0.25 * l1.vector + 0.75 * l2.vector)
     assert mix.key_index == {0: (0,), 1: (1,)}

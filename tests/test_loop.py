@@ -1,15 +1,21 @@
 import io
 import json
 import math
+import random
+import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+import kgpaths.paths
+import kgpaths.weights
 from kgpaths.config import RunConfig
 from kgpaths.embeddings import HashEmbeddings
 from kgpaths.errors import ServiceError
+from kgpaths.evaluation import BenchmarkRecord, run_benchmark
 from kgpaths.graph import (
     ConfirmTriple,
     ExpandSeed,
@@ -20,10 +26,10 @@ from kgpaths.graph import (
     Triple,
 )
 from kgpaths.loop import (
-    DiagnosticContext,
     DiagnosticMessage,
     ExternalReasoner,
     ScriptedReasoner,
+    _spearman,
     discretize_target,
     discretize_topk,
     map_diagnostic,
@@ -36,7 +42,7 @@ from kgpaths.paths import Path
 from kgpaths.scoring import ScoredCandidate
 from kgpaths.synthetic import ARGO_QUESTION, argo_fixture
 
-from conftest import build_graph, full_subgraph
+from conftest import build_graph, full_subgraph, random_graph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
 
@@ -101,14 +107,10 @@ def test_map_diagnostic_failures_yield_no_edits(chain_graph):
 # --- masks and discretization --------------------------------------------------
 
 
-def _ctx(uncertainty=0.0):
-    return DiagnosticContext(uncertainty=uncertainty)
-
-
 def test_soft_mask_values():
     cands = [ScoredCandidate(Path([Triple(0, 0, 1), Triple(1, 0, 2)]))]
     edits = [ConfirmTriple(Triple(0, 0, 1)), RefuteTriple(Triple(5, 0, 6))]
-    deltas = soft_mask(_ctx(), cands, edits, gain=4.0)
+    deltas = soft_mask(0.0, cands, edits, gain=4.0)
     sig = lambda x: 1 / (1 + math.exp(-x))
     assert deltas[Triple(0, 0, 1)] == pytest.approx(sig(4.0))
     assert deltas[Triple(5, 0, 6)] == pytest.approx(sig(-4.0))
@@ -117,16 +119,53 @@ def test_soft_mask_values():
 
 def test_soft_mask_uncertainty_term():
     cands = [ScoredCandidate(Path([Triple(0, 0, 1)]))]
-    deltas = soft_mask(_ctx(uncertainty=1.0), cands, [], gain=4.0,
-                       uncertainty_gain=2.0)
+    deltas = soft_mask(1.0, cands, [], gain=4.0, uncertainty_gain=2.0)
     assert deltas[Triple(0, 0, 1)] == pytest.approx(1 / (1 + math.exp(-2.0)))
 
 
 def test_path_mask_refutation_dominates():
     p = Path([Triple(0, 0, 1), Triple(1, 0, 2)])
     edits = [ConfirmTriple(Triple(0, 0, 1)), RefuteTriple(Triple(1, 0, 2))]
-    deltas = path_mask(_ctx(), [ScoredCandidate(p)], edits, gain=4.0)
+    deltas = path_mask(0.0, [ScoredCandidate(p)], edits, gain=4.0)
     assert deltas[p.key()] == pytest.approx(1 / (1 + math.exp(4.0)))
+
+
+def test_masks_share_one_relevance_rule():
+    # an edge that is both confirmed and refuted counts as refuted, as a
+    # path holding a refuted edge does
+    p = Path([Triple(0, 0, 1)])
+    edits = [ConfirmTriple(Triple(0, 0, 1)), RefuteTriple(Triple(0, 0, 1))]
+    cands = [ScoredCandidate(p)]
+    edge = soft_mask(0.3, cands, edits, gain=4.0, uncertainty_gain=1.5)
+    path = path_mask(0.3, cands, edits, gain=4.0, uncertainty_gain=1.5)
+    assert edge[Triple(0, 0, 1)] == path[p.key()] \
+        == pytest.approx(1 / (1 + math.exp(4.0 - 0.45)))
+
+
+def test_spearman_average_ranks_on_ties():
+    # ranks (1, 2.5, 2.5, 4) and (1, 4, 2.5, 2.5): Pearson of ranks is 1/2
+    a = np.array([0.1, 0.2, 0.2, 0.5])
+    b = np.array([0.3, 0.9, 0.4, 0.4])
+    assert _spearman(a, b) == pytest.approx(0.5, abs=1e-15)
+    assert _spearman(a, a) == pytest.approx(1.0)
+    assert _spearman(a, -a) == pytest.approx(-1.0)
+    assert _spearman(a[:1], b[:1]) is None
+    assert _spearman(a, np.full(4, 0.25)) is None
+
+
+def test_spearman_matches_scipy_on_ties():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8, 13):
+        for _ in range(20):
+            a = rng.integers(0, 4, n) / 4  # few distinct values: many ties
+            b = rng.integers(0, 3, n) / 3
+            got = _spearman(a, b)
+            if got is None:  # a constant input
+                assert len(set(a)) == 1 or len(set(b)) == 1
+            else:
+                want = stats.spearmanr(a, b).statistic
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_discretize_target_rule():
@@ -280,6 +319,59 @@ def test_external_reasoner_http_error(chain_graph, reasoner_server):
     assert exc.value.status == 418 and not exc.value.retryable
 
 
+class _CannedResponse:
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def json(self):  # as ``requests.Response.json``
+        return json.loads(self.body)
+
+
+class _CannedSession:
+    """Stands in for ``requests.Session``: answers each question with a
+    canned body."""
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return _CannedResponse(self.bodies[json["question"]])
+
+
+_GOOD_REPLY = '{"answer": "b", "confidence": 0.9, "logprob": -0.1}'
+
+
+@pytest.mark.parametrize("body", [
+    "<html>busy</html>",  # not JSON: ValueError
+    '{"answer": "b"}',  # no confidence: KeyError
+    '{"answer": "b", "confidence": 0.9, "attention": [[0.5, 0.2]]}',
+    '{"answer": "b", "confidence": 0.9, "attention": [[1.0], [0.5, 0.5]]}',
+    '{"answer": "b", "confidence": 0.9, "logprob": NaN}',
+    '{"answer": "b", "confidence": 0.9, "logprob": "high"}',
+    '{"confidence": 0.9}',  # no answer
+    '["b", 0.9]',  # not an object
+], ids=["not-json", "no-confidence", "attention-rows", "attention-ragged",
+        "logprob-nan", "logprob-text", "no-answer", "not-object"])
+def test_external_reasoner_malformed_reply_fails_one_row(body):
+    g = build_graph([("a", "r", "b")])
+    session = _CannedSession({"bad": body, "good": _GOOD_REPLY})
+    with pytest.raises(ServiceError, match="malformed"):
+        ExternalReasoner(g, url="http://reasoner.invalid",
+                         session=session).reason("bad", _cands(g, [
+                             ([Triple(0, 0, 1)], 1.0, 1.0)]))
+    records = [BenchmarkRecord(question, (("a", 1.0),), frozenset({"b"}))
+               for question in ("bad", "good")]
+    reasoner = ExternalReasoner(g, url="http://reasoner.invalid",
+                                session=session)
+    report = run_benchmark(records, g, RunConfig(radius=1, rounds=1, walks=0),
+                           reasoner, EMB)
+    rows = report["per_question"]
+    assert [r["failed"] for r in rows] == [1, 0]
+    assert rows[1]["answer"] == "b" and rows[1]["hit_at_1"] == 1.0
+
+
 def test_external_reasoner_env_url(monkeypatch, chain_graph):
     monkeypatch.delenv("KGPATHS_REASONER_URL", raising=False)
     with pytest.raises(ValueError):
@@ -374,3 +466,64 @@ def test_run_loop_requires_seeds():
     g = build_graph([("a", "r", "b")])
     with pytest.raises(ValueError):
         run_loop("q", [], g, RunConfig(), ScriptedReasoner(g), EMB)
+
+
+# --- one score table per round ----------------------------------------------------
+
+
+class _CountingEmbeddings:
+    """Embedding provider that counts ``embed`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def embed(self, label):
+        self.calls += 1
+        return self.inner.embed(label)
+
+    def has(self, label):
+        return self.inner.has(label)
+
+
+@pytest.mark.parametrize("graph_seed", range(6))
+def test_run_loop_pools_each_path_and_weights_each_edge_once(
+        monkeypatch, graph_seed):
+    pooled, weighted = Counter(), Counter()
+    pool_ref = kgpaths.paths.pool_path_vector
+    cost_ref = kgpaths.weights.effective_cost
+
+    def pool(path, *args):
+        pooled[path.key()] += 1
+        return pool_ref(path, *args)
+
+    def cost(edge, *args):
+        weighted[edge] += 1
+        return cost_ref(edge, *args)
+
+    # count at every name the package binds the reference functions to
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kgpaths."):
+            for name, ref, counted in (("pool_path_vector", pool_ref, pool),
+                                       ("effective_cost", cost_ref, cost)):
+                if getattr(module, name, None) is ref:
+                    monkeypatch.setattr(module, name, counted)
+
+    g = random_graph(random.Random(graph_seed), max_nodes=12, max_edges=40)
+    emb = _CountingEmbeddings(HashEmbeddings(dimension=8, seed=graph_seed))
+    config = RunConfig(rounds=1, radius=3, L=3, K=12, beam=4, walks=30,
+                       select_top_k=4, seed=graph_seed)
+    result = run_loop("q n1 r2", [SeedCandidate(0, 1.0)], g, config,
+                      ScriptedReasoner(g), emb)
+
+    assert len(result.rounds) == 1 and result.reasoner_calls == 1
+    candidates = {(tuple(g.entity_id(n) for n in nodes),
+                   tuple(g.relation_id(r) for r in rels))
+                  for nodes, rels in result.retrieved_paths}
+    assert candidates and set(pooled) >= candidates
+    assert max(pooled.values()) == 1
+    assert max(weighted.values(), default=1) == 1
+    # the provider saw the query, one lookup per label of each pooled path
+    # and two per weighted edge: nothing pools or weighs around the table
+    labels = sum(len(nodes) + len(rels) for nodes, rels in pooled)
+    assert emb.calls == 1 + labels + 2 * len(weighted)

@@ -15,7 +15,7 @@ from kgpaths.pathenum import (
     k_shortest_weighted,
     random_walk_proposals,
 )
-from kgpaths.weights import WeightCoefficients, path_score
+from kgpaths.weights import ScoreTable, WeightCoefficients, path_score
 
 from conftest import build_graph, full_subgraph, random_graph
 
@@ -120,7 +120,8 @@ def test_beam_expand_respects_beam_size():
     sub = full_subgraph(g)
     budget = EnumerationBudget(max_length=2, beam_size=3)
     q = EMB.embed("q")
-    paths = beam_expand(sub, [g.entity_id("s")], budget, q, COEFFS, EMB)
+    paths = beam_expand(ScoreTable(sub, COEFFS, EMB, q), [g.entity_id("s")],
+                        budget)
     assert len(paths) == 3  # only depth-1 paths exist; truncated to B
 
 
@@ -128,7 +129,7 @@ def test_beam_keeps_highest_scoring_prefixes(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4, beam_size=32)
     q = EMB.embed("q")
-    paths = beam_expand(sub, [0], budget, q, COEFFS, EMB)
+    paths = beam_expand(ScoreTable(sub, COEFFS, EMB, q), [0], budget)
     # with a wide beam every prefix is retained
     assert len({p.key() for p in paths}) == 5
 
@@ -136,10 +137,10 @@ def test_beam_keeps_highest_scoring_prefixes(chain_graph):
 def test_random_walks_deterministic_and_simple(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4, walks=50, restart_prob=0.3)
-    a = random_walk_proposals(sub, [0], budget, 42, COEFFS, EMB)
-    b = random_walk_proposals(sub, [0], budget, 42, COEFFS, EMB)
+    a = random_walk_proposals(edge_costs(sub, COEFFS, EMB), [0], budget, 42)
+    b = random_walk_proposals(edge_costs(sub, COEFFS, EMB), [0], budget, 42)
     assert [p.key() for p in a] == [p.key() for p in b]
-    c = random_walk_proposals(sub, [0], budget, 43, COEFFS, EMB)
+    c = random_walk_proposals(edge_costs(sub, COEFFS, EMB), [0], budget, 43)
     assert len(a) <= 50
     for p in a + c:
         assert len(set(p.nodes)) == len(p.nodes)
@@ -149,7 +150,8 @@ def test_enumerate_paths_dedups_and_truncates(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4, max_candidates=3, walks=20)
     q = EMB.embed("q")
-    paths = enumerate_paths(sub, [0], budget, q, COEFFS, EMB, rng_seed=1)
+    paths = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), [0], budget,
+                            rng_seed=1)
     assert len(paths) == 3
     assert len({p.key() for p in paths}) == 3
 
@@ -158,7 +160,7 @@ def test_enumerate_paths_ranked_by_score(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4, walks=0)
     q = EMB.embed("q")
-    paths = enumerate_paths(sub, [0], budget, q, COEFFS, EMB)
+    paths = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), [0], budget)
     scores = [path_score(p, q, COEFFS, EMB, chain_graph, sub) for p in paths]
     assert scores == sorted(scores, reverse=True)
 
@@ -167,10 +169,11 @@ def test_enumerate_paths_seed_handling(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget()
     q = EMB.embed("q")
+    table = ScoreTable(sub, COEFFS, EMB, q)
     with pytest.raises(ValueError):
-        enumerate_paths(sub, [], budget, q, COEFFS, EMB)
+        enumerate_paths(table, [], budget)
     # seeds outside the subgraph are skipped; none left -> empty result
-    assert enumerate_paths(sub, [99], budget, q, COEFFS, EMB) == []
+    assert enumerate_paths(table, [99], budget) == []
 
 
 def test_enumerate_paths_pair_mode():
@@ -179,31 +182,32 @@ def test_enumerate_paths_pair_mode():
     budget = EnumerationBudget(max_length=4, walks=0)
     q = EMB.embed("q")
     seeds = [g.entity_id("a"), g.entity_id("c")]
-    paths = enumerate_paths(sub, seeds, budget, q, COEFFS, EMB, pair_mode=True)
+    paths = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
+                            pair_mode=True)
     assert all(p.nodes[0] in seeds and p.terminal in seeds for p in paths)
     assert [p.nodes for p in paths] == [(0, 1, 2)]
 
 
 def pair_mode_reference(sub, seeds, budget, q, rng_seed):
     """Pair mode with every generator run: the pooled k-shortest, beam and
-    walk proposals, filtered to seed-to-seed paths, ranked and cut to K."""
-    costs = edge_costs(sub, COEFFS, EMB)
+    walk proposals, filtered to seed-to-seed paths, ranked by the uncached
+    ``path_score`` and cut to K."""
+    table = ScoreTable(sub, COEFFS, EMB, q)
     present = sorted({s for s in seeds if s in sub.nodes})
     pool = {}
     proposals = [
         p
         for s in present for t in present if t != s
         for p in k_shortest_weighted(sub, s, budget.max_candidates, budget,
-                                     COEFFS, EMB, target=t, costs=costs)
+                                     COEFFS, EMB, target=t, costs=table)
     ]
-    proposals += beam_expand(sub, present, budget, q, COEFFS, EMB, costs=costs)
-    proposals += random_walk_proposals(sub, present, budget, rng_seed, COEFFS,
-                                       EMB, costs=costs)
+    proposals += beam_expand(table, present, budget)
+    proposals += random_walk_proposals(table, present, budget, rng_seed)
     for p in proposals:
         if p.terminal in present and p.terminal != p.nodes[0]:
             pool.setdefault(p.key(), p)
     ranked = sorted(pool.values(), key=lambda p: (
-        -path_score(p, q, COEFFS, EMB, sub.graph, sub, edge_cost_cache=costs),
+        -path_score(p, q, COEFFS, EMB, sub.graph, sub),
         p.nodes, p.relations))
     return [p.key() for p in ranked[:budget.max_candidates]]
 
@@ -220,7 +224,7 @@ def test_enumerate_paths_pair_mode_matches_reference(graph_seed, k, length,
     budget = EnumerationBudget(max_length=length, max_candidates=k,
                                beam_size=4, walks=30)
     q = EMB.embed(f"q{graph_seed}")
-    got = enumerate_paths(sub, seeds, budget, q, COEFFS, EMB,
+    got = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
                           rng_seed=graph_seed, pair_mode=True)
     assert [p.key() for p in got] == \
         pair_mode_reference(sub, seeds, budget, q, graph_seed)

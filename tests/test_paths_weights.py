@@ -1,13 +1,17 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgpaths.embeddings import FileEmbeddings, cosine
+from kgpaths.embeddings import FileEmbeddings, HashEmbeddings, cosine
 from kgpaths.errors import EmptyPathError
 from kgpaths.graph import Triple
 from kgpaths.paths import Path, pool_path_vector
 from kgpaths.weights import (
+    ScoreTable,
     WeightCoefficients,
     edge_weight,
     effective_cost,
@@ -15,7 +19,7 @@ from kgpaths.weights import (
     semantic_match,
 )
 
-from conftest import build_graph, full_subgraph
+from conftest import build_graph, full_subgraph, random_graph
 
 
 def test_path_validation():
@@ -99,14 +103,48 @@ def test_path_score_formula():
     assert path_score(p, q, coeffs, emb, g) == pytest.approx(-2.0 + 0.7)
 
 
-def test_path_score_uses_cache():
-    g = build_graph([("a", "r", "b")])
-    emb = FileEmbeddings({l: np.array([1.0, 0.0]) for l in ("a", "b", "r")})
-    coeffs = WeightCoefficients(alpha=1.0, beta=0.0, gamma=0.0, lambda_sem=0.0)
-    p = Path([Triple(0, 0, 1)])
-    cache = {Triple(0, 0, 1): 0.123}
-    score = path_score(p, emb.embed("a"), coeffs, emb, g, edge_cost_cache=cache)
-    assert score == pytest.approx(-0.123)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["uniform", "degree"]),
+       st.floats(min_value=0.0, max_value=2.0))
+def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem):
+    rng = random.Random(graph_seed)
+    g = random_graph(rng)
+    sub = full_subgraph(g)
+    for e in sorted(sub.edges)[::3]:  # soft multipliers change costs
+        sub.soft[e] = rng.random()
+    emb = HashEmbeddings(dimension=8, seed=graph_seed)
+    coeffs = WeightCoefficients(struct_mode=struct_mode, lambda_sem=lambda_sem)
+    q = emb.embed("q")
+    table = ScoreTable(sub, coeffs, emb, q)
+    paths = [Path(edges) for edges in _simple_edge_paths(sub, 3)]
+    for _ in range(2):  # the second pass reads cached values
+        for p in paths:
+            assert np.array_equal(table.vector(p), pool_path_vector(p, emb, g))
+            assert table.sem(p) == semantic_match(p, q, emb, g)
+            assert table.score(p) == path_score(p, q, coeffs, emb, g, sub)
+            for e in p.edges:
+                assert table[e] == effective_cost(e, coeffs, emb, g, sub)
+    assert len(table) == len({e for p in paths for e in p.edges})
+
+
+def _simple_edge_paths(sub, max_length):
+    """Every simple path of at most ``max_length`` edges, as edge tuples."""
+    adj = {}
+    for e in sorted(sub.edges):
+        adj.setdefault(e.head, []).append(e)
+    out = []
+
+    def grow(edges, nodes):
+        out.append(edges)
+        if len(edges) < max_length:
+            for e in adj.get(edges[-1].tail, []):
+                if e.tail not in nodes:
+                    grow(edges + (e,), nodes | {e.tail})
+
+    for e in sorted(sub.edges):
+        grow((e,), {e.head, e.tail})
+    return out
 
 
 def test_coefficients_validation():

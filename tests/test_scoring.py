@@ -17,7 +17,7 @@ from kgpaths.scoring import (
     select_and_inject,
     verify,
 )
-from kgpaths.weights import WeightCoefficients, path_score
+from kgpaths.weights import ScoreTable, WeightCoefficients, path_score
 
 from conftest import build_graph, full_subgraph
 
@@ -31,31 +31,40 @@ def star_paths(n):
     return g, paths
 
 
+def table_for(graph, q, emb=EMB):
+    return ScoreTable(full_subgraph(graph), COEFFS, emb, q)
+
+
 def test_score_candidates_default_is_path_score(chain_graph):
     sub = full_subgraph(chain_graph)
     q = EMB.embed("q")
     paths = [Path([Triple(0, 0, 1)]), Path([Triple(0, 0, 1), Triple(1, 1, 2)])]
-    cands = score_candidates(paths, q, COEFFS, EMB, chain_graph, sub)
+    cands = score_candidates(paths, ScoreTable(sub, COEFFS, EMB, q))
     for c in cands:
-        assert c.u == pytest.approx(
-            path_score(c.path, q, COEFFS, EMB, chain_graph, sub))
+        assert c.u == path_score(c.path, q, COEFFS, EMB, chain_graph, sub)
 
 
 def test_score_candidates_plugin_and_errors(chain_graph):
     sub = full_subgraph(chain_graph)
     q = EMB.embed("q")
+    table = ScoreTable(sub, COEFFS, EMB, q)
     paths = [Path([Triple(0, 0, 1)])]
-    cands = score_candidates(paths, q, COEFFS, EMB, chain_graph, sub,
-                             scorer=lambda *a, **k: 3.5)
+    seen = []
+
+    def scorer(*args):
+        seen.append(args)
+        return 3.5
+
+    cands = score_candidates(paths, table, scorer=scorer)
     assert cands[0].u == 3.5
+    # the plugin protocol is unchanged: (path, q, coeffs, emb, graph, sub)
+    assert seen == [(paths[0], q, COEFFS, EMB, chain_graph, sub)]
     with pytest.raises(KgError, match="scorer failed"):
-        score_candidates(paths, q, COEFFS, EMB, chain_graph, sub,
-                         scorer=lambda *a, **k: 1 / 0)
+        score_candidates(paths, table, scorer=lambda *a, **k: 1 / 0)
     with pytest.raises(KgError, match="non-finite"):
-        score_candidates(paths, q, COEFFS, EMB, chain_graph, sub,
-                         scorer=lambda *a, **k: float("nan"))
+        score_candidates(paths, table, scorer=lambda *a, **k: float("nan"))
     with pytest.raises(ValueError):
-        score_candidates([], q, COEFFS, EMB, chain_graph, sub)
+        score_candidates([], table)
 
 
 def test_linear_scorer_and_verifier_from_tsv(chain_graph):
@@ -70,7 +79,7 @@ def test_linear_scorer_and_verifier_from_tsv(chain_graph):
 
 def _weights_for(us, config):
     g, paths = star_paths(len(us))
-    cands = score_candidates(paths, EMB.embed("q"), COEFFS, EMB, g,
+    cands = score_candidates(paths, table_for(g, EMB.embed("q")),
                              scorer=lambda p, *a, **k: us[p.terminal - 1])
     gumbel_soft_weights(cands, config)
     return np.array([c.soft_weight for c in cands])
@@ -104,35 +113,37 @@ def test_verify_default_maps_sem_to_unit_interval():
     g = build_graph([("a", "r", "b")])
     emb = FileEmbeddings({l: np.array([1.0, 0.0]) for l in ("a", "b", "r")})
     p = Path([Triple(0, 0, 1)])
-    assert verify(p, emb.embed("a"), emb, g) == pytest.approx(1.0)
-    assert verify(p, np.array([-1.0, 0.0]), emb, g) == pytest.approx(0.0)
-    assert verify(p, np.array([0.0, 1.0]), emb, g) == pytest.approx(0.5)
+    assert verify(p, table_for(g, emb.embed("a"), emb)) == pytest.approx(1.0)
+    assert verify(p, table_for(g, np.array([-1.0, 0.0]), emb)) \
+        == pytest.approx(0.0)
+    assert verify(p, table_for(g, np.array([0.0, 1.0]), emb)) \
+        == pytest.approx(0.5)
 
 
 def test_verify_hard_gates_on_refutation():
     g = build_graph([("a", "r", "b"), ("b", "r", "c")])
     emb = FileEmbeddings({l: np.array([1.0, 0.0]) for l in ("a", "b", "c", "r")})
-    q = emb.embed("a")
+    table = table_for(g, emb.embed("a"), emb)
     p = Path([Triple(0, 0, 1)])
     # refuted edge on the path
-    assert verify(p, q, emb, g, refuted={Triple(0, 0, 1)}) == 0.0
+    assert verify(p, table, refuted={Triple(0, 0, 1)}) == 0.0
     # path terminating at the subject of a refuted fact
-    assert verify(p, q, emb, g, refuted={Triple(1, 0, 2)}) == 0.0
+    assert verify(p, table, refuted={Triple(1, 0, 2)}) == 0.0
     # unrelated refutation leaves the heuristic value intact
-    assert verify(p, q, emb, g, refuted={Triple(2, 0, 0)}) == pytest.approx(1.0)
+    assert verify(p, table, refuted={Triple(2, 0, 0)}) == pytest.approx(1.0)
 
 
 def test_verify_plugin_is_clamped():
     g = build_graph([("a", "r", "b")])
     emb = FileEmbeddings({l: np.array([1.0, 0.0]) for l in ("a", "b", "r")})
     p = Path([Triple(0, 0, 1)])
-    assert verify(p, emb.embed("a"), emb, g,
+    assert verify(p, table_for(g, emb.embed("a"), emb),
                   verifier=lambda *a, **k: 7.0) == 1.0
 
 
 def select(us, vs, **kwargs):
     g, paths = star_paths(len(us))
-    cands = score_candidates(paths, EMB.embed("q"), COEFFS, EMB, g,
+    cands = score_candidates(paths, table_for(g, EMB.embed("q")),
                              scorer=lambda p, *a, **k: us[p.terminal - 1])
     gumbel_soft_weights(cands, GumbelConfig(temperature=1.0, deterministic=True))
     for c, v in zip(cands, vs):
