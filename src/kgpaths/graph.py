@@ -1,9 +1,19 @@
 """Knowledge-graph storage, loading, neighborhood expansion, and edits.
 
 Entities and relations are interned to dense integer ids in first-come
-order. The base graph is immutable after loading; all per-query state
-(working node/edge sets, soft edge multipliers, refutations) lives on
-:class:`Subgraph` values owned by a single query episode.
+order. The base graph keeps each entity's out- and in-edges as sorted
+lists of triples, built once when the graph is loaded; it is immutable
+after that. All per-query state (working node/edge sets, soft edge
+multipliers, refutations) lives on :class:`Subgraph` values owned by a
+single query episode.
+
+A subgraph's edges are always the base triples with both ends among its
+nodes, minus the ones it has pruned. They are kept up to date
+incrementally: inducing edges visits only nodes not induced before, and
+reads their edges from the base graph's adjacency lists, so an edit that
+adds no node costs no edge work. Traversal (``pathenum``) reads a node's
+subgraph edges the same way, from the base adjacency filtered by
+membership, instead of keeping adjacency of its own.
 """
 
 from __future__ import annotations
@@ -80,9 +90,13 @@ GraphEdit = ExpandSeed | PruneEdge | ConfirmTriple | RefuteTriple | SwapSeed
 
 
 class KnowledgeGraph:
-    """Interned triple store with typed out-adjacency and relation priors.
+    """Interned triple store with typed out- and in-adjacency and relation
+    priors.
 
-    Immutable after construction; safe for concurrent readers.
+    ``out_adj[h]`` lists the triples with head ``h`` and ``in_adj[t]`` the
+    triples with tail ``t``, the same objects as in ``triples``, each list
+    sorted after ``finalize()``. Immutable after construction; safe for
+    concurrent readers.
     """
 
     def __init__(self):
@@ -92,7 +106,8 @@ class KnowledgeGraph:
         self._relation_ids: dict[str, int] = {}
         self.relation_frequency: list[int] = []
         self.triples: set[Triple] = set()
-        self.out_adj: list[list[tuple[int, int]]] = []  # entity -> [(relation, tail)]
+        self.out_adj: list[list[Triple]] = []  # entity -> triples out of it
+        self.in_adj: list[list[Triple]] = []  # entity -> triples into it
         self._prior_cost: list[float] = []
 
     # -- interning -----------------------------------------------------
@@ -104,6 +119,7 @@ class KnowledgeGraph:
             self._entity_ids[label] = eid
             self.entity_labels.append(label)
             self.out_adj.append([])
+            self.in_adj.append([])
         return eid
 
     def _intern_relation(self, label: str) -> int:
@@ -172,13 +188,16 @@ class KnowledgeGraph:
         self.relation_frequency[r] += 1
         if triple not in self.triples:
             self.triples.add(triple)
-            self.out_adj[h].append((r, t))
+            self.out_adj[h].append(triple)
+            self.in_adj[t].append(triple)
         return triple
 
     def finalize(self) -> None:
         """Sort adjacency for deterministic traversal and derive default
         relation priors from frequency (rare relations cost more)."""
         for adj in self.out_adj:
+            adj.sort()
+        for adj in self.in_adj:
             adj.sort()
         max_freq = max(self.relation_frequency, default=0)
         if max_freq > 0:
@@ -248,7 +267,8 @@ class Subgraph:
 
     Tracks node/edge provenance (the round at which each element entered),
     soft edge multipliers, and the episode's confirmed/refuted triples.
-    Mutated only by its owning query loop.
+    ``induced`` holds the nodes whose edges ``induce_edges`` has already
+    added. Mutated only by its owning query loop.
     """
 
     graph: KnowledgeGraph
@@ -260,6 +280,7 @@ class Subgraph:
     confirmed: set[Triple] = field(default_factory=set)
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
+    induced: set[int] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
 
     def multiplier(self, triple: Triple) -> float:
@@ -276,11 +297,36 @@ class Subgraph:
             self.edge_provenance[triple] = round_index
 
     def induce_edges(self, round_index: int) -> None:
-        """Add every parent-graph edge whose endpoints are both present."""
-        for u in self.nodes:
-            for r, t in self.graph.out_adj[u]:
-                if t in self.nodes:
-                    self.add_edge(Triple(u, r, t), round_index)
+        """Add every unpruned parent-graph edge whose endpoints are both
+        present.
+
+        Only nodes not induced before are visited: each one's out-edges to
+        present nodes, and its in-edges from nodes induced before (edges
+        between two new nodes are the out-edges of one of them). Edges
+        between nodes induced before are in place already.
+        """
+        nodes = self.nodes
+        new = nodes - self.induced
+        any_old = len(new) < len(nodes)  # else no in-edge can come from one
+        for u in new:
+            for e in self.graph.out_adj[u]:
+                if e.tail in nodes:
+                    self.add_edge(e, round_index)
+            if any_old:
+                for e in self.graph.in_adj[u]:
+                    if e.head in nodes and e.head not in new:
+                        self.add_edge(e, round_index)
+        self.induced |= new
+
+    def remove_node(self, entity: int) -> None:
+        """Drop ``entity`` and every edge touching it; adding it back later
+        induces its edges afresh."""
+        self.nodes.discard(entity)
+        self.induced.discard(entity)
+        self.node_provenance.pop(entity, None)
+        for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
+            self.edges.discard(e)
+            self.edge_provenance.pop(e, None)
 
     def to_json(self) -> str:
         """Debug dump: nodes, edges, and provenance."""
@@ -315,7 +361,8 @@ def _bfs_add(subgraph: Subgraph, start: int, radius: int, round_index: int) -> N
         node, depth = frontier.popleft()
         if depth == radius:
             continue
-        for r, t in subgraph.graph.out_adj[node]:
+        for e in subgraph.graph.out_adj[node]:
+            t = e.tail
             subgraph.add_node(t, round_index)
             if t not in seen:
                 seen.add(t)
@@ -415,16 +462,7 @@ def apply_edits(
             check_entity(edit.old_entity)
             check_entity(edit.new_entity)
             if edit.old_entity in subgraph.nodes:
-                subgraph.nodes.discard(edit.old_entity)
-                subgraph.node_provenance.pop(edit.old_entity, None)
-                stale = [
-                    e
-                    for e in subgraph.edges
-                    if e.head == edit.old_entity or e.tail == edit.old_entity
-                ]
-                for e in stale:
-                    subgraph.edges.discard(e)
-                    subgraph.edge_provenance.pop(e, None)
+                subgraph.remove_node(edit.old_entity)
             _bfs_add(subgraph, edit.new_entity, edit.radius, round_index)
             subgraph.induce_edges(round_index)
         else:

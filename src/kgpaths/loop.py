@@ -524,9 +524,11 @@ def run_loop(
     """Run one retrieval-reasoning episode of up to ``config.rounds`` rounds.
 
     Terminates when the reasoner's confidence exceeds the threshold or the
-    round budget is exhausted. Reasoner service failures mark the episode
-    failed with a partial trace; an empty candidate set forces an EXPAND
-    edit on the highest-confidence seed.
+    round budget is exhausted. A ``ServiceError`` inside a round, from the
+    reasoner or from the embedding provider (while paths are enumerated,
+    scored, verified or encoded), marks the episode failed: the finished
+    rounds are kept and the failed round is traced with no answer. An empty
+    candidate set forces an EXPAND edit on the highest-confidence seed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -554,57 +556,60 @@ def run_loop(
         if trace_file is not None:
             trace_file.write(json.dumps(state.to_record(), sort_keys=True) + "\n")
 
+    def forced_expand(t: int):
+        nonlocal edits_applied
+        top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))
+        edit = ExpandSeed(top_seed.entity, radius=1)
+        apply_edits(subgraph, graph, [edit], round_index=t + 1)
+        edits_applied += 1
+        emit(RoundState(
+            round=t, subgraph_nodes=len(subgraph.nodes),
+            subgraph_edges=len(subgraph.edges), num_candidates=0,
+            selected=[], answer=None, confidence=None,
+            diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
+            edits=[_edit_repr(edit, graph)],
+            reasoner_calls=reasoner_calls, tokens=tokens,
+            edits_applied=edits_applied, forced_expand=True))
+
     for t in range(config.rounds):
-        # every score, cost and pooled vector of this round, each computed
-        # once; edits at the end of the round call for a new table
-        table = ScoreTable(subgraph, coeffs, embeddings, qvec)
-        paths = enumerate_paths(
-            table, seed_ids, budget,
-            rng_seed=config.seed + 1000 * t, pair_mode=config.pair_mode)
-
-        def forced_expand():
-            nonlocal edits_applied
-            top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))
-            edit = ExpandSeed(top_seed.entity, radius=1)
-            apply_edits(subgraph, graph, [edit], round_index=t + 1)
-            edits_applied += 1
-            emit(RoundState(
-                round=t, subgraph_nodes=len(subgraph.nodes),
-                subgraph_edges=len(subgraph.edges), num_candidates=0,
-                selected=[], answer=None, confidence=None,
-                diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
-                edits=[_edit_repr(edit, graph)],
-                reasoner_calls=reasoner_calls, tokens=tokens,
-                edits_applied=edits_applied, forced_expand=True))
-
-        if not paths:
-            forced_expand()
-            continue
-
-        candidates = score_candidates(paths, table, scorer=scorer)
-        gumbel_soft_weights(candidates, GumbelConfig(
-            temperature=config.tau, rng_seed=config.seed + 7919 * (t + 1),
-            deterministic=config.deterministic))
-        for c in candidates:
-            c.verifier = 1.0 if config.no_verifier else verify(
-                c.path, table, refuted=subgraph.refuted, verifier=verifier)
-
+        candidates: list[ScoredCandidate] = []
+        # everything up to the reasoner's reply reads the embedding or the
+        # reasoner service; a ServiceError there ends the episode as failed
         try:
-            selected = select_and_inject(
-                candidates, top_k=config.effective_top_k(),
-                threshold=config.select_threshold,
-                seed_confidence=seed_conf, rho=config.rho)
-        except EmptySelectionError:
-            forced_expand()
-            continue
+            # every score, cost and pooled vector of this round, each
+            # computed once; edits at the end of the round call for a new
+            # table
+            table = ScoreTable(subgraph, coeffs, embeddings, qvec)
+            paths = enumerate_paths(
+                table, seed_ids, budget,
+                rng_seed=config.seed + 1000 * t, pair_mode=config.pair_mode)
+            if not paths:
+                forced_expand(t)
+                continue
 
-        latents = [encode_path(c.path, table, i)
-                   for i, c in enumerate(selected)]
-        mixture = context_mixture([
-            (lat, c.adjusted_injection) for lat, c in zip(latents, selected)
-        ])
+            candidates = score_candidates(paths, table, scorer=scorer)
+            gumbel_soft_weights(candidates, GumbelConfig(
+                temperature=config.tau, rng_seed=config.seed + 7919 * (t + 1),
+                deterministic=config.deterministic))
+            for c in candidates:
+                c.verifier = 1.0 if config.no_verifier else verify(
+                    c.path, table, refuted=subgraph.refuted, verifier=verifier)
 
-        try:
+            try:
+                selected = select_and_inject(
+                    candidates, top_k=config.effective_top_k(),
+                    threshold=config.select_threshold,
+                    seed_confidence=seed_conf, rho=config.rho)
+            except EmptySelectionError:
+                forced_expand(t)
+                continue
+
+            latents = [encode_path(c.path, table, i)
+                       for i, c in enumerate(selected)]
+            mixture = context_mixture([
+                (lat, c.adjusted_injection)
+                for lat, c in zip(latents, selected)
+            ])
             reply = reasoner.reason(question, selected, mixture=mixture)
         except ServiceError as exc:
             failed = True

@@ -11,12 +11,19 @@ the first time anything asks for it, so a round pays only for the edges and
 paths its search touches, once each. The table outlives enumeration: the
 caller hands it on to candidate scoring, the verifier and injection.
 
+No generator builds adjacency of its own. A node's subgraph out-edges are
+read from the base graph's sorted ``out_adj``, keeping those in
+``subgraph.edges``, once per node and generator call; they come in
+(relation, tail) order, which fixes the random walks' choice order.
+
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
 with a ``target`` first runs a backwards breadth-first search from the
-target, bounded by L, and never pushes a partial path whose tail cannot
-reach the target in the hops left. The hop bound ignores the simple-path
-rule, so it never overestimates the distance: only partial paths with no
-completion are dropped, and the output is exactly the unpruned one. When
+target over the base graph's ``in_adj``, limited to subgraph nodes and
+bounded by L, and never pushes a partial path whose tail cannot reach the
+target in the hops left. The hop bound ignores prunes and the simple-path
+rule, so it counts hops over a superset of the subgraph's edges and never
+overestimates the distance: only partial paths with no completion are
+dropped, and the output is exactly the unpruned one. When
 every seed pair's k-shortest search returns fewer than K paths, it has
 listed every simple path of length <= L between seeds, which is all that a
 beam or walk proposal can contribute after the endpoint filter, so
@@ -64,26 +71,47 @@ def edge_costs(
     return ScoreTable(subgraph, coeffs, embeddings)
 
 
-def _adjacency(subgraph: Subgraph) -> dict[int, list[Triple]]:
-    adj: dict[int, list[Triple]] = {n: [] for n in subgraph.nodes}
-    for e in sorted(subgraph.edges):
-        adj.setdefault(e.head, []).append(e)
-    return adj
+class _OutEdges(dict):
+    """Node -> its out-edges in the subgraph, in (relation, tail) order.
+
+    Read on first ask from the base graph's sorted out-adjacency, keeping
+    the triples the subgraph holds (so no pruned edge). Valid while the
+    subgraph's edges stay as they are, so each generator call builds its
+    own.
+    """
+
+    def __init__(self, subgraph: Subgraph):
+        super().__init__()
+        self.edges = subgraph.edges
+        self.out_adj = subgraph.graph.out_adj
+
+    def __missing__(self, node: int) -> list[Triple]:
+        edges = self.edges
+        out = self[node] = [e for e in self.out_adj[node] if e in edges]
+        return out
 
 
 def _hops_to(subgraph: Subgraph, target: int, max_hops: int) -> dict[int, int]:
-    """Fewest subgraph edges from each node to ``target``, for nodes within
-    ``max_hops``; a backwards breadth-first search that ignores simplicity."""
-    into: dict[int, list[int]] = {}
-    for e in subgraph.edges:
-        into.setdefault(e.tail, []).append(e.head)
+    """Fewest hops from each subgraph node to ``target``, for nodes within
+    ``max_hops``; empty when ``target`` is not in the subgraph.
+
+    A backwards breadth-first search over the base graph's in-adjacency,
+    limited to subgraph nodes. It ignores prunes and the simple-path rule,
+    so it walks a superset of the subgraph's edges and never overestimates
+    a node's distance: a bound read from it is admissible.
+    """
+    nodes = subgraph.nodes
+    if target not in nodes:
+        return {}
+    in_adj = subgraph.graph.in_adj
     hops = {target: 0}
     frontier = [target]
     for d in range(1, max_hops + 1):
         nxt = []
         for node in frontier:
-            for head in into.get(node, ()):
-                if head not in hops:
+            for e in in_adj[node]:
+                head = e.head
+                if head not in hops and head in nodes:
                     hops[head] = d
                     nxt.append(head)
         frontier = nxt
@@ -109,14 +137,14 @@ def k_shortest_weighted(
     (pair mode); by default any endpoint counts.
 
     With a ``target``, the search is goal-directed: a backwards breadth-first
-    search from the target gives each node's fewest hops to it, and a partial
-    path is pushed only if its tail is within the hops it has left. Paths
-    that reach the target are not extended, since a simple path cannot
-    return to it. The hop count ignores the simple-path rule, so it never
-    overestimates: the pruned partial paths are exactly some with no
-    completion, the heap pops the remaining ones in the same order, and the
-    output equals the unpruned search's. A seed that cannot reach the target
-    within L hops costs no expansion at all.
+    search from the target (``_hops_to``) gives each node's fewest hops to
+    it, and a partial path is pushed only if its tail is within the hops it
+    has left. Paths that reach the target are not extended, since a simple
+    path cannot return to it. The hop count ignores prunes and the
+    simple-path rule, so it never overestimates: the pruned partial paths
+    are exactly some with no completion, the heap pops the remaining ones
+    in the same order, and the output equals the unpruned search's. A seed
+    that cannot reach the target within L hops costs no expansion at all.
     """
     if seed not in subgraph.nodes:
         raise ValueError(f"seed {seed} not in subgraph")
@@ -129,7 +157,7 @@ def k_shortest_weighted(
             return []
     if costs is None:
         costs = edge_costs(subgraph, coeffs, embeddings)
-    adj = _adjacency(subgraph)
+    adj = _OutEdges(subgraph)
 
     def too_far(node: int, left: int) -> bool:
         """Whether ``node`` cannot reach the target in ``left`` more hops."""
@@ -138,7 +166,7 @@ def k_shortest_weighted(
     out: list[Path] = []
     # heap entries: (cost, node sequence, relation sequence, edges)
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
-    for e in adj.get(seed, []):
+    for e in adj[seed]:
         if not too_far(e.tail, max_length - 1):
             heapq.heappush(heap, (costs[e], (seed, e.tail), (e.relation,), (e,)))
 
@@ -151,7 +179,7 @@ def k_shortest_weighted(
         if len(edges) < max_length:
             visited = set(nodes)
             left = max_length - len(edges) - 1
-            for e in adj.get(nodes[-1], []):
+            for e in adj[nodes[-1]]:
                 if e.tail in visited or too_far(e.tail, left):
                     continue
                 heapq.heappush(
@@ -170,11 +198,11 @@ def beam_expand(
     """Breadth-first expansion over ``table.subgraph`` keeping the B
     highest-scoring partial paths per depth; every retained prefix is
     returned as a candidate."""
-    adj = _adjacency(table.subgraph)
+    adj = _OutEdges(table.subgraph)
 
     frontier: list[Path] = []
     for s in sorted(set(seeds)):
-        for e in adj.get(s, []):
+        for e in adj[s]:
             frontier.append(Path((e,)))
     frontier.sort(key=lambda p: (-table.score(p), p.nodes, p.relations))
     frontier = frontier[: budget.beam_size]
@@ -184,7 +212,7 @@ def beam_expand(
         nxt: list[Path] = []
         for p in frontier:
             visited = set(p.nodes)
-            for e in adj.get(p.terminal, []):
+            for e in adj[p.terminal]:
                 if e.tail in visited:
                     continue
                 nxt.append(Path(p.edges + (e,)))
@@ -211,7 +239,7 @@ def random_walk_proposals(
     """
     if budget.walks == 0 or not seeds:
         return []
-    adj = _adjacency(costs.subgraph)
+    adj = _OutEdges(costs.subgraph)
     rng = random.Random(rng_seed)
     seeds = sorted(set(seeds))
 
@@ -224,7 +252,7 @@ def random_walk_proposals(
         while len(edges) < budget.max_length:
             if rng.random() < budget.restart_prob:
                 break
-            options = [e for e in adj.get(node, []) if e.tail not in visited]
+            options = [e for e in adj[node] if e.tail not in visited]
             if not options:
                 break
             inv = [1.0 / max(costs[e], 1e-9) for e in options]

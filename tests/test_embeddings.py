@@ -92,6 +92,7 @@ def embed_server():
     _EmbedHandler.calls = []
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_service_embeddings_roundtrip_and_cache(embed_server):

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpaths.errors import EditError, ParseError, UnknownEntityError
 from kgpaths.graph import (
@@ -20,7 +23,7 @@ from kgpaths.graph import (
     load_triples,
 )
 
-from conftest import build_graph, full_subgraph
+from conftest import build_graph, full_subgraph, random_graph
 
 
 def test_load_triples_interns_in_first_come_order():
@@ -154,3 +157,75 @@ def test_subgraph_json_dump(chain_graph):
     assert {n["label"] for n in payload["nodes"]} == {"a", "b", "c", "d"}
     assert all({"head", "relation", "tail", "round", "soft_multiplier"}
                <= set(e) for e in payload["edges"])
+
+
+# --- incremental induction ------------------------------------------------------
+
+
+def scratch_edges(sub):
+    """The edges a subgraph must hold: base triples with both ends among
+    its nodes, minus the pruned ones."""
+    return {e for e in sub.graph.triples
+            if e.head in sub.nodes and e.tail in sub.nodes} - sub.pruned
+
+
+class _NoMemory(set):
+    """An ``induced`` set that never keeps a node, so a subgraph holding it
+    re-induces every node's out-edges on each call: induction from
+    scratch, the reference for edges and their provenance."""
+
+    def __ior__(self, other):
+        return self
+
+
+_EDIT_KINDS = st.sampled_from(["expand", "swap", "readd", "prune"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(_EDIT_KINDS, st.integers(0, 11), st.integers(0, 11),
+                          st.integers(1, 2)), min_size=1, max_size=8))
+def test_incremental_induction_matches_recomputation(graph_seed, steps):
+    g = random_graph(random.Random(graph_seed))
+    n = g.num_entities
+    sub = expand_neighborhood(g, [SeedCandidate(0)], radius=1)
+    ref = Subgraph(graph=g, induced=_NoMemory())
+    expand_neighborhood(g, [SeedCandidate(0)], radius=1, into=ref)
+    removed = []
+    for round_index, (kind, a, b, radius) in enumerate(steps, start=1):
+        a, b = a % n, b % n
+        if kind == "expand":
+            edit = ExpandSeed(a, radius)
+        elif kind == "prune":
+            if not sub.edges:
+                continue
+            edit = PruneEdge(sorted(sub.edges)[a % len(sub.edges)])
+        elif kind == "readd" and removed:  # a node an earlier swap removed
+            edit = SwapSeed(a, removed[b % len(removed)], radius)
+        else:
+            edit = SwapSeed(a, b, radius)
+        if isinstance(edit, SwapSeed) and edit.old_entity in sub.nodes:
+            removed.append(edit.old_entity)
+        apply_edits(sub, g, [edit], round_index)
+        apply_edits(ref, g, [edit], round_index)
+        assert sub.nodes == ref.nodes == sub.induced
+        assert sub.edges == scratch_edges(sub) == ref.edges
+        assert sub.edge_provenance == ref.edge_provenance
+        assert set(sub.edge_provenance) == sub.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)))
+def test_hand_built_subgraph_induces_every_edge(graph_seed, first, later):
+    g = random_graph(random.Random(graph_seed))
+    n = g.num_entities
+    sub = Subgraph(graph=g, nodes={x % n for x in first})
+    sub.induce_edges(0)
+    assert sub.edges == scratch_edges(sub)
+    sub.nodes |= {x % n for x in later}  # nodes added by hand, not add_node
+    sub.induce_edges(1)
+    assert sub.edges == scratch_edges(sub)
+    everything = Subgraph(graph=g, nodes=set(range(n)))
+    everything.induce_edges(0)
+    assert everything.edges == g.triples

@@ -292,6 +292,7 @@ def reasoner_server():
     _ReasonerHandler.requests = []
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_external_reasoner_wire_format(chain_graph, reasoner_server):
@@ -527,3 +528,67 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
     # and two per weighted edge: nothing pools or weighs around the table
     labels = sum(len(nodes) + len(rels) for nodes, rels in pooled)
     assert emb.calls == 1 + labels + 2 * len(weighted)
+
+
+# --- embedding service failures inside a round ------------------------------------
+
+
+class _FlakyEmbeddings(_CountingEmbeddings):
+    """Embedding provider whose ``fail_at``-th ``embed`` call raises a
+    ``ServiceError``, as a brief outage would; every other call answers."""
+
+    def __init__(self, inner, fail_at):
+        super().__init__(inner)
+        self.fail_at = fail_at
+
+    def embed(self, label):
+        if self.calls + 1 == self.fail_at:
+            self.calls += 1
+            raise ServiceError("embedding service unavailable",
+                               retryable=True, status=503)
+        return super().embed(label)
+
+
+def _argo_episode(embeddings, **overrides):
+    fx = argo_fixture()
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
+    return run_loop(ARGO_QUESTION, seeds, fx.graph,
+                    fx.config.with_overrides(**overrides), reasoner, embeddings)
+
+
+def test_run_loop_embedding_failure_keeps_earlier_rounds():
+    fx = argo_fixture()
+    first_round = _CountingEmbeddings(fx.embeddings)
+    _argo_episode(first_round, rounds=1)
+    whole = _CountingEmbeddings(fx.embeddings)
+    good = _argo_episode(whole)
+    assert len(good.rounds) == 2 and not good.failed
+    assert whole.calls > first_round.calls
+    # fail each embedding lookup of the second round in turn: enumeration,
+    # scoring, the verifier and encoding all read the service there
+    for fail_at in range(first_round.calls + 1, whole.calls + 1):
+        result = _argo_episode(_FlakyEmbeddings(fx.embeddings, fail_at))
+        assert result.failed, fail_at
+        assert "unavailable" in result.failure
+        assert len(result.rounds) == 2
+        assert result.rounds[0].to_record() == good.rounds[0].to_record()
+        assert result.rounds[1].answer is None
+        assert result.rounds[1].selected == []
+        assert result.answer == "Boston"  # the finished round's answer
+        assert result.reasoner_calls == 1
+
+
+def test_embedding_failure_fails_one_row_and_the_run_continues():
+    fx = argo_fixture()
+    first_round = _CountingEmbeddings(fx.embeddings)
+    _argo_episode(first_round, rounds=1)
+    flaky = _FlakyEmbeddings(fx.embeddings, first_round.calls + 1)
+    report = run_benchmark(fx.records * 2, fx.graph, fx.config,
+                           ScriptedReasoner(fx.graph, conf_threshold=0.4,
+                                            probes=fx.probes), flaky)
+    rows = report["per_question"]
+    assert [r["failed"] for r in rows] == [1, 0]
+    assert rows[0]["rounds"] == 2 and rows[0]["answer"] == "Boston"
+    assert rows[1]["answer"] == "New_York_City"
+    assert report["overall"]["failures"] == 1

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import HashEmbeddings
-from kgpaths.graph import Triple
+from kgpaths.graph import PruneEdge, Subgraph, Triple, apply_edits
 from kgpaths.pathenum import (
     EnumerationBudget,
     beam_expand,
@@ -97,15 +97,31 @@ def test_k_shortest_matches_brute_force_on_random_graphs():
             [(nodes, rels) for _, nodes, rels, _ in want], f"graph {i}"
 
 
-@settings(max_examples=50, deadline=None)
+def partial_subgraph(graph, rng, seed, prune):
+    """Working view holding ``seed`` and about 70% of the other nodes, with
+    about 30% of the induced edges pruned when ``prune`` is set."""
+    sub = Subgraph(graph=graph)
+    for n in range(graph.num_entities):
+        if n == seed or rng.random() < 0.7:
+            sub.add_node(n, 0)
+    sub.induce_edges(0)
+    if prune:
+        apply_edits(sub, graph, [PruneEdge(e) for e in sorted(sub.edges)
+                                 if rng.random() < 0.3])
+    return sub
+
+
+@settings(max_examples=90, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8),
-       st.one_of(st.none(), st.integers(0, 11)))
-def test_k_shortest_brute_force_property(graph_seed, k, target):
+       st.one_of(st.none(), st.integers(0, 11)),
+       st.sampled_from(["full", "partial", "pruned"]))
+def test_k_shortest_brute_force_property(graph_seed, k, target, view):
     rng = random.Random(graph_seed)
     g = random_graph(rng)
-    sub = full_subgraph(g)
-    costs = edge_costs(sub, COEFFS, EMB)
     seed = rng.randrange(g.num_entities)
+    sub = (full_subgraph(g) if view == "full"
+           else partial_subgraph(g, rng, seed, prune=view == "pruned"))
+    costs = edge_costs(sub, COEFFS, EMB)
     budget = EnumerationBudget(max_length=3)
     got = k_shortest_weighted(sub, seed, k, budget, COEFFS, EMB,
                               target=target, costs=costs)
