@@ -33,7 +33,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override any config tunable by its canonical name "
              "(see kgpaths.config.RunConfig)")
     parser.add_argument("--seed", type=int, help="rng seed")
-    parser.add_argument("--jobs", type=int, help="episode parallelism")
     parser.add_argument("--add-inverse", action="store_true", default=None,
                         help="materialize inverse (r⁻¹) triples on load")
     parser.add_argument("--embeddings", metavar="TSV",
@@ -113,9 +112,8 @@ def _build_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    for name in ("seed", "jobs"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if args.add_inverse:
         overrides["add_inverse"] = True
     if args.timings:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .graph import open_text
 from .pathenum import EnumerationBudget
 from .scoring import GumbelConfig
 from .weights import WeightCoefficients
@@ -44,7 +45,6 @@ class RunConfig:
     # execution
     seed: int = 0
     deterministic: bool = True
-    jobs: int = 1
     add_inverse: bool = False
     include_timings: bool = False
     embed_dim: int = 64
@@ -72,7 +72,6 @@ class RunConfig:
             (self.radius >= 1, "radius must be >= 1"),
             (self.knn >= 0, "knn must be >= 0"),
             (self.discretize_tau > 0, "discretize_tau must be > 0"),
-            (self.jobs >= 1, "jobs must be >= 1"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
         ]
         for ok, message in checks:
@@ -132,14 +131,9 @@ def _coerce(raw: dict) -> dict:
 
 def load_config(source) -> RunConfig:
     """Parse a flat ``key = value`` text file into a validated RunConfig."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
     raw: dict[str, str] = {}
-    try:
-        for lineno, line in enumerate(fh, start=1):
+    with open_text(source) as lines:
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -147,7 +141,4 @@ def load_config(source) -> RunConfig:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, _, value = stripped.partition("=")
             raw[key.strip()] = value.strip()
-    finally:
-        if close:
-            fh.close()
     return RunConfig(**_coerce(raw)).validate()

@@ -20,6 +20,7 @@ from email.utils import parsedate_to_datetime
 import numpy as np
 
 from .errors import ParseError, ServiceError, UnknownItemError, ZeroVectorError
+from .graph import open_text
 
 EMBED_URL_ENV = "KGPATHS_EMBED_URL"
 EMBED_TOKEN_ENV = "KGPATHS_EMBED_TOKEN"
@@ -99,13 +100,8 @@ class FileEmbeddings:
     @classmethod
     def load(cls, source) -> "FileEmbeddings":
         vectors: dict[str, np.ndarray] = {}
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            fh = open(source, encoding="utf-8")
-            close = True
-        else:
-            fh, close = source, False
-        try:
-            for lineno, raw in enumerate(fh, start=1):
+        with open_text(source) as lines:
+            for lineno, raw in enumerate(lines, start=1):
                 line = raw.rstrip("\n")
                 if not line:
                     continue
@@ -119,9 +115,6 @@ class FileEmbeddings:
                     )
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno) from None
-        finally:
-            if close:
-                fh.close()
         return cls(vectors)
 
     def embed(self, label: str) -> np.ndarray:

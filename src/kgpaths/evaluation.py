@@ -12,12 +12,11 @@ import itertools
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .config import RunConfig
 from .errors import KgError, ParseError
-from .graph import KnowledgeGraph, SeedCandidate
+from .graph import KnowledgeGraph, SeedCandidate, open_text
 from .loop import EpisodeResult, run_loop
 
 
@@ -45,14 +44,9 @@ def load_benchmark(source) -> list[BenchmarkRecord]:
     """Load benchmark JSONL: one object per line with ``question``,
     ``seeds`` ([{"entity", "confidence"?}]), ``answers``, and optionally
     ``gold_paths`` ([{"nodes", "relations"}]) and ``hops``."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
     records = []
-    try:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(source) as lines:
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -73,9 +67,6 @@ def load_benchmark(source) -> list[BenchmarkRecord]:
                 ))
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ParseError(str(exc), lineno) from None
-    finally:
-        if close:
-            fh.close()
     return records
 
 
@@ -304,8 +295,6 @@ def run_benchmark(
     by efficiency counters.
 
     Per-question failures are recorded as failed rows; the run continues.
-    With ``config.jobs > 1`` episodes run on a thread pool, reduced in
-    record order, so the report is identical to a serial run.
     """
     config.validate()
 
@@ -322,11 +311,7 @@ def run_benchmark(
                                 latency=time.monotonic() - started)
 
     started = time.monotonic()
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            metrics = list(pool.map(one, records))
-    else:
-        metrics = [one(r) for r in records]
+    metrics = [one(r) for r in records]
     elapsed = time.monotonic() - started
 
     by_hops: dict[str, list[EpisodeMetrics]] = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -206,6 +207,18 @@ class KnowledgeGraph:
             ]
 
 
+@contextmanager
+def open_text(source):
+    """Open ``source`` for a ``with`` block: a path (``str``, ``bytes`` or
+    path-like) is opened as UTF-8 text and closed on exit; an open handle or
+    any other iterable of lines is passed through and left open."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield source
+
+
 def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
     """Load a TSV triple stream: one ``head<TAB>relation<TAB>tail`` per line.
 
@@ -214,11 +227,8 @@ def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
     ``add_inverse``, every triple also materializes ``tail r⁻¹ head``.
     """
     graph = KnowledgeGraph()
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            _load_lines(graph, fh, add_inverse)
-    else:
-        _load_lines(graph, source, add_inverse)
+    with open_text(source) as lines:
+        _load_lines(graph, lines, add_inverse)
     graph.finalize()
     return graph
 
@@ -241,13 +251,8 @@ def _load_lines(graph: KnowledgeGraph, lines: Iterable[str], add_inverse: bool) 
 
 def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
     """Apply a relation-prior override TSV: ``relation<TAB>prior_cost``."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(source) as lines:
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -256,9 +261,6 @@ def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
                 raise ParseError("expected relation<TAB>prior_cost", lineno)
             label, cost = fields
             graph.set_prior_cost(graph.relation_id(label), float(cost))
-    finally:
-        if close:
-            fh.close()
 
 
 @dataclass

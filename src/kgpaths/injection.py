@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, KgError
+from .graph import open_text
 from .paths import Path
 from .weights import ScoreTable
 
@@ -59,11 +60,8 @@ class AttentionMatrix:
 
 def load_attention_json(source) -> AttentionMatrix:
     """Ingest ``{"tokens": T, "keys": M, "rows": [[...]]}``."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(source)
+    with open_text(source) as fh:
+        payload = json.load(fh)
     rows = np.asarray(payload["rows"], dtype=float)
     if rows.shape != (payload["tokens"], payload["keys"]):
         raise KgError(

@@ -11,12 +11,12 @@ from .graph import KnowledgeGraph, Triple
 class Path:
     """A contiguous, simple chain of edges.
 
-    ``nodes`` is derived from the edge list; identity for deduplication is
-    the (node sequence, relation sequence) pair so parallel edges with
-    different relations stay distinct.
+    ``nodes`` and ``relations`` are derived from the edge list once;
+    identity for deduplication is the (node sequence, relation sequence)
+    pair so parallel edges with different relations stay distinct.
     """
 
-    __slots__ = ("edges", "nodes")
+    __slots__ = ("edges", "nodes", "relations")
 
     def __init__(self, edges):
         edges = tuple(edges)
@@ -31,13 +31,10 @@ class Path:
             raise ValueError(f"path repeats a node: {nodes}")
         self.edges: tuple[Triple, ...] = edges
         self.nodes: tuple[int, ...] = tuple(nodes)
+        self.relations: tuple[int, ...] = tuple(e.relation for e in edges)
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    @property
-    def relations(self) -> tuple[int, ...]:
-        return tuple(e.relation for e in self.edges)
 
     @property
     def terminal(self) -> int:

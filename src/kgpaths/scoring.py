@@ -5,7 +5,9 @@ The default scorer is the path score itself; the default verifier is a
 semantic-match heuristic hard-gated by episode refutations. Both defaults
 read the round's ``ScoreTable``, so a path scored during enumeration is not
 scored again. Both are pluggable, with file-loadable linear models as the
-trained option.
+trained option. A plugin is called as ``scorer(path, table)`` or
+``verifier(path, table)`` with that same table, so its edge costs and
+semantic match are the ones the round has already computed.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelectionError, KgError, ParseError
-from .graph import Triple
+from .graph import Triple, open_text
 from .paths import Path
-from .weights import DEFAULT_TAU, ScoreTable, effective_cost, semantic_match
+from .weights import DEFAULT_TAU, ScoreTable
 from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
 
 
@@ -44,28 +46,19 @@ class GumbelConfig:
             raise ValueError("temperature (tau) must be > 0")
 
 
-def _path_features(path, query_embedding, coeffs, embeddings, graph, subgraph):
-    cost = sum(
-        effective_cost(e, coeffs, embeddings, graph, subgraph)
-        for e in path.edges
-    )
+def _path_features(path: Path, table: ScoreTable) -> dict[str, float]:
     return {
         "bias": 1.0,
         "length": float(len(path)),
-        "cost": cost,
-        "sem": semantic_match(path, query_embedding, embeddings, graph),
+        "cost": sum(table[e] for e in path.edges),
+        "sem": table.sem(path),
     }
 
 
 def _load_weight_tsv(source) -> dict[str, float]:
     weights: dict[str, float] = {}
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(source) as lines:
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -73,9 +66,6 @@ def _load_weight_tsv(source) -> dict[str, float]:
             if len(fields) != 2:
                 raise ParseError("expected feature<TAB>weight", lineno)
             weights[fields[0]] = float(fields[1])
-    finally:
-        if close:
-            fh.close()
     return weights
 
 
@@ -89,29 +79,16 @@ class LinearScorer:
     def load(cls, source) -> "LinearScorer":
         return cls(_load_weight_tsv(source))
 
-    def __call__(self, path, query_embedding, coeffs, embeddings, graph,
-                 subgraph=None) -> float:
-        feats = _path_features(path, query_embedding, coeffs, embeddings,
-                               graph, subgraph)
+    def __call__(self, path: Path, table: ScoreTable) -> float:
+        feats = _path_features(path, table)
         return sum(w * feats.get(name, 0.0) for name, w in self.weights.items())
 
 
-class LinearVerifier:
+class LinearVerifier(LinearScorer):
     """v = sigmoid(w . features(path)); same TSV format as LinearScorer."""
 
-    def __init__(self, weights: dict[str, float]):
-        self.weights = dict(weights)
-
-    @classmethod
-    def load(cls, source) -> "LinearVerifier":
-        return cls(_load_weight_tsv(source))
-
-    def __call__(self, path, query_embedding, coeffs, embeddings, graph,
-                 subgraph=None) -> float:
-        feats = _path_features(path, query_embedding, coeffs, embeddings,
-                               graph, subgraph)
-        logit = sum(w * feats.get(name, 0.0) for name, w in self.weights.items())
-        return 1.0 / (1.0 + math.exp(-logit))
+    def __call__(self, path: Path, table: ScoreTable) -> float:
+        return 1.0 / (1.0 + math.exp(-super().__call__(path, table)))
 
 
 def score_candidates(
@@ -128,9 +105,7 @@ def score_candidates(
             u = table.score(path)
         else:
             try:
-                u = float(scorer(path, table.query_embedding, table.coeffs,
-                                 table.embeddings, table.graph,
-                                 table.subgraph))
+                u = float(scorer(path, table))
             except Exception as exc:
                 raise KgError(f"scorer failed on {path!r}: {exc}") from exc
         if not math.isfinite(u):
@@ -184,8 +159,7 @@ def verify(
     if any(e in refuted for e in path.edges) or path.terminal in refuted_heads:
         return 0.0
     if verifier is not None:
-        v = float(verifier(path, table.query_embedding, table.coeffs,
-                           table.embeddings, table.graph, table.subgraph))
+        v = float(verifier(path, table))
         return min(max(v, 0.0), 1.0)
     return min(max((table.sem(path) + 1.0) / 2.0, 0.0), 1.0)
 

@@ -61,12 +61,15 @@ def test_bad_set_value_exits_2(argo_files, capsys):
     assert main(query_argv(argo_files, "--set", "tau=-1")) == 2
     assert "config error" in capsys.readouterr().err
     assert main(query_argv(argo_files, "--set", "nonsense")) == 2
+    assert main(query_argv(argo_files, "--set", "jobs=2")) == 2
 
 
 def test_argparse_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["query"])
-    assert exc.value.code == 2
+    for argv in (["query"],
+                 ["bench", "triples.tsv", "bench.jsonl", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_bench_reports_and_reproducibility(metrics_files, capsys, tmp_path):

@@ -10,7 +10,7 @@ from kgpaths.errors import ConfigError
     ("restart", 0.0), ("restart", 1.0), ("tau", 0.0), ("select_top_k", 0),
     ("rho", -1.0), ("rounds", 0), ("conf_threshold", 0.0),
     ("conf_threshold", 1.5), ("edit_budget", -1), ("radius", 0), ("knn", -1),
-    ("discretize_tau", 0.0), ("jobs", 0), ("embed_dim", 0),
+    ("discretize_tau", 0.0), ("embed_dim", 0),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):

@@ -99,18 +99,6 @@ def test_run_benchmark_records_per_question_failures():
     assert report["per_question"][0]["failed"] == 1
 
 
-def test_run_benchmark_jobs_parallel_matches_serial():
-    fx = metrics_fixture()
-    reasoner = ScriptedReasoner(fx.graph)
-    serial = run_benchmark(fx.records, fx.graph, fx.config, reasoner,
-                           fx.embeddings)
-    parallel = run_benchmark(fx.records, fx.graph,
-                             fx.config.with_overrides(jobs=4), reasoner,
-                             fx.embeddings)
-    assert serial["overall"] == parallel["overall"]
-    assert serial["per_question"] == parallel["per_question"]
-
-
 def test_report_timings_opt_in():
     fx = metrics_fixture()
     reasoner = ScriptedReasoner(fx.graph)

@@ -21,6 +21,7 @@ from kgpaths.graph import (
     expand_neighborhood,
     load_prior_overrides,
     load_triples,
+    open_text,
 )
 
 from conftest import build_graph, full_subgraph, random_graph
@@ -62,6 +63,22 @@ def test_prior_overrides(tmp_path):
     assert g.prior_cost(g.relation_id("r")) == 0.7
     with pytest.raises(ValueError):
         g.set_prior_cost(0, 1.5)
+
+
+def test_open_text_closes_only_the_files_it_opens(tmp_path):
+    p = tmp_path / "triples.tsv"
+    p.write_text("a\tr\tb\n", encoding="utf-8")
+    for source in (p, str(p)):
+        with open_text(source) as fh:
+            assert list(fh) == ["a\tr\tb\n"]
+        assert fh.closed
+    handle = io.StringIO("a\tr\tb\n")
+    with open_text(handle) as fh:
+        assert fh is handle
+    assert not handle.closed
+    lines = ["a\tr\tb\n"]
+    with open_text(lines) as fh:
+        assert fh is lines
 
 
 def test_unknown_lookups_raise():

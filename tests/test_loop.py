@@ -39,8 +39,9 @@ from kgpaths.loop import (
     soft_mask,
 )
 from kgpaths.paths import Path
-from kgpaths.scoring import ScoredCandidate
+from kgpaths.scoring import LinearScorer, LinearVerifier, ScoredCandidate
 from kgpaths.synthetic import ARGO_QUESTION, argo_fixture
+from kgpaths.weights import effective_cost, semantic_match
 
 from conftest import build_graph, full_subgraph, random_graph
 
@@ -487,9 +488,9 @@ class _CountingEmbeddings:
         return self.inner.has(label)
 
 
-@pytest.mark.parametrize("graph_seed", range(6))
-def test_run_loop_pools_each_path_and_weights_each_edge_once(
-        monkeypatch, graph_seed):
+def _count_poolings_and_weightings(monkeypatch):
+    """Counters of the path keys pooled and the edges weighted from now on,
+    counted at every name the package binds the reference functions to."""
     pooled, weighted = Counter(), Counter()
     pool_ref = kgpaths.paths.pool_path_vector
     cost_ref = kgpaths.weights.effective_cost
@@ -502,14 +503,19 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
         weighted[edge] += 1
         return cost_ref(edge, *args)
 
-    # count at every name the package binds the reference functions to
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("kgpaths."):
             for name, ref, counted in (("pool_path_vector", pool_ref, pool),
                                        ("effective_cost", cost_ref, cost)):
                 if getattr(module, name, None) is ref:
                     monkeypatch.setattr(module, name, counted)
+    return pooled, weighted
 
+
+@pytest.mark.parametrize("graph_seed", range(6))
+def test_run_loop_pools_each_path_and_weights_each_edge_once(
+        monkeypatch, graph_seed):
+    pooled, weighted = _count_poolings_and_weightings(monkeypatch)
     g = random_graph(random.Random(graph_seed), max_nodes=12, max_edges=40)
     emb = _CountingEmbeddings(HashEmbeddings(dimension=8, seed=graph_seed))
     config = RunConfig(rounds=1, radius=3, L=3, K=12, beam=4, walks=30,
@@ -528,6 +534,34 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
     # and two per weighted edge: nothing pools or weighs around the table
     labels = sum(len(nodes) + len(rels) for nodes, rels in pooled)
     assert emb.calls == 1 + labels + 2 * len(weighted)
+
+
+def test_linear_plugins_read_the_round_table(monkeypatch):
+    pooled, _ = _count_poolings_and_weightings(monkeypatch)
+    linear = LinearScorer({"bias": 0.5, "length": -0.25, "cost": -1.0,
+                           "sem": 0.7})
+    scored = []
+
+    def scorer(path, table):
+        scored.append((path, table))
+        return linear(path, table)
+
+    verifier = LinearVerifier({"bias": 0.2, "cost": -0.2, "sem": 1.5})
+    result = _argo_episode(argo_fixture().embeddings, scorer=scorer,
+                           verifier=verifier, rounds=1)
+    assert len(result.rounds) == 1 and len(scored) == 3
+    # scorer and verifier read the values the round pooled: once per path
+    assert pooled == Counter(path.key() for path, _ in scored)
+
+    monkeypatch.undo()
+    for path, table in scored:
+        cost = sum(effective_cost(e, table.coeffs, table.embeddings,
+                                  table.graph, table.subgraph)
+                   for e in path.edges)
+        sem = semantic_match(path, table.query_embedding, table.embeddings,
+                             table.graph)
+        assert linear(path, table) == (
+            0.5 * 1.0 - 0.25 * len(path) - 1.0 * cost + 0.7 * sem)
 
 
 # --- embedding service failures inside a round ------------------------------------
@@ -549,12 +583,13 @@ class _FlakyEmbeddings(_CountingEmbeddings):
         return super().embed(label)
 
 
-def _argo_episode(embeddings, **overrides):
+def _argo_episode(embeddings, scorer=None, verifier=None, **overrides):
     fx = argo_fixture()
     reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
     seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
     return run_loop(ARGO_QUESTION, seeds, fx.graph,
-                    fx.config.with_overrides(**overrides), reasoner, embeddings)
+                    fx.config.with_overrides(**overrides), reasoner, embeddings,
+                    scorer=scorer, verifier=verifier)
 
 
 def test_run_loop_embedding_failure_keeps_earlier_rounds():

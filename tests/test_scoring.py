@@ -57,8 +57,8 @@ def test_score_candidates_plugin_and_errors(chain_graph):
 
     cands = score_candidates(paths, table, scorer=scorer)
     assert cands[0].u == 3.5
-    # the plugin protocol is unchanged: (path, q, coeffs, emb, graph, sub)
-    assert seen == [(paths[0], q, COEFFS, EMB, chain_graph, sub)]
+    # a plugin is called with the path and the round's table
+    assert seen == [(paths[0], table)]
     with pytest.raises(KgError, match="scorer failed"):
         score_candidates(paths, table, scorer=lambda *a, **k: 1 / 0)
     with pytest.raises(KgError, match="non-finite"):
@@ -68,13 +68,12 @@ def test_score_candidates_plugin_and_errors(chain_graph):
 
 
 def test_linear_scorer_and_verifier_from_tsv(chain_graph):
-    sub = full_subgraph(chain_graph)
-    q = EMB.embed("q")
+    table = table_for(chain_graph, EMB.embed("q"))
     scorer = LinearScorer.load(io.StringIO("bias\t2.0\nlength\t-1.0\n"))
     p = Path([Triple(0, 0, 1)])
-    assert scorer(p, q, COEFFS, EMB, chain_graph, sub) == pytest.approx(1.0)
+    assert scorer(p, table) == pytest.approx(1.0)
     verifier = LinearVerifier.load(io.StringIO("bias\t0.0\n"))
-    assert verifier(p, q, COEFFS, EMB, chain_graph, sub) == pytest.approx(0.5)
+    assert verifier(p, table) == pytest.approx(0.5)
 
 
 def _weights_for(us, config):
