@@ -12,7 +12,7 @@ import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .config import RunConfig
 from .errors import KgError, ParseError
@@ -166,41 +166,17 @@ class EpisodeMetrics:
     reasoner_calls: int
     tokens: int
     edits: int
-    latency: float
     failed: bool
+    latency: float  # last: the one column reports carry only with timings
 
     def to_row(self, include_timings: bool = False) -> dict:
-        def blank(v):
-            return v if v is not None else ""
-
-        row = {
-            "question": self.question,
-            "answer": blank(self.answer),
-            "confidence": blank(self.confidence),
-            "hit_at_1": self.hit_at_1,
-            "f1": self.f1,
-            "mrr": self.mrr,
-            "covered": blank(self.covered),
-            "path_mrr": blank(self.path_mrr),
-            "path_map": blank(self.path_map),
-            "path_hit10": blank(self.path_hit10),
-            "hops": blank(self.hops),
-            "rounds": self.rounds,
-            "reasoner_calls": self.reasoner_calls,
-            "tokens": self.tokens,
-            "edits": self.edits,
-            "failed": int(self.failed),
-        }
-        if include_timings:
-            row["latency"] = self.latency
+        """The report row: every field in order, ``None`` as ``""`` and
+        ``failed`` as 0/1; ``latency`` only with ``include_timings``."""
+        row = {k: "" if v is None else v for k, v in asdict(self).items()}
+        row["failed"] = int(self.failed)
+        if not include_timings:
+            del row["latency"]
         return row
-
-
-CSV_FIELDS = [
-    "question", "answer", "confidence", "hit_at_1", "f1", "mrr", "covered",
-    "path_mrr", "path_map", "path_hit10", "hops", "rounds", "reasoner_calls",
-    "tokens", "edits", "failed",
-]
 
 
 def evaluate_episode(record: BenchmarkRecord, result: EpisodeResult,
@@ -229,21 +205,8 @@ def evaluate_episode(record: BenchmarkRecord, result: EpisodeResult,
         reasoner_calls=result.reasoner_calls,
         tokens=result.tokens,
         edits=result.edits_applied,
-        latency=latency,
         failed=result.failed,
-    )
-
-
-def _failed_metrics(record: BenchmarkRecord) -> EpisodeMetrics:
-    return EpisodeMetrics(
-        question=record.question, answer=None, confidence=None,
-        hit_at_1=0.0, f1=0.0, mrr=0.0,
-        covered=0.0 if record.gold_paths else None,
-        path_mrr=0.0 if record.gold_paths else None,
-        path_map=0.0 if record.gold_paths else None,
-        path_hit10=0.0 if record.gold_paths else None,
-        hops=record.hops, rounds=0, reasoner_calls=0, tokens=0, edits=0,
-        latency=0.0, failed=True,
+        latency=latency,
     )
 
 
@@ -306,7 +269,7 @@ def run_benchmark(
             result = run_loop(record.question, seeds, graph, config, reasoner,
                               embeddings, scorer=scorer, verifier=verifier)
         except KgError:
-            return _failed_metrics(record)
+            return evaluate_episode(record, EpisodeResult(failed=True))
         return evaluate_episode(record, result,
                                 latency=time.monotonic() - started)
 
@@ -345,7 +308,8 @@ def write_report_json(report: dict, path) -> None:
 
 def write_report_csv(report: dict, path) -> None:
     rows = report["per_question"]
-    fieldnames = list(rows[0]) if rows else CSV_FIELDS
+    fieldnames = list(rows[0]) if rows else [
+        f.name for f in fields(EpisodeMetrics) if f.name != "latency"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

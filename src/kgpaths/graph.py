@@ -267,19 +267,17 @@ def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
 class Subgraph:
     """A per-query working view onto a parent :class:`KnowledgeGraph`.
 
-    Tracks node/edge provenance (the round at which each element entered),
-    soft edge multipliers, and the episode's confirmed/refuted triples.
-    ``induced`` holds the nodes whose edges ``induce_edges`` has already
-    added. Mutated only by its owning query loop.
+    ``nodes`` and ``edges`` map each element to the round at which it
+    entered (its provenance). Also holds soft edge multipliers and the
+    episode's refuted and pruned triples. ``induced`` holds the nodes whose
+    edges ``induce_edges`` has already added. Mutated only by its owning
+    query loop.
     """
 
     graph: KnowledgeGraph
-    nodes: set[int] = field(default_factory=set)
-    edges: set[Triple] = field(default_factory=set)
-    node_provenance: dict[int, int] = field(default_factory=dict)
-    edge_provenance: dict[Triple, int] = field(default_factory=dict)
+    nodes: dict[int, int] = field(default_factory=dict)
+    edges: dict[Triple, int] = field(default_factory=dict)
     soft: dict[Triple, float] = field(default_factory=dict)
-    confirmed: set[Triple] = field(default_factory=set)
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
     induced: set[int] = field(default_factory=set)
@@ -289,14 +287,11 @@ class Subgraph:
         return self.soft.get(triple, 0.0)
 
     def add_node(self, entity: int, round_index: int) -> None:
-        if entity not in self.nodes:
-            self.nodes.add(entity)
-            self.node_provenance[entity] = round_index
+        self.nodes.setdefault(entity, round_index)
 
     def add_edge(self, triple: Triple, round_index: int) -> None:
-        if triple not in self.edges and triple not in self.pruned:
-            self.edges.add(triple)
-            self.edge_provenance[triple] = round_index
+        if triple not in self.pruned:
+            self.edges.setdefault(triple, round_index)
 
     def induce_edges(self, round_index: int) -> None:
         """Add every unpruned parent-graph edge whose endpoints are both
@@ -308,7 +303,7 @@ class Subgraph:
         between nodes induced before are in place already.
         """
         nodes = self.nodes
-        new = nodes - self.induced
+        new = nodes.keys() - self.induced
         any_old = len(new) < len(nodes)  # else no in-edge can come from one
         for u in new:
             for e in self.graph.out_adj[u]:
@@ -321,14 +316,12 @@ class Subgraph:
         self.induced |= new
 
     def remove_node(self, entity: int) -> None:
-        """Drop ``entity`` and every edge touching it; adding it back later
-        induces its edges afresh."""
-        self.nodes.discard(entity)
+        """Drop ``entity`` and every edge touching it (nothing when it is
+        absent); adding it back later induces its edges afresh."""
+        self.nodes.pop(entity, None)
         self.induced.discard(entity)
-        self.node_provenance.pop(entity, None)
         for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
-            self.edges.discard(e)
-            self.edge_provenance.pop(e, None)
+            self.edges.pop(e, None)
 
     def to_json(self) -> str:
         """Debug dump: nodes, edges, and provenance."""
@@ -337,19 +330,19 @@ class Subgraph:
                 {
                     "id": n,
                     "label": self.graph.entity_labels[n],
-                    "round": self.node_provenance.get(n, 0),
+                    "round": r,
                 }
-                for n in sorted(self.nodes)
+                for n, r in sorted(self.nodes.items())
             ],
             "edges": [
                 {
                     "head": self.graph.entity_labels[e.head],
                     "relation": self.graph.relation_labels[e.relation],
                     "tail": self.graph.entity_labels[e.tail],
-                    "round": self.edge_provenance.get(e, 0),
+                    "round": r,
                     "soft_multiplier": self.multiplier(e),
                 }
-                for e in sorted(self.edges)
+                for e, r in sorted(self.edges.items())
             ],
         }
         return json.dumps(payload, sort_keys=True)
@@ -377,11 +370,10 @@ def expand_neighborhood(
     radius: int,
     knn: int = 0,
     embeddings=None,
-    round_index: int = 0,
-    into: Subgraph | None = None,
 ) -> Subgraph:
     """Collect all nodes within ``radius`` hops of any seed plus the ``knn``
-    nearest entities to each seed by embedding cosine; edges are induced.
+    nearest entities to each seed by embedding cosine, as round 0 of a new
+    subgraph; edges are induced.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -389,9 +381,9 @@ def expand_neighborhood(
         if seed.entity >= graph.num_entities or seed.entity < 0:
             raise UnknownEntityError(f"unknown seed entity id: {seed.entity}")
 
-    subgraph = into if into is not None else Subgraph(graph=graph)
+    subgraph = Subgraph(graph=graph)
     for seed in seeds:
-        _bfs_add(subgraph, seed.entity, radius, round_index)
+        _bfs_add(subgraph, seed.entity, radius, 0)
 
     if knn > 0:
         if embeddings is None:
@@ -411,27 +403,27 @@ def expand_neighborhood(
                 ),
             )
             for _, e in sims[:knn]:
-                subgraph.add_node(e, round_index)
+                subgraph.add_node(e, 0)
 
-    subgraph.induce_edges(round_index)
+    subgraph.induce_edges(0)
     return subgraph
 
 
 def apply_edits(
     subgraph: Subgraph,
-    graph: KnowledgeGraph,
     edits: list[GraphEdit],
     round_index: int = 0,
 ) -> Subgraph:
     """Apply graph edits in order, mutating and returning ``subgraph``.
 
     Pruning an edge already absent is a no-op recorded in
-    ``subgraph.warnings``. Edits referencing entities outside the parent
-    graph raise :class:`EditError`.
+    ``subgraph.warnings``. Edits referencing entities outside
+    ``subgraph.graph`` raise :class:`EditError`.
     """
+    num_entities = subgraph.graph.num_entities
 
     def check_entity(eid: int):
-        if not 0 <= eid < graph.num_entities:
+        if not 0 <= eid < num_entities:
             raise EditError(f"edit references unknown entity id {eid}")
 
     for edit in edits:
@@ -442,29 +434,22 @@ def apply_edits(
         elif isinstance(edit, PruneEdge):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
-            if edit.triple in subgraph.edges:
-                subgraph.edges.discard(edit.triple)
-                subgraph.edge_provenance.pop(edit.triple, None)
+            if subgraph.edges.pop(edit.triple, None) is not None:
                 subgraph.pruned.add(edit.triple)
             else:
                 subgraph.warnings.append(
                     f"prune of absent edge {edit.triple} ignored"
                 )
-        elif isinstance(edit, ConfirmTriple):
+        elif isinstance(edit, (ConfirmTriple, RefuteTriple)):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
             subgraph.soft[edit.triple] = edit.multiplier
-            subgraph.confirmed.add(edit.triple)
-        elif isinstance(edit, RefuteTriple):
-            check_entity(edit.triple.head)
-            check_entity(edit.triple.tail)
-            subgraph.soft[edit.triple] = edit.multiplier
-            subgraph.refuted.add(edit.triple)
+            if isinstance(edit, RefuteTriple):
+                subgraph.refuted.add(edit.triple)
         elif isinstance(edit, SwapSeed):
             check_entity(edit.old_entity)
             check_entity(edit.new_entity)
-            if edit.old_entity in subgraph.nodes:
-                subgraph.remove_node(edit.old_entity)
+            subgraph.remove_node(edit.old_entity)
             _bfs_add(subgraph, edit.new_entity, edit.radius, round_index)
             subgraph.induce_edges(round_index)
         else:

@@ -16,7 +16,7 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -99,7 +99,6 @@ def parse_diagnostic(text: str, uncertainty: float = 0.0) -> DiagnosticMessage |
 
 def map_diagnostic(
     message: DiagnosticMessage | None,
-    subgraph: Subgraph,
     graph: KnowledgeGraph,
     candidates: list[ScoredCandidate] | None = None,
 ) -> list[GraphEdit]:
@@ -423,56 +422,48 @@ class ExternalReasoner:
 # --- episode driver --------------------------------------------------------
 
 
+def _counter(name: str):
+    """A running episode counter, nested under ``"counters"`` in the trace
+    record as ``name``."""
+    return field(metadata={"counter": name})
+
+
 @dataclass
 class RoundState:
     round: int
     subgraph_nodes: int
     subgraph_edges: int
-    num_candidates: int
-    selected: list[dict]
-    answer: str | None
-    confidence: float | None
-    diagnostic: str | None
-    edits: list[str]
-    reasoner_calls: int
-    tokens: int
-    edits_applied: int
+    reasoner_calls: int = _counter("reasoner_calls")
+    tokens: int = _counter("tokens")
+    edits_applied: int = _counter("edits")
+    num_candidates: int = 0
+    selected: list[dict] = field(default_factory=list)
+    answer: str | None = None
+    confidence: float | None = None
+    diagnostic: str | None = None
+    edits: list[str] = field(default_factory=list)
     alignment: float | None = None
     attn_spearman: float | None = None
     forced_expand: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "round": self.round,
-            "subgraph_nodes": self.subgraph_nodes,
-            "subgraph_edges": self.subgraph_edges,
-            "num_candidates": self.num_candidates,
-            "selected": self.selected,
-            "answer": self.answer,
-            "confidence": self.confidence,
-            "diagnostic": self.diagnostic,
-            "edits": self.edits,
-            "counters": {
-                "reasoner_calls": self.reasoner_calls,
-                "tokens": self.tokens,
-                "edits": self.edits_applied,
-            },
-            "alignment": self.alignment,
-            "attn_spearman": self.attn_spearman,
-            "forced_expand": self.forced_expand,
-        }
+        record = asdict(self)
+        record["counters"] = {f.metadata["counter"]: record.pop(f.name)
+                              for f in fields(self) if "counter" in f.metadata}
+        return record
 
 
 @dataclass
 class EpisodeResult:
-    answer: str | None
-    confidence: float | None
-    rounds: list[RoundState]
-    ranked_answers: list[str]
-    retrieved_paths: list[tuple[tuple[str, ...], tuple[str, ...]]]
-    reasoner_calls: int
-    tokens: int
-    edits_applied: int
+    answer: str | None = None
+    confidence: float | None = None
+    rounds: list[RoundState] = field(default_factory=list)
+    ranked_answers: list[str] = field(default_factory=list)
+    retrieved_paths: list[tuple[tuple[str, ...], tuple[str, ...]]] = field(
+        default_factory=list)
+    reasoner_calls: int = 0
+    tokens: int = 0
+    edits_applied: int = 0
     failed: bool = False
     failure: str | None = None
     subgraph: Subgraph | None = field(default=None, repr=False)
@@ -527,8 +518,14 @@ def run_loop(
     round budget is exhausted. A ``ServiceError`` inside a round, from the
     reasoner or from the embedding provider (while paths are enumerated,
     scored, verified or encoded), marks the episode failed: the finished
-    rounds are kept and the failed round is traced with no answer. An empty
-    candidate set forces an EXPAND edit on the highest-confidence seed.
+    rounds are kept and the failed round is traced with no answer. One
+    raised before the first round, while the neighborhood (its ``knn``
+    part) or the question is embedded, fails the episode with no rounds.
+
+    An empty candidate set forces an EXPAND edit on the highest-confidence
+    seed. ``config.edit_budget`` never refuses a forced EXPAND, but each one
+    counts toward ``edits_applied`` and so shrinks the budget left for the
+    edits of later diagnostics.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -536,40 +533,37 @@ def run_loop(
     coeffs = config.coefficients()
     budget = config.budget()
 
-    subgraph = expand_neighborhood(
-        graph, seeds, config.radius, config.knn, embeddings)
-    qvec = query_embedding(embeddings, question, graph)
+    try:
+        subgraph = expand_neighborhood(
+            graph, seeds, config.radius, config.knn, embeddings)
+        qvec = query_embedding(embeddings, question, graph)
+    except ServiceError as exc:
+        return EpisodeResult(failed=True, failure=str(exc))
     seed_ids = [s.entity for s in seeds]
     seed_conf = {s.entity: s.confidence for s in seeds}
 
-    rounds: list[RoundState] = []
-    reasoner_calls = tokens = edits_applied = 0
-    answer: str | None = None
-    confidence: float | None = None
-    ranked_answers: list[str] = []
-    retrieved: list = []
-    failed = False
-    failure = None
+    # the episode's answer and running counters, updated round by round
+    episode = EpisodeResult(subgraph=subgraph)
 
-    def emit(state: RoundState):
-        rounds.append(state)
+    def emit(t: int, **round_fields):
+        """Record round ``t`` with the subgraph's size and the running
+        counters as they stand now."""
+        state = RoundState(
+            round=t, subgraph_nodes=len(subgraph.nodes),
+            subgraph_edges=len(subgraph.edges),
+            reasoner_calls=episode.reasoner_calls, tokens=episode.tokens,
+            edits_applied=episode.edits_applied, **round_fields)
+        episode.rounds.append(state)
         if trace_file is not None:
             trace_file.write(json.dumps(state.to_record(), sort_keys=True) + "\n")
 
     def forced_expand(t: int):
-        nonlocal edits_applied
         top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))
         edit = ExpandSeed(top_seed.entity, radius=1)
-        apply_edits(subgraph, graph, [edit], round_index=t + 1)
-        edits_applied += 1
-        emit(RoundState(
-            round=t, subgraph_nodes=len(subgraph.nodes),
-            subgraph_edges=len(subgraph.edges), num_candidates=0,
-            selected=[], answer=None, confidence=None,
-            diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
-            edits=[_edit_repr(edit, graph)],
-            reasoner_calls=reasoner_calls, tokens=tokens,
-            edits_applied=edits_applied, forced_expand=True))
+        apply_edits(subgraph, [edit], round_index=t + 1)
+        episode.edits_applied += 1
+        emit(t, diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
+             edits=[_edit_repr(edit, graph)], forced_expand=True)
 
     for t in range(config.rounds):
         candidates: list[ScoredCandidate] = []
@@ -612,19 +606,13 @@ def run_loop(
             ])
             reply = reasoner.reason(question, selected, mixture=mixture)
         except ServiceError as exc:
-            failed = True
-            failure = str(exc)
-            emit(RoundState(
-                round=t, subgraph_nodes=len(subgraph.nodes),
-                subgraph_edges=len(subgraph.edges),
-                num_candidates=len(candidates), selected=[], answer=None,
-                confidence=None, diagnostic=None, edits=[],
-                reasoner_calls=reasoner_calls, tokens=tokens,
-                edits_applied=edits_applied))
+            episode.failed = True
+            episode.failure = str(exc)
+            emit(t, num_candidates=len(candidates))
             break
 
-        reasoner_calls += 1
-        tokens += reply.tokens
+        episode.reasoner_calls += 1
+        episode.tokens += reply.tokens
 
         align = spearman = None
         if reply.attention is not None and not config.no_align_diagnostics:
@@ -642,7 +630,7 @@ def run_loop(
                 pass  # external attention may not partition our keys
 
         # collect before edits mutate anything
-        retrieved = [
+        episode.retrieved_paths = [
             (tuple(graph.entity_labels[n] for n in c.path.nodes),
              tuple(graph.relation_labels[r] for r in c.path.relations))
             for c in candidates
@@ -651,22 +639,20 @@ def run_loop(
         for c in selected:
             label = graph.entity_labels[c.path.terminal]
             terminal_mass[label] = terminal_mass.get(label, 0.0) + c.adjusted_injection
-        ranked_answers = [label for label, _ in sorted(
+        episode.ranked_answers = [label for label, _ in sorted(
             terminal_mass.items(), key=lambda kv: (-kv[1], kv[0]))]
 
-        answer = reply.answer
-        confidence = reply.confidence
+        episode.answer = reply.answer
+        episode.confidence = reply.confidence
         done = reply.confidence > config.conf_threshold
         last_round = t == config.rounds - 1
 
         edits: list[GraphEdit] = []
-        diagnostic = reply.diagnostic
         if not done and not last_round:
             uncertainty = 1.0 - reply.confidence
             message = parse_diagnostic(reply.diagnostic, uncertainty=uncertainty)
-            edits = map_diagnostic(message, subgraph, graph,
-                                   candidates=candidates)
-            remaining = config.edit_budget - edits_applied
+            edits = map_diagnostic(message, graph, candidates=candidates)
+            remaining = config.edit_budget - episode.edits_applied
             edits = edits[:max(remaining, 0)]
 
             edge_deltas = soft_mask(
@@ -686,13 +672,11 @@ def run_loop(
             for key in kept:
                 for e in by_key[key].path.edges:
                     subgraph.soft[e] = edge_deltas[e]
-            apply_edits(subgraph, graph, edits, round_index=t + 1)
-            edits_applied += len(edits)
+            apply_edits(subgraph, edits, round_index=t + 1)
+            episode.edits_applied += len(edits)
 
-        emit(RoundState(
-            round=t, subgraph_nodes=len(subgraph.nodes),
-            subgraph_edges=len(subgraph.edges),
-            num_candidates=len(candidates),
+        emit(
+            t, num_candidates=len(candidates),
             selected=[
                 {
                     "path": c.path.verbalize(graph),
@@ -705,18 +689,11 @@ def run_loop(
                 for c in selected
             ],
             answer=reply.answer, confidence=reply.confidence,
-            diagnostic=diagnostic,
+            diagnostic=reply.diagnostic,
             edits=[_edit_repr(e, graph) for e in edits],
-            reasoner_calls=reasoner_calls, tokens=tokens,
-            edits_applied=edits_applied,
-            alignment=align, attn_spearman=spearman))
+            alignment=align, attn_spearman=spearman)
 
         if done:
             break
 
-    return EpisodeResult(
-        answer=answer, confidence=confidence, rounds=rounds,
-        ranked_answers=ranked_answers, retrieved_paths=retrieved,
-        reasoner_calls=reasoner_calls, tokens=tokens,
-        edits_applied=edits_applied, failed=failed, failure=failure,
-        subgraph=subgraph)
+    return episode

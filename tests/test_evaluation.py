@@ -125,6 +125,30 @@ def test_report_writers(tmp_path):
     assert cp.read_text().count("\n") == 4  # header + 3 rows
 
 
+REPORT_COLUMNS = (
+    "question,answer,confidence,hit_at_1,f1,mrr,covered,path_mrr,path_map,"
+    "path_hit10,hops,rounds,reasoner_calls,tokens,edits,failed")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_report_csv_header_is_pinned(tmp_path, timings):
+    fx = metrics_fixture()
+    config = fx.config.with_overrides(include_timings=timings)
+    report = run_benchmark(fx.records[:2], fx.graph, config,
+                           ScriptedReasoner(fx.graph), fx.embeddings)
+    write_report_csv(report, tmp_path / "r.csv")
+    header = (tmp_path / "r.csv").read_text().splitlines()[0]
+    assert header == REPORT_COLUMNS + (",latency" if timings else "")
+
+
+def test_empty_report_csv_header_is_pinned(tmp_path):
+    g = build_graph([("a", "r", "b")])
+    report = run_benchmark([], g, RunConfig(), ScriptedReasoner(g),
+                           HashEmbeddings(8))
+    write_report_csv(report, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text().splitlines() == [REPORT_COLUMNS]
+
+
 def test_simplex_grid_counts():
     grid = simplex_grid(0.2)
     assert len(grid) == 21

@@ -43,7 +43,7 @@ from kgpaths.scoring import LinearScorer, LinearVerifier, ScoredCandidate
 from kgpaths.synthetic import ARGO_QUESTION, argo_fixture
 from kgpaths.weights import effective_cost, semantic_match
 
-from conftest import build_graph, full_subgraph, random_graph
+from conftest import build_graph, random_graph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
 
@@ -73,36 +73,33 @@ def test_parse_diagnostic_rejects_garbage():
 
 
 def test_map_diagnostic_verify_confirms_present_refutes_absent(chain_graph):
-    sub = full_subgraph(chain_graph)
-    confirm = map_diagnostic(parse_diagnostic("VERIFY(a, r1, b)"), sub, chain_graph)
+    confirm = map_diagnostic(parse_diagnostic("VERIFY(a, r1, b)"), chain_graph)
     assert confirm == [ConfirmTriple(Triple(0, 0, 1))]
-    refute = map_diagnostic(parse_diagnostic("VERIFY(a, r1, d)"), sub, chain_graph)
+    refute = map_diagnostic(parse_diagnostic("VERIFY(a, r1, d)"), chain_graph)
     assert refute == [RefuteTriple(Triple(0, 0, 3))]
 
 
 def test_map_diagnostic_expand_swap_prune(chain_graph):
-    sub = full_subgraph(chain_graph)
-    assert map_diagnostic(parse_diagnostic("EXPAND(b, 2)"), sub, chain_graph) \
+    assert map_diagnostic(parse_diagnostic("EXPAND(b, 2)"), chain_graph) \
         == [ExpandSeed(1, 2)]
-    assert map_diagnostic(parse_diagnostic("DISAMBIGUATE(a, c|d)"), sub,
+    assert map_diagnostic(parse_diagnostic("DISAMBIGUATE(a, c|d)"),
                           chain_graph) == [SwapSeed(0, 2)]
     cands = [ScoredCandidate(Path([Triple(0, 0, 1), Triple(1, 1, 2)]))]
-    edits = map_diagnostic(parse_diagnostic("PRUNE(0)"), sub, chain_graph,
+    edits = map_diagnostic(parse_diagnostic("PRUNE(0)"), chain_graph,
                            candidates=cands)
     assert edits == [PruneEdge(Triple(0, 0, 1)), PruneEdge(Triple(1, 1, 2))]
 
 
 def test_map_diagnostic_failures_yield_no_edits(chain_graph):
-    sub = full_subgraph(chain_graph)
-    assert map_diagnostic(None, sub, chain_graph) == []
-    assert map_diagnostic(parse_diagnostic("NONE"), sub, chain_graph) == []
+    assert map_diagnostic(None, chain_graph) == []
+    assert map_diagnostic(parse_diagnostic("NONE"), chain_graph) == []
     # unknown entity, out-of-range prune index, missing candidate list
-    assert map_diagnostic(parse_diagnostic("VERIFY(zzz, r1, b)"), sub,
+    assert map_diagnostic(parse_diagnostic("VERIFY(zzz, r1, b)"),
                           chain_graph) == []
-    assert map_diagnostic(parse_diagnostic("PRUNE(5)"), sub, chain_graph,
+    assert map_diagnostic(parse_diagnostic("PRUNE(5)"), chain_graph,
                           candidates=[]) == []
-    assert map_diagnostic(parse_diagnostic("PRUNE(0)"), sub, chain_graph) == []
-    assert map_diagnostic(parse_diagnostic("EXPAND(b, x)"), sub, chain_graph) == []
+    assert map_diagnostic(parse_diagnostic("PRUNE(0)"), chain_graph) == []
+    assert map_diagnostic(parse_diagnostic("EXPAND(b, x)"), chain_graph) == []
 
 
 # --- masks and discretization --------------------------------------------------
@@ -627,3 +624,63 @@ def test_embedding_failure_fails_one_row_and_the_run_continues():
     assert rows[0]["rounds"] == 2 and rows[0]["answer"] == "Boston"
     assert rows[1]["answer"] == "New_York_City"
     assert report["overall"]["failures"] == 1
+
+
+# --- embedding service failures before the first round ------------------------------
+
+
+@pytest.mark.parametrize("knn", [0, 2])
+def test_failure_before_first_round_fails_one_row_and_the_run_continues(knn):
+    # the first lookup is the question embedding (knn=0) or, with knn
+    # expansion, the first entity embedded while the neighborhood is built
+    fx = argo_fixture()
+    config = fx.config.with_overrides(knn=knn)
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
+    trace = io.StringIO()
+    result = run_loop(ARGO_QUESTION, seeds, fx.graph, config, reasoner,
+                      _FlakyEmbeddings(fx.embeddings, 1), trace_file=trace)
+    assert result.failed and "unavailable" in result.failure
+    assert result.rounds == [] and trace.getvalue() == ""
+    assert result.answer is None and result.reasoner_calls == 0
+
+    report = run_benchmark(fx.records * 2, fx.graph, config, reasoner,
+                           _FlakyEmbeddings(fx.embeddings, 1))
+    rows = report["per_question"]
+    assert rows[0] == {
+        "question": ARGO_QUESTION, "answer": "", "confidence": "",
+        "hit_at_1": 0.0, "f1": 0.0, "mrr": 0.0, "covered": 0.0,
+        "path_mrr": 0.0, "path_map": 0.0, "path_hit10": 0.0, "hops": 2,
+        "rounds": 0, "reasoner_calls": 0, "tokens": 0, "edits": 0,
+        "failed": 1,
+    }
+    assert rows[1]["failed"] == 0 and rows[1]["answer"] != ""
+    assert report["overall"]["failures"] == 1
+
+
+# --- trace records and budgets ------------------------------------------------------
+
+
+def test_round_record_keys_are_pinned():
+    result = _argo_episode(argo_fixture().embeddings)
+    for state in result.rounds:
+        record = state.to_record()
+        assert set(record) == {
+            "round", "subgraph_nodes", "subgraph_edges", "num_candidates",
+            "selected", "answer", "confidence", "diagnostic", "edits",
+            "counters", "alignment", "attn_spearman", "forced_expand"}
+        assert set(record["counters"]) == {"reasoner_calls", "tokens", "edits"}
+
+
+def test_forced_expand_is_never_refused_by_the_edit_budget(chain_graph):
+    # d has no out-edges, so no round has a candidate and each one forces
+    # an EXPAND; edit_budget=0 refuses none, and each counts as an edit
+    d = chain_graph.entity_id("d")
+    config = RunConfig(rounds=3, radius=1, edit_budget=0)
+    result = run_loop("q", [SeedCandidate(d, 1.0)], chain_graph, config,
+                      ScriptedReasoner(chain_graph), EMB)
+    assert [r.forced_expand for r in result.rounds] == [True] * 3
+    assert [r.edits for r in result.rounds] == [["ExpandSeed(d, 1)"]] * 3
+    assert [r.to_record()["counters"]["edits"]
+            for r in result.rounds] == [1, 2, 3]
+    assert result.edits_applied == 3 and result.reasoner_calls == 0

@@ -106,8 +106,8 @@ def partial_subgraph(graph, rng, seed, prune):
             sub.add_node(n, 0)
     sub.induce_edges(0)
     if prune:
-        apply_edits(sub, graph, [PruneEdge(e) for e in sorted(sub.edges)
-                                 if rng.random() < 0.3])
+        apply_edits(sub, [PruneEdge(e) for e in sorted(sub.edges)
+                          if rng.random() < 0.3])
     return sub
 
 
