@@ -1,7 +1,9 @@
 """Command-line entry points: query (one episode), bench (full benchmark
 report), and sweep (parameter-grid benchmark runs).
 
-Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
+Flags name inputs, services and outputs; every ``RunConfig`` field is set
+through ``--config`` or ``--set``. Exit codes: 0 success, 1 runtime
+failure, 2 config/usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 
 from .config import RunConfig, _coerce, load_config
 from .embeddings import FileEmbeddings, HashEmbeddings, ServiceEmbeddings
-from .errors import ConfigError, KgError
+from .errors import ConfigError, KgError, ParseError
 from .evaluation import (
     load_benchmark,
     run_benchmark,
@@ -22,7 +24,7 @@ from .evaluation import (
     write_report_json,
     write_sweep_csv,
 )
-from .graph import SeedCandidate, load_prior_overrides, load_triples
+from .graph import SeedCandidate, load_prior_overrides, load_triples, open_text
 from .loop import ExternalReasoner, ScriptedReasoner, run_loop
 
 
@@ -32,9 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override any config tunable by its canonical name "
              "(see kgpaths.config.RunConfig)")
-    parser.add_argument("--seed", type=int, help="rng seed")
-    parser.add_argument("--add-inverse", action="store_true", default=None,
-                        help="materialize inverse (r⁻¹) triples on load")
     parser.add_argument("--embeddings", metavar="TSV",
                         help="file embeddings (label<TAB>v1,v2,...); "
                              "default: hash-deterministic")
@@ -47,22 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "{question: [relation, object]}")
     parser.add_argument("--reasoner-url", metavar="URL",
                         help="external reasoner endpoint (default: scripted)")
-    parser.add_argument("--timings", action="store_true", default=None,
-                        help="include wall times in reports "
-                             "(breaks byte-reproducibility)")
-
-
-def _add_ablations(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-verifier", action="store_true",
-                        help="ablation: verifier v ≡ 1")
-    parser.add_argument("--no-soft-injection", action="store_true",
-                        help="ablation: inject only the top-1 path")
-    parser.add_argument("--single-round", action="store_true",
-                        help="ablation: T = 1")
-    parser.add_argument("--fixed-weights", action="store_true",
-                        help="ablation: alpha = beta = gamma = 1/3")
-    parser.add_argument("--no-align-diagnostics", action="store_true",
-                        help="ablation: skip attention-alignment diagnostics")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,25 +55,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterative retrieval-reasoning loop.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("query", help="answer one question")
+    q = sub.add_parser("query", help="answer one question",
+                       allow_abbrev=False)
     q.add_argument("graph", help="triple TSV")
     q.add_argument("question")
     q.add_argument("--seed-entity", action="append", required=True,
                    metavar="LABEL[@CONF]",
                    help="linked seed entity, optional @confidence")
-    q.add_argument("--rounds", type=int, help="max dialogue rounds")
     q.add_argument("--trace", metavar="JSONL", help="write per-round trace")
     _add_common(q)
 
-    b = sub.add_parser("bench", help="run a benchmark")
+    b = sub.add_parser("bench", help="run a benchmark", allow_abbrev=False)
     b.add_argument("graph", help="triple TSV")
     b.add_argument("benchmark", help="benchmark JSONL")
     b.add_argument("--report-json", metavar="PATH")
     b.add_argument("--report-csv", metavar="PATH")
     _add_common(b)
-    _add_ablations(b)
 
-    s = sub.add_parser("sweep", help="benchmark across a parameter grid")
+    s = sub.add_parser("sweep", help="benchmark across a parameter grid",
+                       allow_abbrev=False)
     s.add_argument("graph", help="triple TSV")
     s.add_argument("benchmark", help="benchmark JSONL")
     s.add_argument("--grid", action="append", required=True,
@@ -112,22 +95,23 @@ def _build_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.add_inverse:
-        overrides["add_inverse"] = True
-    if args.timings:
-        overrides["include_timings"] = True
-    if getattr(args, "rounds", None) is not None:
-        overrides["rounds"] = args.rounds
-    for flag in ("no_verifier", "no_soft_injection", "no_align_diagnostics"):
-        if getattr(args, flag, False):
-            overrides[flag] = True
-    if getattr(args, "single_round", False):
-        overrides["rounds"] = 1
-    if getattr(args, "fixed_weights", False):
-        overrides.update(alpha=1 / 3, beta=1 / 3, gamma=1 / 3)
     return config.with_overrides(**overrides)
+
+
+def _load_probes(source) -> dict[str, tuple[str, str]]:
+    """Read probes JSON: an object mapping each question to a
+    ``[relation, object]`` pair of strings."""
+    with open_text(source) as lines:
+        try:
+            raw = json.loads("".join(lines))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"probes: {exc}") from None
+    if not isinstance(raw, dict) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, str) for x in p) for p in raw.values()):
+        raise ParseError("probes: expected a JSON object of "
+                         "question -> [relation, object] strings")
+    return {q: tuple(p) for q, p in raw.items()}
 
 
 def _load_world(args, config):
@@ -144,10 +128,7 @@ def _load_world(args, config):
     if args.reasoner_url:
         reasoner = ExternalReasoner(graph, url=args.reasoner_url)
     else:
-        probes = {}
-        if args.probes:
-            with open(args.probes, encoding="utf-8") as fh:
-                probes = {q: tuple(p) for q, p in json.load(fh).items()}
+        probes = _load_probes(args.probes) if args.probes else {}
         reasoner = ScriptedReasoner(graph,
                                     conf_threshold=config.conf_threshold,
                                     probes=probes)

@@ -1,5 +1,6 @@
-"""Run configuration: every tunable with defaults, range validation, flat
-``key = value`` config-file parsing, and CLI-style overrides."""
+"""Run configuration: every tunable with its default, checked when a
+``RunConfig`` is built (so every instance is valid), flat ``key = value``
+config-file parsing, and the string overrides of the CLI's ``--set``."""
 
 from __future__ import annotations
 
@@ -50,12 +51,12 @@ class RunConfig:
     embed_dim: int = 64
     # ablations
     no_verifier: bool = False
-    no_soft_injection: bool = False
     no_align_diagnostics: bool = False
 
-    def validate(self) -> "RunConfig":
-        """Check every value once: the weighting, budget and Gumbel values
-        by building the objects that own them, the rest here."""
+    def __post_init__(self):
+        """Check every value once, so an invalid config cannot be built
+        (``dataclasses.replace`` runs this too): the weighting, budget and
+        Gumbel values by building the objects that own them, the rest here."""
         try:
             self.coefficients()
             self.budget()
@@ -77,7 +78,6 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        return self
 
     # -- derived views ---------------------------------------------------
 
@@ -93,11 +93,8 @@ class RunConfig:
             walks=self.walks, restart_prob=self.restart,
         )
 
-    def effective_top_k(self) -> int:
-        return 1 if self.no_soft_injection else self.select_top_k
-
     def with_overrides(self, **overrides) -> "RunConfig":
-        return replace(self, **_coerce(overrides)).validate()
+        return replace(self, **_coerce(overrides))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -130,7 +127,7 @@ def _coerce(raw: dict) -> dict:
 
 
 def load_config(source) -> RunConfig:
-    """Parse a flat ``key = value`` text file into a validated RunConfig."""
+    """Parse a flat ``key = value`` text file into a RunConfig."""
     raw: dict[str, str] = {}
     with open_text(source) as lines:
         for lineno, line in enumerate(lines, start=1):
@@ -141,4 +138,4 @@ def load_config(source) -> RunConfig:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, _, value = stripped.partition("=")
             raw[key.strip()] = value.strip()
-    return RunConfig(**_coerce(raw)).validate()
+    return RunConfig(**_coerce(raw))

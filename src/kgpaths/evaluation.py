@@ -259,7 +259,6 @@ def run_benchmark(
 
     Per-question failures are recorded as failed rows; the run continues.
     """
-    config.validate()
 
     def one(record: BenchmarkRecord) -> EpisodeMetrics:
         started = time.monotonic()
@@ -369,7 +368,7 @@ def sweep(
     point: overrides plus the overall aggregate."""
     rows = []
     for overrides in expand_grid(grid):
-        config = replace(base_config, **overrides).validate()
+        config = replace(base_config, **overrides)
         report = run_benchmark(records, graph, config, reasoner, embeddings,
                                scorer=scorer, verifier=verifier)
         row = dict(sorted(overrides.items()))

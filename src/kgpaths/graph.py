@@ -155,9 +155,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownRelationError(f"unknown relation: {label!r}") from None
 
-    def has_entity(self, label: str) -> bool:
-        return label in self._entity_ids
-
     def has_relation(self, label: str) -> bool:
         return label in self._relation_ids
 

@@ -67,12 +67,6 @@ _DIAG_RE = re.compile(r"^\s*(VERIFY|EXPAND|DISAMBIGUATE|PRUNE)\s*\((.*)\)\s*$")
 class DiagnosticMessage:
     kind: str
     args: tuple[str, ...] = ()
-    uncertainty: float = 0.0
-    raw_text: str = ""
-
-    def __post_init__(self):
-        if not 0.0 <= self.uncertainty <= 1.0:
-            raise ValueError("uncertainty must lie in [0, 1]")
 
     def canonical(self) -> str:
         if self.kind == NONE:
@@ -80,12 +74,12 @@ class DiagnosticMessage:
         return f"{self.kind}({', '.join(self.args)})"
 
 
-def parse_diagnostic(text: str, uncertainty: float = 0.0) -> DiagnosticMessage | None:
+def parse_diagnostic(text: str) -> DiagnosticMessage | None:
     """Parse reasoner diagnostic text; ``None`` marks an unparseable message
     (the loop logs it and applies no edits)."""
     stripped = text.strip()
     if stripped == NONE or stripped == "":
-        return DiagnosticMessage(NONE, (), uncertainty, text)
+        return DiagnosticMessage(NONE)
     match = _DIAG_RE.match(stripped)
     if not match:
         return None
@@ -94,7 +88,7 @@ def parse_diagnostic(text: str, uncertainty: float = 0.0) -> DiagnosticMessage |
     expected = {VERIFY: 3, EXPAND: 2, DISAMBIGUATE: 2, PRUNE: 1}[kind]
     if len(args) != expected or any(not a for a in args):
         return None
-    return DiagnosticMessage(kind, args, uncertainty, text)
+    return DiagnosticMessage(kind, args)
 
 
 def map_diagnostic(
@@ -513,6 +507,8 @@ def run_loop(
     trace_file=None,
 ) -> EpisodeResult:
     """Run one retrieval-reasoning episode of up to ``config.rounds`` rounds.
+    ``config`` is used as given: a ``RunConfig`` checks its values when it
+    is built.
 
     Terminates when the reasoner's confidence exceeds the threshold or the
     round budget is exhausted. A ``ServiceError`` inside a round, from the
@@ -529,7 +525,6 @@ def run_loop(
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    config.validate()
     coeffs = config.coefficients()
     budget = config.budget()
 
@@ -591,7 +586,7 @@ def run_loop(
 
             try:
                 selected = select_and_inject(
-                    candidates, top_k=config.effective_top_k(),
+                    candidates, top_k=config.select_top_k,
                     threshold=config.select_threshold,
                     seed_confidence=seed_conf, rho=config.rho)
             except EmptySelectionError:
@@ -650,7 +645,7 @@ def run_loop(
         edits: list[GraphEdit] = []
         if not done and not last_round:
             uncertainty = 1.0 - reply.confidence
-            message = parse_diagnostic(reply.diagnostic, uncertainty=uncertainty)
+            message = parse_diagnostic(reply.diagnostic)
             edits = map_diagnostic(message, graph, candidates=candidates)
             remaining = config.edit_budget - episode.edits_applied
             edits = edits[:max(remaining, 0)]

@@ -38,7 +38,7 @@ def test_query_dialogue(argo_files, capsys, tmp_path):
 
 
 def test_query_single_round_stops_early(argo_files, capsys):
-    assert main(query_argv(argo_files, "--rounds", "1")) == 0
+    assert main(query_argv(argo_files, "--set", "rounds=1")) == 0
     out = capsys.readouterr().out
     assert "answer: Boston" in out
     assert "rounds: 1" in out
@@ -62,14 +62,29 @@ def test_bad_set_value_exits_2(argo_files, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(query_argv(argo_files, "--set", "nonsense")) == 2
     assert main(query_argv(argo_files, "--set", "jobs=2")) == 2
+    assert main(query_argv(argo_files,
+                           "--set", "no_soft_injection=true")) == 2
+
+
+# flags that would alias a RunConfig field: fields are set only through
+# --config or --set
+REMOVED_FLAGS = [["--seed", "3"], ["--add-inverse"], ["--timings"],
+                 ["--rounds", "1"], ["--no-verifier"], ["--no-soft-injection"],
+                 ["--single-round"], ["--fixed-weights"],
+                 ["--no-align-diagnostics"]]
 
 
 def test_argparse_usage_error_exits_2():
-    for argv in (["query"],
-                 ["bench", "triples.tsv", "bench.jsonl", "--jobs", "2"]):
+    query = ["query", "triples.tsv", "question", "--seed-entity", "Argo"]
+    bench = ["bench", "triples.tsv", "bench.jsonl"]
+    sweep = ["sweep", "triples.tsv", "bench.jsonl", "--grid", "tau=0.1"]
+    bad = [["query"], bench + ["--jobs", "2"]]
+    bad += [cmd + flag for flag in REMOVED_FLAGS
+            for cmd in (query, bench, sweep)]
+    for argv in bad:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
 
 
 def test_bench_reports_and_reproducibility(metrics_files, capsys, tmp_path):
@@ -104,14 +119,29 @@ def test_bench_ablation_flags(argo_files, capsys):
     full = json.loads(capsys.readouterr().out)
     assert full["overall"]["hit_at_1"] == 1.0
 
-    assert main(base + ["--single-round"]) == 0
+    assert main(base + ["--set", "rounds=1"]) == 0
     single = json.loads(capsys.readouterr().out)
     assert single["overall"]["hit_at_1"] == 0.0
     assert single["overall"]["coverage"] == full["overall"]["coverage"]
 
-    assert main(base + ["--no-verifier"]) == 0
+    assert main(base + ["--set", "no_verifier=true"]) == 0
     unverified = json.loads(capsys.readouterr().out)
     assert unverified["overall"]["hit_at_1"] == 0.0
+
+
+@pytest.mark.parametrize("body", [{"q": 5}, ["host_event", "Boston"],
+                                  {ARGO_QUESTION: ["host_event"]}])
+def test_malformed_probes_exit_1(argo_files, body, capsys, tmp_path):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps(body))
+    argv = ["bench", argo_files["triples.tsv"], argo_files["bench.jsonl"],
+            "--config", argo_files["config.cfg"],
+            "--embeddings", argo_files["embeddings.tsv"],
+            "--probes", str(probes)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "probes" in err
+    assert "Traceback" not in err
 
 
 def test_parse_grid():

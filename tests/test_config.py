@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from kgpaths.config import RunConfig
+from kgpaths.config import RunConfig, load_config
 from kgpaths.errors import ConfigError
+from kgpaths.synthetic import FIXTURES
 
 
 @pytest.mark.parametrize("key, value", [
@@ -13,11 +16,32 @@ from kgpaths.errors import ConfigError
     ("discretize_tau", 0.0), ("embed_dim", 0),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
+    # construction, dataclasses.replace (the sweep path) and the string
+    # overrides of --set all run the same check
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        replace(RunConfig(), **{key: value})
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         RunConfig().with_overrides(**{key: value})
 
 
 def test_validate_accepts_defaults_and_edges():
-    assert RunConfig().validate() == RunConfig()
+    assert RunConfig().with_overrides() == RunConfig()
     RunConfig(alpha=0.0, beta=0.0, gamma=0.0, lambda_sem=0.0, walks=0,
-              conf_threshold=1.0, edit_budget=0, knn=0, rho=0.0).validate()
+              conf_threshold=1.0, edit_budget=0, knn=0, rho=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_load_config_reads_back_each_fixture_config(name, tmp_path):
+    fx = FIXTURES[name]()
+    assert load_config(fx.write(tmp_path)["config.cfg"]) == fx.config
+
+
+def test_load_config_rejects_removed_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# written by an older version\n\nrounds = 2\n"
+                    "  # top-1 injection is select_top_k = 1\n"
+                    "no_soft_injection = False\n\n")
+    with pytest.raises(ConfigError, match=r"\bno_soft_injection\b"):
+        load_config(path)

@@ -59,7 +59,7 @@ def test_parse_diagnostic_roundtrip():
         ("PRUNE(3)", "PRUNE", ("3",)),
         ("NONE", "NONE", ()),
     ]:
-        msg = parse_diagnostic(text, uncertainty=0.2)
+        msg = parse_diagnostic(text)
         assert msg is not None
         assert msg.kind == kind and msg.args == args
         assert parse_diagnostic(msg.canonical()).args == args
