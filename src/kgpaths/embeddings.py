@@ -28,16 +28,23 @@ EMBED_TOKEN_ENV = "KGPATHS_EMBED_TOKEN"
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]. Zero vectors are an error, not
-    a silent 0."""
+    a silent 0.
+
+    On contiguous 1-D vectors it equals
+    ``np.clip(np.dot(a, b) / (norm(a) * norm(b)), -1, 1)`` bit for bit:
+    ``np.linalg.norm(v)`` computes ``sqrt(v.dot(v))``, so this makes the same
+    float operations without numpy's per-call Python wrappers.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero vector is undefined")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    c = float(a.dot(b) / (na * nb))
+    return -1.0 if c < -1.0 else 1.0 if c > 1.0 else c
 
 
 class HashEmbeddings:
@@ -64,7 +71,7 @@ class HashEmbeddings:
             ).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "big"))
             raw = rng.standard_normal(self.dimension)
-            norm = np.linalg.norm(raw)
+            norm = math.sqrt(raw.dot(raw))
             if norm == 0.0:  # standard normal draw; effectively unreachable
                 raw[0] = 1.0
                 norm = 1.0
@@ -253,8 +260,9 @@ def query_embedding(provider, question: str, graph) -> np.ndarray:
 
     if not matched:
         return provider.embed(question)
-    mean = np.mean([provider.embed(label) for label in matched], axis=0)
-    norm = np.linalg.norm(mean)
+    mean = np.add.reduce([provider.embed(label) for label in matched],
+                         axis=0) / len(matched)
+    norm = math.sqrt(mean.dot(mean))
     if norm == 0.0:
         raise ZeroVectorError("query token embeddings cancel to zero")
     return mean / norm

@@ -18,6 +18,7 @@ membership, instead of keeping adjacency of its own.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import deque
@@ -392,14 +393,17 @@ def expand_neighborhood(
         ]
         for seed in seeds:
             seed_vec = all_vecs[seed.entity]
-            sims = sorted(
+            # keys are unique per entity id, so this keeps a full sort's
+            # first ``knn`` in the same order
+            nearest = heapq.nsmallest(
+                knn,
                 (
                     (-cosine(seed_vec, all_vecs[e]), e)
                     for e in range(graph.num_entities)
                     if e != seed.entity
                 ),
             )
-            for _, e in sims[:knn]:
+            for _, e in nearest:
                 subgraph.add_node(e, 0)
 
     subgraph.induce_edges(0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EmptyPathError, ZeroVectorError
@@ -63,12 +65,18 @@ class Path:
 def pool_path_vector(path: Path, embeddings, graph: KnowledgeGraph) -> np.ndarray:
     """Mean of all node and relation embeddings along the path, normalized.
 
-    Order-insensitive by construction; a zero mean is an error.
+    Order-insensitive by construction; a zero mean is an error. Equal bit
+    for bit to ``np.mean(vectors, axis=0)`` divided by its
+    ``np.linalg.norm``: ``np.mean`` is ``np.add.reduce(axis=0)`` divided by
+    the count, and the norm is ``sqrt(mean.dot(mean))``, so this makes the
+    same float operations, pairwise summation included, without numpy's
+    per-call Python wrappers.
     """
     labels = [graph.entity_labels[n] for n in path.nodes]
     labels += [graph.relation_labels[r] for r in path.relations]
-    mean = np.mean([embeddings.embed(label) for label in labels], axis=0)
-    norm = float(np.linalg.norm(mean))
+    mean = np.add.reduce([embeddings.embed(label) for label in labels],
+                         axis=0) / len(labels)
+    norm = math.sqrt(mean.dot(mean))
     if norm == 0.0:
         raise ZeroVectorError(f"pooled vector is zero for {path!r}")
     return mean / norm

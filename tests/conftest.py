@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from kgpaths.embeddings import HashEmbeddings
+from kgpaths.errors import ZeroVectorError
 from kgpaths.graph import KnowledgeGraph, Subgraph, Triple
 
 
@@ -36,6 +38,31 @@ def random_graph(rng: random.Random, max_nodes=12, max_edges=30):
         graph.add_triple(f"n{h}", f"r{rng.randrange(4)}", f"n{t}")
     graph.finalize()
     return graph
+
+
+def cosine_oracle(a, b):
+    """``cosine`` in numpy's own formulas: the bit-for-bit reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVectorError("cosine of a zero vector is undefined")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def pool_oracle(path, embeddings, graph):
+    """``pool_path_vector`` in numpy's own formulas: the bit-for-bit
+    reference."""
+    labels = [graph.entity_labels[n] for n in path.nodes]
+    labels += [graph.relation_labels[r] for r in path.relations]
+    mean = np.mean([embeddings.embed(label) for label in labels], axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        raise ZeroVectorError(f"pooled vector is zero for {path!r}")
+    return mean / norm
 
 
 @pytest.fixture

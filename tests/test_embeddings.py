@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import threading
@@ -5,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgpaths.embeddings import (
     FileEmbeddings,
@@ -15,13 +18,16 @@ from kgpaths.embeddings import (
 )
 from kgpaths.errors import ParseError, ServiceError, UnknownItemError, ZeroVectorError
 
-from conftest import build_graph
+from conftest import build_graph, cosine_oracle
 
 
 def test_cosine_basic_and_clamped():
     assert cosine([1, 0], [1, 0]) == 1.0
     assert cosine([1, 0], [0, 1]) == 0.0
     assert cosine([1e-8, 0], [1e-8, 1e-20]) <= 1.0
+    # int lists are converted
+    assert cosine([1, 2, 3], [4, 5, -6]) == cosine([1.0, 2.0, 3.0],
+                                                 [4.0, 5.0, -6.0])
 
 
 def test_cosine_errors():
@@ -29,6 +35,39 @@ def test_cosine_errors():
         cosine([0, 0], [1, 0])
     with pytest.raises(ValueError):
         cosine([1, 0], [1, 0, 0])
+
+
+# per-vector magnitudes 10**-150 .. 10**150 keep every dot product finite
+# and nonzero at d <= 128
+_DIM = st.integers(min_value=1, max_value=128)
+_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+_EXPONENT = st.integers(min_value=-150, max_value=150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIM, _SEED, _EXPONENT, _EXPONENT,
+       st.sampled_from(["independent", "parallel", "opposite"]))
+@example(1, 0, 0, 0, "parallel")
+@example(128, 0, -150, 150, "opposite")
+def test_cosine_equals_numpy_formula_bit_for_bit(d, seed, ea, eb, relation):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(d) * 10.0 ** ea
+    b = rng.standard_normal(d) * 10.0 ** eb
+    if relation != "independent":  # |cosine| at or just past 1: the clamp
+        sign = 1.0 if relation == "parallel" else -1.0
+        b = a * (sign * 10.0 ** (eb - ea))
+    assert cosine(a, b) == cosine_oracle(a, b)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 16, 128])
+def test_hash_embeddings_normalize_like_numpy_norm(dimension):
+    emb = HashEmbeddings(dimension=dimension, seed=3)
+    for label in ("Boston", "Argo", "q"):
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8,
+                                 key=b"3").digest()
+        raw = np.random.default_rng(
+            int.from_bytes(digest, "big")).standard_normal(dimension)
+        assert np.array_equal(emb.embed(label), raw / np.linalg.norm(raw))
 
 
 def test_hash_embeddings_deterministic_unit_norm():
@@ -144,6 +183,22 @@ def test_query_embedding_token_overlap():
     vec = query_embedding(emb, "Did Boston host the Olympics?", g)
     assert np.linalg.norm(vec) == pytest.approx(1.0)
     assert vec[0] > 0 and vec[1] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DIM, _SEED, st.lists(_EXPONENT, min_size=1, max_size=9))
+@example(1, 0, [0] * 9)
+def test_query_embedding_mean_equals_numpy_formula_bit_for_bit(
+        d, seed, exponents):
+    rng = np.random.default_rng(seed)
+    labels = [f"t{i}" for i in range(len(exponents))]
+    vectors = {label: rng.standard_normal(d) * 10.0 ** e
+               for label, e in zip(labels, exponents)}
+    g = build_graph([(label, "r", "sink") for label in labels])
+    # "?" keeps the question itself out of the provider: the tokens match
+    vec = query_embedding(FileEmbeddings(vectors), " ".join(labels) + "?", g)
+    mean = np.mean([vectors[label] for label in labels], axis=0)
+    assert np.array_equal(vec, mean / np.linalg.norm(mean))
 
 
 def test_query_embedding_hash_fallback(hash_embeddings):

@@ -1,8 +1,12 @@
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+import kgpaths.embeddings
+import kgpaths.paths
 from kgpaths.config import RunConfig
 from kgpaths.embeddings import HashEmbeddings
 from kgpaths.errors import ParseError
@@ -23,9 +27,9 @@ from kgpaths.evaluation import (
     write_sweep_csv,
 )
 from kgpaths.loop import ScriptedReasoner
-from kgpaths.synthetic import metrics_fixture
+from kgpaths.synthetic import FIXTURES, metrics_fixture
 
-from conftest import build_graph
+from conftest import build_graph, cosine_oracle, pool_oracle
 
 
 def test_benchmark_record_validation():
@@ -123,6 +127,48 @@ def test_report_writers(tmp_path):
     assert json.loads(jp.read_text())["overall"] == report["overall"]
     write_report_csv(report, cp)
     assert cp.read_text().count("\n") == 4  # header + 3 rows
+
+
+def _fixture_reports() -> dict[str, str]:
+    """Each shipped fixture's report as ``kgpaths bench`` writes it, with
+    timings off."""
+    out = {}
+    for name, build in sorted(FIXTURES.items()):
+        fx = build()  # fresh: the loop edits the graph
+        config = fx.config.with_overrides(include_timings=False)
+        reasoner = ScriptedReasoner(fx.graph,
+                                    conf_threshold=config.conf_threshold,
+                                    probes=fx.probes)
+        report = run_benchmark(fx.records, fx.graph, config, reasoner,
+                               fx.embeddings)
+        out[name] = json.dumps(report, sort_keys=True, indent=2)
+    return out
+
+
+def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
+    """``cosine`` and ``pool_path_vector`` against numpy's formulas, end to
+    end. Both runs use this machine's BLAS dot, so the check holds on any
+    CPU, where a pinned digest would not."""
+    shipped = _fixture_reports()
+    calls = Counter()
+
+    def counted(name, oracle):
+        def kernel(*args):
+            calls[name] += 1
+            return oracle(*args)
+        return kernel
+
+    for name, ref, oracle in (
+            ("cosine", kgpaths.embeddings.cosine, cosine_oracle),
+            ("pool_path_vector", kgpaths.paths.pool_path_vector, pool_oracle)):
+        kernel = counted(name, oracle)
+        for module in list(sys.modules.values()):
+            module_name = getattr(module, "__name__", "")
+            if (module_name == "kgpaths" or module_name.startswith("kgpaths.")) \
+                    and getattr(module, name, None) is ref:
+                monkeypatch.setattr(module, name, kernel)
+    assert _fixture_reports() == shipped
+    assert calls["cosine"] > 0 and calls["pool_path_vector"] > 0
 
 
 REPORT_COLUMNS = (

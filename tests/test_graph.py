@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgpaths.embeddings import HashEmbeddings, cosine
 from kgpaths.errors import EditError, ParseError, UnknownEntityError
 from kgpaths.graph import (
     ConfirmTriple,
@@ -112,6 +113,31 @@ def test_expand_neighborhood_knn_adds_disconnected_entities(hash_embeddings):
                               embeddings=hash_embeddings)
     # 3 nearest of the remaining 3 entities -> everything joins
     assert len(sub.nodes) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 5),
+       st.sampled_from([1, 2, 8]), st.sets(st.integers(0, 11), min_size=1,
+                                          max_size=3))
+def test_knn_expansion_keeps_the_sorted_selection(graph_seed, knn, dimension,
+                                                  seed_ids):
+    """At d = 1 every cosine is +-1, so the id tie-break decides most picks."""
+    g = random_graph(random.Random(graph_seed))
+    n = g.num_entities
+    seeds = [SeedCandidate(x) for x in sorted({x % n for x in seed_ids})]
+    emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
+    sub = expand_neighborhood(g, seeds, radius=1, knn=knn, embeddings=emb)
+
+    ref = expand_neighborhood(g, seeds, radius=1)
+    vecs = [emb.embed(label) for label in g.entity_labels]
+    for seed in seeds:
+        ranked = sorted((-cosine(vecs[seed.entity], vecs[e]), e)
+                        for e in range(n) if e != seed.entity)
+        for _, e in ranked[:knn]:
+            ref.add_node(e, 0)
+    ref.induce_edges(0)
+    assert list(sub.nodes.items()) == list(ref.nodes.items())
+    assert sub.edges.keys() == ref.edges.keys()
 
 
 def test_expand_neighborhood_validates():

@@ -1,13 +1,14 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import FileEmbeddings, HashEmbeddings, cosine
-from kgpaths.errors import EmptyPathError
+from kgpaths.errors import EmptyPathError, ZeroVectorError
 from kgpaths.graph import Triple
 from kgpaths.paths import Path, pool_path_vector
 from kgpaths.weights import (
@@ -19,7 +20,7 @@ from kgpaths.weights import (
     semantic_match,
 )
 
-from conftest import build_graph, full_subgraph, random_graph
+from conftest import build_graph, full_subgraph, pool_oracle, random_graph
 
 
 def test_path_validation():
@@ -56,6 +57,45 @@ def test_pool_path_vector_is_order_insensitive_mean():
     v = pool_path_vector(Path([Triple(0, 0, 1)]), emb, g)
     expected = np.array([2.0, 1.0]) / 3
     assert np.allclose(v, expected / np.linalg.norm(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=128),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(min_value=-150, max_value=150),
+                min_size=1, max_size=9))
+@example(1, 0, [0] * 9)  # d = 1, 9 rows: numpy sums the stack pairwise
+@example(1, 0, [150, -150, -150, -150, -150, -150, -150, -150, -150])
+def test_pool_path_vector_equals_numpy_formula_bit_for_bit(d, seed, exponents):
+    """Row ``i`` has magnitude ``10**exponents[i]``. The path is a stand-in
+    with the labels' node/relation split, so the count runs over 1..9 and
+    not only over a real path's odd 2L+1."""
+    rng = np.random.default_rng(seed)
+    n = len(exponents)
+    path = SimpleNamespace(nodes=tuple(range((n + 1) // 2)),
+                           relations=tuple(range(n // 2)))
+    graph = SimpleNamespace(entity_labels=[f"e{i}" for i in path.nodes],
+                            relation_labels=[f"r{j}" for j in path.relations])
+    labels = graph.entity_labels + graph.relation_labels
+    emb = FileEmbeddings({label: rng.standard_normal(d) * 10.0 ** e
+                          for label, e in zip(labels, exponents)})
+    assert np.array_equal(pool_path_vector(path, emb, graph),
+                          pool_oracle(path, emb, graph))
+
+
+def test_pool_path_vector_errors():
+    g = build_graph([("a", "r", "b")])
+    p = Path([Triple(0, 0, 1)])
+    vectors = {"a": np.ones(2), "r": np.ones(3), "b": np.ones(2)}
+    ragged = SimpleNamespace(embed=vectors.__getitem__)
+    for pool in (pool_path_vector, pool_oracle):
+        with pytest.raises(ValueError):
+            pool(p, ragged, g)
+    cancelling = FileEmbeddings({"a": [1.0, 2.0], "r": [0.0, 0.0],
+                                 "b": [-1.0, -2.0]})
+    for pool in (pool_path_vector, pool_oracle):
+        with pytest.raises(ZeroVectorError):
+            pool(p, cancelling, g)
 
 
 def test_edge_weight_components():
