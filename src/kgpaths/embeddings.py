@@ -54,8 +54,6 @@ class HashEmbeddings:
     same (seed, label) pair maps to the same vector everywhere.
     """
 
-    mode = "hash-deterministic"
-
     def __init__(self, dimension: int = 64, seed: int = 0):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -86,8 +84,6 @@ class HashEmbeddings:
 
 class FileEmbeddings:
     """Vectors loaded from TSV ``label<TAB>v1,v2,...`` or a mapping."""
-
-    mode = "file"
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -138,24 +134,15 @@ class ServiceEmbeddings:
     """HTTP embedding service client with a per-instance result cache.
 
     Failures raise :class:`ServiceError` with ``retryable`` / ``retry_after``
-    metadata; retry policy is the caller's decision.
+    metadata (see :class:`JsonService`); retry policy is the caller's
+    decision.
     """
-
-    mode = "external-service"
 
     def __init__(self, dimension: int, url: str | None = None,
                  token: str | None = None, timeout: float = 30.0, session=None):
         self.dimension = dimension
-        self.url = url or os.environ.get(EMBED_URL_ENV)
-        if not self.url:
-            raise ValueError(f"no service URL given and {EMBED_URL_ENV} unset")
-        self.token = token if token is not None else os.environ.get(EMBED_TOKEN_ENV)
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._service = JsonService("embedding service", url, EMBED_URL_ENV,
+                                    token, EMBED_TOKEN_ENV, timeout, session)
         self._cache: dict[str, np.ndarray] = {}
 
     def embed(self, label: str) -> np.ndarray:
@@ -166,32 +153,8 @@ class ServiceEmbeddings:
     def embed_many(self, labels: list[str]) -> list[np.ndarray]:
         missing = [l for l in labels if l not in self._cache]
         if missing:
-            headers = {"Content-Type": "application/json"}
-            if self.token:
-                headers["Authorization"] = f"Bearer {self.token}"
-            try:
-                resp = self._session.post(
-                    self.url, json={"items": missing}, headers=headers,
-                    timeout=self.timeout,
-                )
-            except Exception as exc:  # connection-level failure: retryable
-                raise ServiceError(
-                    f"embedding service unreachable: {exc}", retryable=True
-                ) from exc
-            if resp.status_code != 200:
-                retryable = resp.status_code in (429, 502, 503, 504)
-                raise ServiceError(
-                    f"embedding service returned {resp.status_code}",
-                    retryable=retryable,
-                    retry_after=_retry_after_seconds(
-                        resp.headers.get("Retry-After")),
-                    status=resp.status_code,
-                )
-            try:
-                vectors = resp.json()["vectors"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ServiceError(
-                    f"malformed embedding service reply: {exc!r}") from exc
+            vectors = self._service.post({"items": missing},
+                                         lambda body: body["vectors"])
             if not isinstance(vectors, list) or len(vectors) != len(missing):
                 raise ServiceError("vector count mismatch in service reply")
             for label, vec in zip(missing, vectors):
@@ -233,6 +196,63 @@ def _retry_after_seconds(value: str | None) -> float | None:
             when = when.replace(tzinfo=timezone.utc)
         seconds = max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
     return seconds if math.isfinite(seconds) else None
+
+
+class JsonService:
+    """One JSON-over-HTTP POST endpoint, shared by the embedding service and
+    the external reasoner.
+
+    The URL and bearer token come from the arguments or else from the named
+    environment variables; a missing URL is a ``ValueError``. Every failure
+    of :meth:`post` is a :class:`ServiceError`:
+
+    * an unreachable service is retryable;
+    * a status other than 200 carries ``status``, is retryable for 429,
+      502, 503 and 504, and carries ``retry_after`` from ``Retry-After``;
+    * a body that is not JSON, or that ``parse`` rejects with an
+      ``AttributeError``, ``KeyError``, ``TypeError`` or ``ValueError``, is
+      a malformed reply.
+    """
+
+    def __init__(self, name: str, url: str | None, url_env: str,
+                 token: str | None, token_env: str, timeout: float,
+                 session=None):
+        self.name = name
+        self.url = url or os.environ.get(url_env)
+        if not self.url:
+            raise ValueError(f"no {name} URL given and {url_env} unset")
+        self.token = token if token is not None else os.environ.get(token_env)
+        self.timeout = timeout
+        if session is None:
+            import requests  # deferred: a slow import that only services need
+
+            session = requests.Session()
+        self.session = session
+
+    def post(self, payload: dict, parse):
+        """POST ``payload`` as JSON and return ``parse`` of the JSON reply."""
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        try:
+            resp = self.session.post(self.url, json=payload, headers=headers,
+                                     timeout=self.timeout)
+        except Exception as exc:  # connection-level failure: retryable
+            raise ServiceError(f"{self.name} unreachable: {exc}",
+                               retryable=True) from exc
+        if resp.status_code != 200:
+            raise ServiceError(
+                f"{self.name} returned {resp.status_code}",
+                retryable=resp.status_code in (429, 502, 503, 504),
+                retry_after=_retry_after_seconds(resp.headers.get("Retry-After")),
+                status=resp.status_code,
+            )
+        try:
+            return parse(resp.json())
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"malformed {self.name} reply: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def query_embedding(provider, question: str, graph) -> np.ndarray:

@@ -8,12 +8,12 @@ multipliers, refutations) lives on :class:`Subgraph` values owned by a
 single query episode.
 
 A subgraph's edges are always the base triples with both ends among its
-nodes, minus the ones it has pruned. They are kept up to date
-incrementally: inducing edges visits only nodes not induced before, and
-reads their edges from the base graph's adjacency lists, so an edit that
-adds no node costs no edge work. Traversal (``pathenum``) reads a node's
-subgraph edges the same way, from the base adjacency filtered by
-membership, instead of keeping adjacency of its own.
+nodes, minus the ones it has pruned. Adding a node adds its edges: the
+node's out- and in-edges to nodes already present, read from the base
+graph's adjacency lists, so an edit that adds no node costs no edge work.
+Traversal (``pathenum``) reads a node's subgraph edges the same way, from
+the base adjacency filtered by membership, instead of keeping adjacency
+of its own.
 """
 
 from __future__ import annotations
@@ -58,10 +58,18 @@ class SeedCandidate:
 # them; the diagnostic mapper in kgpaths.loop produces them.
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 1:
+        raise ValueError(f"edit radius {radius} must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExpandSeed:
     entity: int
     radius: int = 1
+
+    def __post_init__(self):
+        _check_radius(self.radius)
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,9 @@ class SwapSeed:
     old_entity: int
     new_entity: int
     radius: int = 1
+
+    def __post_init__(self):
+        _check_radius(self.radius)
 
 
 GraphEdit = ExpandSeed | PruneEdge | ConfirmTriple | RefuteTriple | SwapSeed
@@ -266,58 +277,45 @@ class Subgraph:
     """A per-query working view onto a parent :class:`KnowledgeGraph`.
 
     ``nodes`` and ``edges`` map each element to the round at which it
-    entered (its provenance). Also holds soft edge multipliers and the
-    episode's refuted and pruned triples. ``induced`` holds the nodes whose
-    edges ``induce_edges`` has already added. Mutated only by its owning
-    query loop.
+    entered (its provenance). Each edge is an unpruned base triple with both
+    ends among the nodes, and it entered at the later of its two ends'
+    rounds. ``add_node`` and ``remove_node`` are the only ways in and out,
+    and each keeps that true, so a subgraph is built empty. Also holds soft
+    edge multipliers and the episode's refuted and pruned triples. Mutated
+    only by its owning query loop.
     """
 
     graph: KnowledgeGraph
-    nodes: dict[int, int] = field(default_factory=dict)
-    edges: dict[Triple, int] = field(default_factory=dict)
+    nodes: dict[int, int] = field(default_factory=dict, init=False)
+    edges: dict[Triple, int] = field(default_factory=dict, init=False)
     soft: dict[Triple, float] = field(default_factory=dict)
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
-    induced: set[int] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
 
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
 
     def add_node(self, entity: int, round_index: int) -> None:
-        self.nodes.setdefault(entity, round_index)
-
-    def add_edge(self, triple: Triple, round_index: int) -> None:
-        if triple not in self.pruned:
-            self.edges.setdefault(triple, round_index)
-
-    def induce_edges(self, round_index: int) -> None:
-        """Add every unpruned parent-graph edge whose endpoints are both
-        present.
-
-        Only nodes not induced before are visited: each one's out-edges to
-        present nodes, and its in-edges from nodes induced before (edges
-        between two new nodes are the out-edges of one of them). Edges
-        between nodes induced before are in place already.
-        """
+        """Add ``entity`` at ``round_index`` (nothing when it is present),
+        with its unpruned out-edges to present nodes and in-edges from
+        them."""
         nodes = self.nodes
-        new = nodes.keys() - self.induced
-        any_old = len(new) < len(nodes)  # else no in-edge can come from one
-        for u in new:
-            for e in self.graph.out_adj[u]:
-                if e.tail in nodes:
-                    self.add_edge(e, round_index)
-            if any_old:
-                for e in self.graph.in_adj[u]:
-                    if e.head in nodes and e.head not in new:
-                        self.add_edge(e, round_index)
-        self.induced |= new
+        if entity in nodes:
+            return
+        nodes[entity] = round_index
+        edges, pruned = self.edges, self.pruned
+        for e in self.graph.out_adj[entity]:
+            if e.tail in nodes and e not in pruned:
+                edges[e] = round_index
+        for e in self.graph.in_adj[entity]:
+            if e.head in nodes and e not in pruned:
+                edges[e] = round_index
 
     def remove_node(self, entity: int) -> None:
         """Drop ``entity`` and every edge touching it (nothing when it is
-        absent); adding it back later induces its edges afresh."""
+        absent)."""
         self.nodes.pop(entity, None)
-        self.induced.discard(entity)
         for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
             self.edges.pop(e, None)
 
@@ -356,9 +354,9 @@ def _bfs_add(subgraph: Subgraph, start: int, radius: int, round_index: int) -> N
             continue
         for e in subgraph.graph.out_adj[node]:
             t = e.tail
-            subgraph.add_node(t, round_index)
             if t not in seen:
                 seen.add(t)
+                subgraph.add_node(t, round_index)
                 frontier.append((t, depth + 1))
 
 
@@ -371,7 +369,7 @@ def expand_neighborhood(
 ) -> Subgraph:
     """Collect all nodes within ``radius`` hops of any seed plus the ``knn``
     nearest entities to each seed by embedding cosine, as round 0 of a new
-    subgraph; edges are induced.
+    subgraph, with the edges among them.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -405,8 +403,6 @@ def expand_neighborhood(
             )
             for _, e in nearest:
                 subgraph.add_node(e, 0)
-
-    subgraph.induce_edges(0)
     return subgraph
 
 
@@ -431,7 +427,6 @@ def apply_edits(
         if isinstance(edit, ExpandSeed):
             check_entity(edit.entity)
             _bfs_add(subgraph, edit.entity, edit.radius, round_index)
-            subgraph.induce_edges(round_index)
         elif isinstance(edit, PruneEdge):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
@@ -452,7 +447,6 @@ def apply_edits(
             check_entity(edit.new_entity)
             subgraph.remove_node(edit.old_entity)
             _bfs_add(subgraph, edit.new_entity, edit.radius, round_index)
-            subgraph.induce_edges(round_index)
         else:
             raise EditError(f"unknown edit type: {edit!r}")
     return subgraph

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .config import RunConfig
-from .embeddings import query_embedding
+from .embeddings import JsonService, query_embedding
 from .errors import EmptySelectionError, KgError, ServiceError
 from .graph import (
     ConfirmTriple,
@@ -259,7 +259,6 @@ class ScriptedReasoner:
     it terminates no path.
     """
 
-    mode = "scripted"
     capabilities = frozenset({"answers", "log_probs", "attention"})
 
     def __init__(self, graph: KnowledgeGraph, conf_threshold: float = 0.7,
@@ -337,25 +336,12 @@ class ExternalReasoner:
     episode and leaves the rest of a benchmark run going.
     """
 
-    mode = "external-service"
-
     def __init__(self, graph: KnowledgeGraph, url: str | None = None,
                  token: str | None = None, timeout: float = 60.0,
                  session=None):
-        import os
-
         self.graph = graph
-        self.url = url or os.environ.get(REASONER_URL_ENV)
-        if not self.url:
-            raise ValueError(f"no reasoner URL given and {REASONER_URL_ENV} unset")
-        self.token = token if token is not None else os.environ.get(
-            REASONER_TOKEN_ENV)
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._service = JsonService("reasoner", url, REASONER_URL_ENV, token,
+                                    REASONER_TOKEN_ENV, timeout, session)
         self.capabilities = frozenset({"answers"})
 
     def reason(self, question: str, selected: list[ScoredCandidate],
@@ -372,22 +358,8 @@ class ExternalReasoner:
             ],
             "mixture": list(map(float, mixture.z_ctx)) if mixture is not None else [],
         }
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        try:
-            resp = self._session.post(self.url, json=payload, headers=headers,
-                                      timeout=self.timeout)
-        except Exception as exc:
-            raise ServiceError(f"reasoner unreachable: {exc}", retryable=True) from exc
-        if resp.status_code != 200:
-            raise ServiceError(
-                f"reasoner returned {resp.status_code}",
-                retryable=resp.status_code in (429, 502, 503, 504),
-                status=resp.status_code,
-            )
-        try:
-            body = resp.json()
+
+        def parse(body) -> ReasonerReply:
             confidence = float(body["confidence"])
             if not 0.0 <= confidence <= 1.0:
                 raise ServiceError(f"confidence {confidence} outside [0, 1]")
@@ -402,15 +374,12 @@ class ExternalReasoner:
                 logprob = float(logprob)
                 if not math.isfinite(logprob):
                     raise ValueError(f"logprob {logprob} is not finite")
-            reply = ReasonerReply(
+            return ReasonerReply(
                 answer=str(body["answer"]), confidence=confidence,
                 diagnostic=str(body.get("diagnostic", NONE)),
                 attention=attention, tokens=tokens, logprob=logprob)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"malformed reasoner reply: {type(exc).__name__}: {exc}"
-            ) from exc
-        return reply
+
+        return self._service.post(payload, parse)
 
 
 # --- episode driver --------------------------------------------------------

@@ -21,7 +21,6 @@ def full_subgraph(graph):
     sub = Subgraph(graph=graph)
     for n in range(graph.num_entities):
         sub.add_node(n, 0)
-    sub.induce_edges(0)
     return sub
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kgpaths
 from kgpaths.embeddings import (
     FileEmbeddings,
     HashEmbeddings,
@@ -165,6 +169,18 @@ def test_service_embeddings_requires_url(monkeypatch):
     monkeypatch.delenv("KGPATHS_EMBED_URL", raising=False)
     with pytest.raises(ValueError):
         ServiceEmbeddings(2)
+
+
+def test_importing_kgpaths_leaves_requests_unimported():
+    """``requests`` is imported only when a service client is built without
+    a session: it is a slow import, and most runs use no service."""
+    src = os.path.dirname(os.path.dirname(kgpaths.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kgpaths; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_query_embedding_direct_hit():

@@ -102,7 +102,7 @@ def test_expand_neighborhood_radius(chain_graph):
     sub2 = expand_neighborhood(chain_graph, seeds, radius=2)
     labels2 = {chain_graph.entity_labels[n] for n in sub2.nodes}
     assert labels2 == {"a", "b", "c", "d"}
-    # induced edges include the b->c edge even though b was a frontier node
+    # the b->c edge is there even though b was a frontier node
     assert Triple(1, 1, 2) in sub2.edges
 
 
@@ -135,7 +135,6 @@ def test_knn_expansion_keeps_the_sorted_selection(graph_seed, knn, dimension,
                         for e in range(n) if e != seed.entity)
         for _, e in ranked[:knn]:
             ref.add_node(e, 0)
-    ref.induce_edges(0)
     assert list(sub.nodes.items()) == list(ref.nodes.items())
     assert sub.edges.keys() == ref.edges.keys()
 
@@ -202,7 +201,7 @@ def test_subgraph_json_dump(chain_graph):
                <= set(e) for e in payload["edges"])
 
 
-# --- incremental induction ------------------------------------------------------
+# --- edges follow nodes ---------------------------------------------------------
 
 
 def scratch_edges(sub):
@@ -210,15 +209,6 @@ def scratch_edges(sub):
     its nodes, minus the pruned ones."""
     return {e for e in sub.graph.triples
             if e.head in sub.nodes and e.tail in sub.nodes} - sub.pruned
-
-
-class _NoMemory(set):
-    """An ``induced`` set that never keeps a node, so a subgraph holding it
-    re-induces every node's out-edges on each call: induction from
-    scratch, the reference for edges and their provenance."""
-
-    def __ior__(self, other):
-        return self
 
 
 _EDIT_KINDS = st.sampled_from(["expand", "swap", "readd", "prune"])
@@ -229,11 +219,11 @@ _EDIT_KINDS = st.sampled_from(["expand", "swap", "readd", "prune"])
        st.lists(st.tuples(_EDIT_KINDS, st.integers(0, 11), st.integers(0, 11),
                           st.integers(1, 2)), min_size=1, max_size=8))
 def test_incremental_induction_matches_recomputation(graph_seed, steps):
+    """After every edit, the edges are the unpruned base triples between
+    present nodes, each entered at the later of its two ends' rounds."""
     g = random_graph(random.Random(graph_seed))
     n = g.num_entities
     sub = expand_neighborhood(g, [SeedCandidate(0)], radius=1)
-    ref = Subgraph(graph=g, induced=_NoMemory())
-    apply_edits(ref, [ExpandSeed(0, 1)], 0)
     removed = []
     for round_index, (kind, a, b, radius) in enumerate(steps, start=1):
         a, b = a % n, b % n
@@ -250,26 +240,41 @@ def test_incremental_induction_matches_recomputation(graph_seed, steps):
         if isinstance(edit, SwapSeed) and edit.old_entity in sub.nodes:
             removed.append(edit.old_entity)
         apply_edits(sub, [edit], round_index)
-        apply_edits(ref, [edit], round_index)
-        assert sub.nodes == ref.nodes  # with their entry rounds
-        assert sub.nodes.keys() == sub.induced
-        assert sub.edges == ref.edges
-        assert sub.edges.keys() == scratch_edges(sub)
+        assert sub.edges == {e: max(sub.nodes[e.head], sub.nodes[e.tail])
+                             for e in scratch_edges(sub)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)))
-def test_hand_built_subgraph_induces_every_edge(graph_seed, first, later):
+def test_nodes_added_one_at_a_time_bring_their_edges(graph_seed, first,
+                                                     later):
     g = random_graph(random.Random(graph_seed))
     n = g.num_entities
-    sub = Subgraph(graph=g, nodes=dict.fromkeys((x % n for x in first), 0))
-    sub.induce_edges(0)
+    sub = Subgraph(graph=g)
+    for x in first:
+        sub.add_node(x % n, 0)
     assert sub.edges.keys() == scratch_edges(sub)
-    for x in later:  # nodes added by hand, not add_node
-        sub.nodes.setdefault(x % n, 1)
-    sub.induce_edges(1)
+    for x in later:
+        sub.add_node(x % n, 1)
     assert sub.edges.keys() == scratch_edges(sub)
-    everything = Subgraph(graph=g, nodes=dict.fromkeys(range(n), 0))
-    everything.induce_edges(0)
+    everything = Subgraph(graph=g)
+    for x in range(n):
+        everything.add_node(x, 0)
     assert everything.edges.keys() == g.triples
+
+
+def test_subgraph_cannot_be_built_holding_nodes():
+    g = build_graph([("a", "r", "b")])
+    with pytest.raises(TypeError):
+        Subgraph(graph=g, nodes={0: 0, 1: 0})
+    with pytest.raises(TypeError):
+        Subgraph(graph=g, edges={Triple(0, 0, 1): 0})
+
+
+@pytest.mark.parametrize("radius", [0, -1])
+def test_edits_refuse_a_radius_below_one(radius):
+    with pytest.raises(ValueError):
+        ExpandSeed(0, radius)
+    with pytest.raises(ValueError):
+        SwapSeed(0, 1, radius)

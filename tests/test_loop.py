@@ -13,7 +13,7 @@ import pytest
 import kgpaths.paths
 import kgpaths.weights
 from kgpaths.config import RunConfig
-from kgpaths.embeddings import HashEmbeddings
+from kgpaths.embeddings import HashEmbeddings, ServiceEmbeddings
 from kgpaths.errors import ServiceError
 from kgpaths.evaluation import BenchmarkRecord, run_benchmark
 from kgpaths.graph import (
@@ -88,6 +88,13 @@ def test_map_diagnostic_expand_swap_prune(chain_graph):
     edits = map_diagnostic(parse_diagnostic("PRUNE(0)"), chain_graph,
                            candidates=cands)
     assert edits == [PruneEdge(Triple(0, 0, 1)), PruneEdge(Triple(1, 1, 2))]
+
+
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_map_diagnostic_expand_below_radius_one_yields_no_edits(chain_graph,
+                                                                radius):
+    assert map_diagnostic(parse_diagnostic(f"EXPAND(b, {radius})"),
+                          chain_graph) == []
 
 
 def test_map_diagnostic_failures_yield_no_edits(chain_graph):
@@ -319,10 +326,10 @@ def test_external_reasoner_http_error(chain_graph, reasoner_server):
 
 
 class _CannedResponse:
-    status_code = 200
-
-    def __init__(self, body):
+    def __init__(self, body, status_code=200, headers=None):
         self.body = body
+        self.status_code = status_code
+        self.headers = headers or {}
 
     def json(self):  # as ``requests.Response.json``
         return json.loads(self.body)
@@ -369,6 +376,57 @@ def test_external_reasoner_malformed_reply_fails_one_row(body):
     rows = report["per_question"]
     assert [r["failed"] for r in rows] == [1, 0]
     assert rows[1]["answer"] == "b" and rows[1]["hit_at_1"] == 1.0
+
+
+class _TableSession:
+    """Stands in for ``requests.Session``: every post fails with ``error``
+    or gets one canned response."""
+
+    def __init__(self, error=None, status_code=200, headers=None, body=""):
+        self.error = error
+        self.response = _CannedResponse(body, status_code, headers)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.error is not None:
+            raise self.error
+        return self.response
+
+
+_PAST = "Wed, 21 Oct 2015 07:28:00 GMT"
+
+# session, then (retryable, retry_after, status) of the ServiceError
+_FAILURES = {
+    "unreachable": (dict(error=ConnectionError("refused")), (True, None, None)),
+    "teapot": (dict(status_code=418), (False, None, 418)),
+    "429-seconds": (dict(status_code=429, headers={"Retry-After": "7"}),
+                    (True, 7.0, 429)),
+    "503-date": (dict(status_code=503, headers={"Retry-After": _PAST}),
+                 (True, 0.0, 503)),
+    "not-json": (dict(body="<html>busy</html>"), (False, None, None)),
+}
+
+
+def _call_embedder(session):
+    ServiceEmbeddings(2, url="http://embed.invalid", session=session).embed("x")
+
+
+def _call_reasoner(session):
+    g = build_graph([("a", "r", "b")])
+    ExternalReasoner(g, url="http://reasoner.invalid", session=session).reason(
+        "q", _cands(g, [([Triple(0, 0, 1)], 1.0, 1.0)]))
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+@pytest.mark.parametrize("client", [_call_embedder, _call_reasoner],
+                         ids=["embedder", "reasoner"])
+def test_services_share_one_failure_rule(client, case):
+    session, expected = _FAILURES[case]
+    with pytest.raises(ServiceError) as exc:
+        client(_TableSession(**session))
+    err = exc.value
+    assert (err.retryable, err.retry_after, err.status) == expected
+    if case == "not-json":
+        assert "malformed" in str(err)
 
 
 def test_external_reasoner_env_url(monkeypatch, chain_graph):
