@@ -283,6 +283,9 @@ class Subgraph:
     and each keeps that true, so a subgraph is built empty. Also holds soft
     edge multipliers and the episode's refuted and pruned triples. Mutated
     only by its owning query loop.
+
+    ``hops_to`` tables depend on the node set alone, so they are kept until
+    ``add_node`` adds a node or ``remove_node`` removes one.
     """
 
     graph: KnowledgeGraph
@@ -292,6 +295,9 @@ class Subgraph:
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
+    # (target, max_hops) -> hops_to table, valid for the current node set
+    _hops: dict[tuple[int, int], dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
@@ -304,6 +310,7 @@ class Subgraph:
         if entity in nodes:
             return
         nodes[entity] = round_index
+        self._hops.clear()
         edges, pruned = self.edges, self.pruned
         for e in self.graph.out_adj[entity]:
             if e.tail in nodes and e not in pruned:
@@ -315,9 +322,43 @@ class Subgraph:
     def remove_node(self, entity: int) -> None:
         """Drop ``entity`` and every edge touching it (nothing when it is
         absent)."""
-        self.nodes.pop(entity, None)
+        if self.nodes.pop(entity, None) is None:
+            return
+        self._hops.clear()
         for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
             self.edges.pop(e, None)
+
+    def hops_to(self, target: int, max_hops: int) -> dict[int, int]:
+        """Fewest hops from each node to ``target``, for nodes within
+        ``max_hops``; empty when ``target`` is not a node. Callers must not
+        change the returned table.
+
+        A backwards breadth-first search over the base graph's in-adjacency,
+        limited to the subgraph's nodes. It ignores prunes, so it walks a
+        superset of the subgraph's edges and never overestimates a node's
+        distance; because it reads only the node set, the table is kept
+        until a node is added or removed.
+        """
+        hops = self._hops.get((target, max_hops))
+        if hops is not None:
+            return hops
+        nodes = self.nodes
+        hops = {}
+        if target in nodes:
+            in_adj = self.graph.in_adj
+            hops[target] = 0
+            frontier = [target]
+            for d in range(1, max_hops + 1):
+                nxt = []
+                for node in frontier:
+                    for e in in_adj[node]:
+                        head = e.head
+                        if head not in hops and head in nodes:
+                            hops[head] = d
+                            nxt.append(head)
+                frontier = nxt
+        self._hops[(target, max_hops)] = hops
+        return hops
 
     def to_json(self) -> str:
         """Debug dump: nodes, edges, and provenance."""

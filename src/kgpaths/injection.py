@@ -73,7 +73,8 @@ def load_attention_json(source) -> AttentionMatrix:
 
 def encode_path(path: Path, table: ScoreTable, path_id: int = 0) -> PathLatent:
     """Path latent: the pooled vector (normalized mean over node and relation
-    embeddings) that the round's ``ScoreTable`` already holds for scoring."""
+    embeddings) that the episode's ``ScoreTable`` already holds for
+    scoring."""
     return PathLatent(vector=table.vector(path), path_id=path_id)
 
 

@@ -529,15 +529,16 @@ def run_loop(
         emit(t, diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
              edits=[_edit_repr(edit, graph)], forced_expand=True)
 
+    # every weight, pooled vector and semantic match of the episode, each
+    # computed once; costs and scores, which the soft multipliers set, are
+    # dropped at the start of each round, after the previous round's edits
+    table = ScoreTable(subgraph, coeffs, embeddings, qvec)
     for t in range(config.rounds):
+        table.new_round()
         candidates: list[ScoredCandidate] = []
         # everything up to the reasoner's reply reads the embedding or the
         # reasoner service; a ServiceError there ends the episode as failed
         try:
-            # every score, cost and pooled vector of this round, each
-            # computed once; edits at the end of the round call for a new
-            # table
-            table = ScoreTable(subgraph, coeffs, embeddings, qvec)
             paths = enumerate_paths(
                 table, seed_ids, budget,
                 rng_seed=config.seed + 1000 * t, pair_mode=config.pair_mode)

@@ -5,25 +5,30 @@ simple paths, beam expansion keeping the highest-scoring prefixes per depth,
 and restart-limited random walks biased toward cheap edges. The union is
 deduplicated, ranked by path score, and truncated to the candidate cap.
 
-All three generators and the final ranking read one ``ScoreTable`` per
-round (see ``weights``): an edge is weighted, and a path pooled and scored,
-the first time anything asks for it, so a round pays only for the edges and
-paths its search touches, once each. The table outlives enumeration: the
-caller hands it on to candidate scoring, the verifier and injection.
+All three generators and the final ranking read the episode's
+``ScoreTable`` (see ``weights``): an edge is weighted, and a path pooled
+and scored, the first time anything asks for it, so a round pays only for
+the edges and paths its search touches, and nothing for a weight or vector
+an earlier round computed. The table outlives enumeration: the caller
+hands it on to candidate scoring, the verifier and injection.
 
 No generator builds adjacency of its own. A node's subgraph out-edges are
 read from the base graph's sorted ``out_adj``, keeping those in
 ``subgraph.edges``, once per node and generator call; they come in
-(relation, tail) order, which fixes the random walks' choice order.
+(relation, tail) order, which fixes the random walks' choice order. The
+random walks also keep, per node and call, the cumulative inverse costs of
+those edges, so a step whose options no visited node cuts short draws
+straight from them.
 
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
-with a ``target`` first runs a backwards breadth-first search from the
-target over the base graph's ``in_adj``, limited to subgraph nodes and
-bounded by L, and never pushes a partial path whose tail cannot reach the
-target in the hops left. The hop bound ignores prunes and the simple-path
-rule, so it counts hops over a superset of the subgraph's edges and never
-overestimates the distance: only partial paths with no completion are
-dropped, and the output is exactly the unpruned one. When
+with a ``target`` reads the subgraph's hop table to the target
+(``Subgraph.hops_to``, a backwards breadth-first search over the base
+graph's ``in_adj`` limited to subgraph nodes and bounded by L, kept until
+the node set changes), and never pushes a partial path whose tail cannot
+reach the target in the hops left. The hop bound ignores prunes and the
+simple-path rule, so it counts hops over a superset of the subgraph's edges
+and never overestimates the distance: only partial paths with no completion
+are dropped, and the output is exactly the unpruned one. When
 every seed pair's k-shortest search returns fewer than K paths, it has
 listed every simple path of length <= L between seeds, which is all that a
 beam or walk proposal can contribute after the endpoint filter, so
@@ -35,6 +40,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import Subgraph, Triple
 from .paths import Path
@@ -91,33 +97,6 @@ class _OutEdges(dict):
         return out
 
 
-def _hops_to(subgraph: Subgraph, target: int, max_hops: int) -> dict[int, int]:
-    """Fewest hops from each subgraph node to ``target``, for nodes within
-    ``max_hops``; empty when ``target`` is not in the subgraph.
-
-    A backwards breadth-first search over the base graph's in-adjacency,
-    limited to subgraph nodes. It ignores prunes and the simple-path rule,
-    so it walks a superset of the subgraph's edges and never overestimates
-    a node's distance: a bound read from it is admissible.
-    """
-    nodes = subgraph.nodes
-    if target not in nodes:
-        return {}
-    in_adj = subgraph.graph.in_adj
-    hops = {target: 0}
-    frontier = [target]
-    for d in range(1, max_hops + 1):
-        nxt = []
-        for node in frontier:
-            for e in in_adj[node]:
-                head = e.head
-                if head not in hops and head in nodes:
-                    hops[head] = d
-                    nxt.append(head)
-        frontier = nxt
-    return hops
-
-
 def k_shortest_weighted(
     subgraph: Subgraph,
     seed: int,
@@ -136,28 +115,31 @@ def k_shortest_weighted(
     node-id tie-breaking. ``target`` restricts output to paths ending there
     (pair mode); by default any endpoint counts.
 
-    With a ``target``, the search is goal-directed: a backwards breadth-first
-    search from the target (``_hops_to``) gives each node's fewest hops to
-    it, and a partial path is pushed only if its tail is within the hops it
-    has left. Paths that reach the target are not extended, since a simple
+    With a ``target``, the search is goal-directed: the subgraph's hop table
+    (``Subgraph.hops_to``) gives each node's fewest hops to the target, and
+    a partial path is pushed only if its tail is within the hops it has
+    left. Paths that reach the target are not extended, since a simple
     path cannot return to it. The hop count ignores prunes and the
     simple-path rule, so it never overestimates: the pruned partial paths
     are exactly some with no completion, the heap pops the remaining ones
     in the same order, and the output equals the unpruned search's. A seed
-    that cannot reach the target within L hops costs no expansion at all.
+    with no out-edge, or that cannot reach the target within L hops, costs
+    no expansion at all.
     """
     if seed not in subgraph.nodes:
         raise ValueError(f"seed {seed} not in subgraph")
+    adj = _OutEdges(subgraph)
+    if not adj[seed]:
+        return []
     max_length = budget.max_length
     if target is None:
         hops = None
     else:
-        hops = _hops_to(subgraph, target, max_length)
+        hops = subgraph.hops_to(target, max_length)
         if seed not in hops:
             return []
     if costs is None:
         costs = edge_costs(subgraph, coeffs, embeddings)
-    adj = _OutEdges(subgraph)
 
     def too_far(node: int, left: int) -> bool:
         """Whether ``node`` cannot reach the target in ``left`` more hops."""
@@ -236,10 +218,17 @@ def random_walk_proposals(
     Step choice is proportional to inverse effective cost; revisits are
     treated as dead ends so proposals stay simple. Deterministic given
     ``rng_seed``.
+
+    Each node's step table (its out-edges, their cumulative inverse costs
+    and the set of their tails) is built once per call. A step that no
+    visited node cuts short passes the cumulative weights to
+    ``rng.choices``, which otherwise accumulates ``weights`` into the same
+    list, so both draws read the same random number and pick the same edge.
     """
     if budget.walks == 0 or not seeds:
         return []
     adj = _OutEdges(costs.subgraph)
+    steps: dict[int, tuple] = {}
     rng = random.Random(rng_seed)
     seeds = sorted(set(seeds))
 
@@ -252,11 +241,24 @@ def random_walk_proposals(
         while len(edges) < budget.max_length:
             if rng.random() < budget.restart_prob:
                 break
-            options = [e for e in adj[node] if e.tail not in visited]
-            if not options:
+            step = steps.get(node)
+            if step is None:
+                opts = adj[node]
+                inv = [1.0 / max(costs[e], 1e-9) for e in opts]
+                step = steps[node] = (opts, inv, list(accumulate(inv)),
+                                      {e.tail for e in opts})
+            opts, inv, cum, tails = step
+            if not opts:
                 break
-            inv = [1.0 / max(costs[e], 1e-9) for e in options]
-            chosen = rng.choices(options, weights=inv, k=1)[0]
+            if visited.isdisjoint(tails):
+                chosen = rng.choices(opts, cum_weights=cum, k=1)[0]
+            else:
+                kept = [(e, w) for e, w in zip(opts, inv)
+                        if e.tail not in visited]
+                if not kept:
+                    break
+                options, weights = zip(*kept)
+                chosen = rng.choices(options, weights=weights, k=1)[0]
             edges.append(chosen)
             visited.add(chosen.tail)
             node = chosen.tail

@@ -3,11 +3,12 @@ injection coefficients.
 
 The default scorer is the path score itself; the default verifier is a
 semantic-match heuristic hard-gated by episode refutations. Both defaults
-read the round's ``ScoreTable``, so a path scored during enumeration is not
-scored again. Both are pluggable, with file-loadable linear models as the
-trained option. A plugin is called as ``scorer(path, table)`` or
-``verifier(path, table)`` with that same table, so its edge costs and
-semantic match are the ones the round has already computed.
+read the episode's ``ScoreTable``, so a path scored during enumeration is
+not scored again in the round, and a path matched against the query in an
+earlier round is not matched again. Both are pluggable, with file-loadable
+linear models as the trained option. A plugin is called as
+``scorer(path, table)`` or ``verifier(path, table)`` with that same table,
+so its edge costs and semantic match are the ones already computed.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def verify(
     the path terminates at the subject entity of a refuted fact (the
     refutation then concerns the candidate answer itself).
     """
-    refuted_heads = {t.head for t in refuted}
-    if any(e in refuted for e in path.edges) or path.terminal in refuted_heads:
+    if refuted and (any(e in refuted for e in path.edges)
+                    or path.terminal in {t.head for t in refuted}):
         return 0.0
     if verifier is not None:
         v = float(verifier(path, table))

@@ -11,11 +11,13 @@ Soft multipliers lower effective traversal cost multiplicatively
 (``total / (1 + multiplier)``), so boosted edges are preferred by the
 shortest-path search.
 
-``ScoreTable`` holds one round's values: each edge's effective cost and each
-path's pooled vector, semantic match and score, each computed once, when
-first read. Path enumeration, candidate scoring, the verifier and latent
-injection all read the same table. ``effective_cost``, ``semantic_match``
-and ``path_score`` are the uncached reference forms.
+``ScoreTable`` holds one episode's values, each computed once, when first
+read. What depends only on the edge or path (an edge's weight, a path's
+pooled vector and semantic match) is kept for the whole episode; what a
+round's soft multipliers change (effective costs and path scores) is
+dropped by ``new_round``. Path enumeration, candidate scoring, the verifier
+and latent injection all read the same table. ``effective_cost``,
+``semantic_match`` and ``path_score`` are the uncached reference forms.
 """
 
 from __future__ import annotations
@@ -122,16 +124,21 @@ def path_score(
 
 
 class ScoreTable(dict):
-    """One round's weighting values, each computed once, when first read.
+    """One episode's weighting values, each computed once, when first read.
 
     As a mapping it takes an edge to its effective traversal cost. The
     methods ``vector``, ``sem`` and ``score`` give a path's pooled vector,
     semantic match and score, keyed by ``path.key()``; they repeat the
-    float operations of ``pool_path_vector``, ``semantic_match`` and
-    ``path_score`` in the same order, so they return the same values. A
-    table built without a query embedding serves costs and vectors only.
-    The values hold while the subgraph's edges and soft multipliers stay
-    as they were, so build a new table after every edit.
+    float operations of ``effective_cost``, ``pool_path_vector``,
+    ``semantic_match`` and ``path_score`` in the same order, so they return
+    the same values. A table built without a query embedding serves costs
+    and vectors only.
+
+    An edge's weight total and a path's vector and semantic match depend
+    only on the edge or path, the graph, the provider, the coefficients and
+    the query, so they hold for the table's life. Effective costs and
+    scores hold while the soft multipliers stay as they are: call
+    ``new_round`` after edits. A lookup that raises stores nothing.
     """
 
     def __init__(self, subgraph: Subgraph, coeffs: WeightCoefficients,
@@ -142,13 +149,23 @@ class ScoreTable(dict):
         self.coeffs = coeffs
         self.embeddings = embeddings
         self.query_embedding = query_embedding
+        self._totals: dict[Triple, float] = {}
         self._vectors: dict[tuple, np.ndarray] = {}
         self._sems: dict[tuple, float] = {}
         self._scores: dict[tuple, float] = {}
 
+    def new_round(self) -> None:
+        """Drop the effective costs and scores, which the soft multipliers
+        set; keep the weight totals, vectors and semantic matches."""
+        self.clear()
+        self._scores.clear()
+
     def __missing__(self, edge: Triple) -> float:
-        cost = self[edge] = effective_cost(
-            edge, self.coeffs, self.embeddings, self.graph, self.subgraph)
+        total = self._totals.get(edge)
+        if total is None:
+            total = self._totals[edge] = edge_weight(
+                edge, self.coeffs, self.embeddings, self.graph).total
+        cost = self[edge] = total / (1.0 + self.subgraph.multiplier(edge))
         return cost
 
     def vector(self, path: Path) -> np.ndarray:

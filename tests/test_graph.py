@@ -264,6 +264,69 @@ def test_nodes_added_one_at_a_time_bring_their_edges(graph_seed, first,
     assert everything.edges.keys() == g.triples
 
 
+def hops_oracle(sub, target, max_hops):
+    """Fewest hops to ``target`` over every base triple between present
+    nodes (pruned or not), level by level, for nodes within ``max_hops``."""
+    if target not in sub.nodes:
+        return {}
+    edges = [e for e in sub.graph.triples
+             if e.head in sub.nodes and e.tail in sub.nodes]
+    hops = {target: 0}
+    for d in range(1, max_hops + 1):
+        for e in edges:
+            if hops.get(e.tail) == d - 1 and e.head not in hops:
+                hops[e.head] = d
+    return hops
+
+
+_NODE_EDITS = st.sampled_from(["add", "remove", "expand", "swap", "prune"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(_NODE_EDITS, st.integers(0, 11), st.integers(0, 11),
+                          st.integers(1, 2)), min_size=1, max_size=10),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)),
+                min_size=1, max_size=4))
+def test_kept_hop_tables_match_a_fresh_search(graph_seed, steps, queries):
+    """Hop tables read before an edit are kept or dropped so that each
+    read equals a fresh search over the subgraph as it stands."""
+    g = random_graph(random.Random(graph_seed))
+    n = g.num_entities
+    sub = expand_neighborhood(g, [SeedCandidate(0)], radius=1)
+    queries = [(t % n, max_hops) for t, max_hops in queries]
+    for round_index, (kind, a, b, radius) in enumerate(steps, start=1):
+        for target, max_hops in queries:
+            assert sub.hops_to(target, max_hops) == \
+                hops_oracle(sub, target, max_hops)
+        a, b = a % n, b % n
+        if kind == "add":
+            sub.add_node(a, round_index)
+        elif kind == "remove":
+            sub.remove_node(a)
+        elif kind == "expand":
+            apply_edits(sub, [ExpandSeed(a, radius)], round_index)
+        elif kind == "swap":
+            apply_edits(sub, [SwapSeed(a, b, radius)], round_index)
+        elif sub.edges:
+            edge = sorted(sub.edges)[a % len(sub.edges)]
+            apply_edits(sub, [PruneEdge(edge)], round_index)
+    for target, max_hops in queries:
+        assert sub.hops_to(target, max_hops) == \
+            hops_oracle(sub, target, max_hops)
+
+
+def test_prunes_keep_the_hop_tables(chain_graph):
+    sub = full_subgraph(chain_graph)
+    table = sub.hops_to(3, 3)
+    apply_edits(sub, [PruneEdge(Triple(0, 2, 2))])
+    assert sub.hops_to(3, 3) is table
+    sub.add_node(0, 1)  # present already: the node set stays as it was
+    assert sub.hops_to(3, 3) is table
+    sub.remove_node(0)
+    assert sub.hops_to(3, 3) is not table
+
+
 def test_subgraph_cannot_be_built_holding_nodes():
     g = build_graph([("a", "r", "b")])
     with pytest.raises(TypeError):

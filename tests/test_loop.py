@@ -5,11 +5,15 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kgpaths.loop
 import kgpaths.paths
 import kgpaths.weights
 from kgpaths.config import RunConfig
@@ -38,10 +42,10 @@ from kgpaths.loop import (
     run_loop,
     soft_mask,
 )
-from kgpaths.paths import Path
+from kgpaths.paths import Path, pool_path_vector
 from kgpaths.scoring import LinearScorer, LinearVerifier, ScoredCandidate
 from kgpaths.synthetic import ARGO_QUESTION, argo_fixture
-from kgpaths.weights import effective_cost, semantic_match
+from kgpaths.weights import effective_cost, path_score, semantic_match
 
 from conftest import build_graph, random_graph
 
@@ -525,7 +529,7 @@ def test_run_loop_requires_seeds():
         run_loop("q", [], g, RunConfig(), ScriptedReasoner(g), EMB)
 
 
-# --- one score table per round ----------------------------------------------------
+# --- one score table per episode --------------------------------------------------
 
 
 class _CountingEmbeddings:
@@ -545,23 +549,24 @@ class _CountingEmbeddings:
 
 def _count_poolings_and_weightings(monkeypatch):
     """Counters of the path keys pooled and the edges weighted from now on,
-    counted at every name the package binds the reference functions to."""
+    counted at every name the package binds ``pool_path_vector`` and
+    ``edge_weight`` to."""
     pooled, weighted = Counter(), Counter()
     pool_ref = kgpaths.paths.pool_path_vector
-    cost_ref = kgpaths.weights.effective_cost
+    weight_ref = kgpaths.weights.edge_weight
 
     def pool(path, *args):
         pooled[path.key()] += 1
         return pool_ref(path, *args)
 
-    def cost(edge, *args):
+    def weight(edge, *args):
         weighted[edge] += 1
-        return cost_ref(edge, *args)
+        return weight_ref(edge, *args)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("kgpaths."):
             for name, ref, counted in (("pool_path_vector", pool_ref, pool),
-                                       ("effective_cost", cost_ref, cost)):
+                                       ("edge_weight", weight_ref, weight)):
                 if getattr(module, name, None) is ref:
                     monkeypatch.setattr(module, name, counted)
     return pooled, weighted
@@ -573,12 +578,15 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
     pooled, weighted = _count_poolings_and_weightings(monkeypatch)
     g = random_graph(random.Random(graph_seed), max_nodes=12, max_edges=40)
     emb = _CountingEmbeddings(HashEmbeddings(dimension=8, seed=graph_seed))
-    config = RunConfig(rounds=1, radius=3, L=3, K=12, beam=4, walks=30,
+    config = RunConfig(rounds=3, radius=3, L=3, K=12, beam=4, walks=30,
                        select_top_k=4, seed=graph_seed)
+    # never confident: every round but the last ends in a VERIFY edit, whose
+    # soft multiplier changes the next round's costs and scores
     result = run_loop("q n1 r2", [SeedCandidate(0, 1.0)], g, config,
-                      ScriptedReasoner(g), emb)
+                      ScriptedReasoner(g, conf_threshold=1.0), emb)
 
-    assert len(result.rounds) == 1 and result.reasoner_calls == 1
+    assert len(result.rounds) == 3 and result.reasoner_calls == 3
+    assert result.edits_applied == 2
     candidates = {(tuple(g.entity_id(n) for n in nodes),
                    tuple(g.relation_id(r) for r in rels))
                   for nodes, rels in result.retrieved_paths}
@@ -586,9 +594,101 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
     assert max(pooled.values()) == 1
     assert max(weighted.values(), default=1) == 1
     # the provider saw the query, one lookup per label of each pooled path
-    # and two per weighted edge: nothing pools or weighs around the table
+    # and two per weighted edge: nothing pools or weighs around the table,
+    # and no round repeats an earlier round's lookup
     labels = sum(len(nodes) + len(rels) for nodes, rels in pooled)
     assert emb.calls == 1 + labels + 2 * len(weighted)
+
+
+class _RandomDiagnostics(ScriptedReasoner):
+    """Scripted reasoner that is never confident and whose diagnostics are
+    drawn from a seeded ``random.Random``: VERIFY of a selected edge or of
+    any triple, PRUNE of a candidate, DISAMBIGUATE to any entity, EXPAND
+    by one or two hops. The round's soft masks change the multipliers too."""
+
+    def __init__(self, graph, rng_seed, check=None):
+        super().__init__(graph, conf_threshold=1.0)
+        self.rng = random.Random(rng_seed)
+        self.check = check
+
+    def reason(self, question, selected, mixture=None):
+        if self.check is not None:
+            self.check()
+        reply = super().reason(question, selected, mixture=mixture)
+        rng, g = self.rng, self.graph
+        a, b = rng.choice(g.entity_labels), rng.choice(g.entity_labels)
+        kind = rng.choice(["confirm", "verify", "prune", "swap", "expand"])
+        if kind == "confirm":
+            edge = rng.choice(rng.choice(selected).path.edges)
+            diagnostic = "VERIFY({}, {}, {})".format(*g.triple_labels(edge))
+        elif kind == "verify":
+            diagnostic = f"VERIFY({a}, {rng.choice(g.relation_labels)}, {b})"
+        elif kind == "prune":
+            diagnostic = f"PRUNE({rng.randrange(len(selected))})"
+        elif kind == "swap":
+            diagnostic = f"DISAMBIGUATE({a}, {b})"
+        else:
+            diagnostic = f"EXPAND({a}, {rng.randint(1, 2)})"
+        return replace(reply, diagnostic=diagnostic)
+
+
+class _FreshEachRound(kgpaths.weights.ScoreTable):
+    """A table that forgets everything at each round, as one built anew
+    for every round would."""
+
+    def new_round(self):
+        self.clear()  # dict.__init__ would keep the costs
+        self.__init__(self.subgraph, self.coeffs, self.embeddings,
+                      self.query_embedding)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=10_000), st.integers(2, 4),
+       st.integers(1, 2), st.booleans(),
+       st.lists(st.integers(0, 11), min_size=1, max_size=2, unique=True))
+def test_episode_table_matches_fresh_round_values(
+        graph_seed, diag_seed, rounds, radius, pair_mode, seeds):
+    g = random_graph(random.Random(graph_seed), max_nodes=12, max_edges=40)
+    emb = HashEmbeddings(dimension=8, seed=graph_seed)
+    seeds = [SeedCandidate(s % g.num_entities, 1.0) for s in seeds]
+    config = RunConfig(rounds=rounds, radius=radius, L=3, K=12, beam=4,
+                       walks=20, select_top_k=4, edit_budget=rounds,
+                       pair_mode=pair_mode, seed=diag_seed)
+    enumerate_ref = kgpaths.loop.enumerate_paths
+    rounds_seen = []  # (table, candidates) of each enumeration
+
+    def enumerate_and_keep(table, *args, **kwargs):
+        paths = enumerate_ref(table, *args, **kwargs)
+        rounds_seen.append((table, paths))
+        return paths
+
+    def check():
+        """Everything the table holds or gives for this round's candidates
+        equals the reference functions on the subgraph as it stands."""
+        table, paths = rounds_seen[-1]
+        sub, q = table.subgraph, table.query_embedding
+        for edge, cost in table.items():
+            assert cost == effective_cost(edge, config.coefficients(), emb,
+                                          g, sub)
+        for p in paths:
+            assert table.score(p) == path_score(p, q, config.coefficients(),
+                                                emb, g, sub)
+            assert table.sem(p) == semantic_match(p, q, emb, g)
+            assert np.array_equal(table.vector(p), pool_path_vector(p, emb, g))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgpaths.loop, "enumerate_paths", enumerate_and_keep)
+        episode = run_loop("q n1 r2", seeds, g, config,
+                           _RandomDiagnostics(g, diag_seed, check), emb)
+        mp.setattr(kgpaths.loop, "ScoreTable", _FreshEachRound)
+        fresh = run_loop("q n1 r2", seeds, g, config,
+                         _RandomDiagnostics(g, diag_seed), emb)
+    tables = {id(table) for table, _ in rounds_seen[:len(episode.rounds)]}
+    assert len(tables) == 1  # one table for the whole episode
+    assert episode.trace_jsonl() == fresh.trace_jsonl()
+    assert episode.retrieved_paths == fresh.retrieved_paths
+    assert episode.subgraph.to_json() == fresh.subgraph.to_json()
 
 
 def test_linear_plugins_read_the_round_table(monkeypatch):
@@ -638,9 +738,29 @@ class _FlakyEmbeddings(_CountingEmbeddings):
         return super().embed(label)
 
 
-def _argo_episode(embeddings, scorer=None, verifier=None, **overrides):
+class _ExpandFirst(ScriptedReasoner):
+    """Scripted reasoner on the argo fixture whose first reply diagnoses
+    EXPAND(New_York_City, 1) instead of its probe. That brings in
+    1976_Summer_Olympics, so the next round weighs an edge and pools paths
+    that no earlier round read: the round after an expansion reads the
+    embedding service, where a round that only re-weights does not."""
+
+    def __init__(self, graph, **kwargs):
+        super().__init__(graph, **kwargs)
+        self.replies = 0
+
+    def reason(self, question, selected, mixture=None):
+        reply = super().reason(question, selected, mixture=mixture)
+        self.replies += 1
+        if self.replies == 1:
+            reply = replace(reply, diagnostic="EXPAND(New_York_City, 1)")
+        return reply
+
+
+def _argo_episode(embeddings, scorer=None, verifier=None,
+                  reasoner_type=ScriptedReasoner, **overrides):
     fx = argo_fixture()
-    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    reasoner = reasoner_type(fx.graph, conf_threshold=0.4, probes=fx.probes)
     seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
     return run_loop(ARGO_QUESTION, seeds, fx.graph,
                     fx.config.with_overrides(**overrides), reasoner, embeddings,
@@ -650,15 +770,17 @@ def _argo_episode(embeddings, scorer=None, verifier=None, **overrides):
 def test_run_loop_embedding_failure_keeps_earlier_rounds():
     fx = argo_fixture()
     first_round = _CountingEmbeddings(fx.embeddings)
-    _argo_episode(first_round, rounds=1)
+    _argo_episode(first_round, reasoner_type=_ExpandFirst, rounds=1)
     whole = _CountingEmbeddings(fx.embeddings)
-    good = _argo_episode(whole)
+    good = _argo_episode(whole, reasoner_type=_ExpandFirst, rounds=2)
     assert len(good.rounds) == 2 and not good.failed
     assert whole.calls > first_round.calls
     # fail each embedding lookup of the second round in turn: enumeration,
-    # scoring, the verifier and encoding all read the service there
+    # scoring, the verifier and encoding all read the service there for
+    # what the expansion brought in
     for fail_at in range(first_round.calls + 1, whole.calls + 1):
-        result = _argo_episode(_FlakyEmbeddings(fx.embeddings, fail_at))
+        result = _argo_episode(_FlakyEmbeddings(fx.embeddings, fail_at),
+                               reasoner_type=_ExpandFirst, rounds=2)
         assert result.failed, fail_at
         assert "unavailable" in result.failure
         assert len(result.rounds) == 2
@@ -674,9 +796,11 @@ def test_embedding_failure_fails_one_row_and_the_run_continues():
     first_round = _CountingEmbeddings(fx.embeddings)
     _argo_episode(first_round, rounds=1)
     flaky = _FlakyEmbeddings(fx.embeddings, first_round.calls + 1)
+    # the first question's first reply expands, so its second round reads
+    # the service; the second question runs the fixture's own dialogue
     report = run_benchmark(fx.records * 2, fx.graph, fx.config,
-                           ScriptedReasoner(fx.graph, conf_threshold=0.4,
-                                            probes=fx.probes), flaky)
+                           _ExpandFirst(fx.graph, conf_threshold=0.4,
+                                        probes=fx.probes), flaky)
     rows = report["per_question"]
     assert [r["failed"] for r in rows] == [1, 0]
     assert rows[0]["rounds"] == 2 and rows[0]["answer"] == "Boston"

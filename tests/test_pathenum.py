@@ -15,6 +15,7 @@ from kgpaths.pathenum import (
     k_shortest_weighted,
     random_walk_proposals,
 )
+from kgpaths.paths import Path
 from kgpaths.weights import ScoreTable, WeightCoefficients, path_score
 
 from conftest import build_graph, full_subgraph, random_graph
@@ -243,3 +244,58 @@ def test_enumerate_paths_pair_mode_matches_reference(graph_seed, k, length,
                           rng_seed=graph_seed, pair_mode=True)
     assert [p.key() for p in got] == \
         pair_mode_reference(sub, seeds, budget, q, graph_seed)
+
+
+def walks_reference(costs, seeds, budget, rng_seed):
+    """``random_walk_proposals`` drawing each step from a freshly filtered
+    option list, as it did before it kept step tables."""
+    if budget.walks == 0 or not seeds:
+        return []
+    sub = costs.subgraph
+    rng = random.Random(rng_seed)
+    seeds = sorted(set(seeds))
+    out = []
+    for i in range(budget.walks):
+        start = seeds[i % len(seeds)]
+        edges, visited, node = [], {start}, start
+        while len(edges) < budget.max_length:
+            if rng.random() < budget.restart_prob:
+                break
+            options = [e for e in sub.graph.out_adj[node]
+                       if e in sub.edges and e.tail not in visited]
+            if not options:
+                break
+            inv = [1.0 / max(costs[e], 1e-9) for e in options]
+            chosen = rng.choices(options, weights=inv, k=1)[0]
+            edges.append(chosen)
+            visited.add(chosen.tail)
+            node = chosen.tail
+        if edges:
+            out.append(Path(edges))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.integers(1, 5), st.sampled_from([0.05, 0.15, 0.6]),
+       st.dictionaries(st.integers(0, 29), st.floats(0.0, 50.0), max_size=10),
+       st.sets(st.integers(0, 29), max_size=4))
+def test_walk_step_tables_match_the_per_step_filter(
+        graph_seed, rng_seed, seeds, length, restart, soft, pruned):
+    g = random_graph(random.Random(graph_seed))
+    sub = full_subgraph(g)
+    edges = sorted(sub.edges)
+    if edges:
+        apply_edits(sub, [PruneEdge(edges[i % len(edges)]) for i in pruned])
+        for i, multiplier in soft.items():
+            sub.soft[edges[i % len(edges)]] = multiplier
+    seeds = [s for s in seeds if s in sub.nodes]
+    budget = EnumerationBudget(max_length=length, walks=40,
+                               restart_prob=restart)
+    got = random_walk_proposals(edge_costs(sub, COEFFS, EMB), seeds, budget,
+                                rng_seed)
+    want = walks_reference(edge_costs(sub, COEFFS, EMB), seeds, budget,
+                           rng_seed)
+    assert [p.key() for p in got] == [p.key() for p in want]
