@@ -8,9 +8,10 @@ multipliers, refutations) lives on :class:`Subgraph` values owned by a
 single query episode.
 
 A subgraph's edges are always the base triples with both ends among its
-nodes, minus the ones it has pruned. Adding a node adds its edges: the
-node's out- and in-edges to nodes already present, read from the base
-graph's adjacency lists, so an edit that adds no node costs no edge work.
+nodes, minus the ones it has pruned. Adding nodes adds their edges, read
+from the base graph's adjacency lists: the new nodes' out-edges to present
+nodes and their in-edges from nodes present before, so an edit that adds
+no node costs no edge work.
 Traversal (``pathenum``) reads a node's subgraph edges the same way, from
 the base adjacency filtered by membership, instead of keeping adjacency
 of its own.
@@ -279,13 +280,14 @@ class Subgraph:
     ``nodes`` and ``edges`` map each element to the round at which it
     entered (its provenance). Each edge is an unpruned base triple with both
     ends among the nodes, and it entered at the later of its two ends'
-    rounds. ``add_node`` and ``remove_node`` are the only ways in and out,
+    rounds. ``add_nodes`` and ``remove_node`` are the only ways in and out,
     and each keeps that true, so a subgraph is built empty. Also holds soft
     edge multipliers and the episode's refuted and pruned triples. Mutated
-    only by its owning query loop.
+    only by its owning query loop. Nothing reads ``nodes`` or ``edges`` in
+    insertion order.
 
     ``hops_to`` tables depend on the node set alone, so they are kept until
-    ``add_node`` adds a node or ``remove_node`` removes one.
+    ``add_nodes`` adds a node or ``remove_node`` removes one.
     """
 
     graph: KnowledgeGraph
@@ -302,22 +304,33 @@ class Subgraph:
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
 
-    def add_node(self, entity: int, round_index: int) -> None:
-        """Add ``entity`` at ``round_index`` (nothing when it is present),
-        with its unpruned out-edges to present nodes and in-edges from
-        them."""
+    def add_nodes(self, entities: Iterable[int], round_index: int) -> None:
+        """Add the absent ones of ``entities`` at ``round_index``, in order,
+        with their unpruned edges among themselves and to and from the
+        present nodes.
+
+        Each edge is taken from one end: from a new node's out-edges when
+        its tail is present once the batch is in, or from a new node's
+        in-edges when its head was present before the batch. Into an empty
+        subgraph there is no in-edge scan at all.
+        """
         nodes = self.nodes
-        if entity in nodes:
+        new = [v for v in dict.fromkeys(entities) if v not in nodes]
+        if not new:
             return
-        nodes[entity] = round_index
         self._hops.clear()
-        edges, pruned = self.edges, self.pruned
-        for e in self.graph.out_adj[entity]:
-            if e.tail in nodes and e not in pruned:
-                edges[e] = round_index
-        for e in self.graph.in_adj[entity]:
-            if e.head in nodes and e not in pruned:
-                edges[e] = round_index
+        graph, edges, pruned = self.graph, self.edges, self.pruned
+        if nodes:
+            for v in new:
+                for e in graph.in_adj[v]:
+                    if e.head in nodes and e not in pruned:
+                        edges[e] = round_index
+        for v in new:
+            nodes[v] = round_index
+        for v in new:
+            for e in graph.out_adj[v]:
+                if e.tail in nodes and e not in pruned:
+                    edges[e] = round_index
 
     def remove_node(self, entity: int) -> None:
         """Drop ``entity`` and every edge touching it (nothing when it is
@@ -385,20 +398,27 @@ class Subgraph:
         return json.dumps(payload, sort_keys=True)
 
 
-def _bfs_add(subgraph: Subgraph, start: int, radius: int, round_index: int) -> None:
-    subgraph.add_node(start, round_index)
-    frontier = deque([(start, 0)])
-    seen = {start}
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == radius:
-            continue
-        for e in subgraph.graph.out_adj[node]:
-            t = e.tail
-            if t not in seen:
-                seen.add(t)
-                subgraph.add_node(t, round_index)
-                frontier.append((t, depth + 1))
+def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
+             round_index: int) -> None:
+    """Add at ``round_index`` every node within ``radius`` out-hops of each
+    of ``starts``, in one batch, ordered by start and then breadth-first."""
+    out_adj = subgraph.graph.out_adj
+    found = []
+    for start in starts:
+        frontier = deque([(start, 0)])
+        seen = {start}
+        found.append(start)
+        while frontier:
+            node, depth = frontier.popleft()
+            if depth == radius:
+                continue
+            for e in out_adj[node]:
+                t = e.tail
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
+                    frontier.append((t, depth + 1))
+    subgraph.add_nodes(found, round_index)
 
 
 def expand_neighborhood(
@@ -419,8 +439,7 @@ def expand_neighborhood(
             raise UnknownEntityError(f"unknown seed entity id: {seed.entity}")
 
     subgraph = Subgraph(graph=graph)
-    for seed in seeds:
-        _bfs_add(subgraph, seed.entity, radius, 0)
+    _bfs_add(subgraph, [seed.entity for seed in seeds], radius, 0)
 
     if knn > 0:
         if embeddings is None:
@@ -430,20 +449,20 @@ def expand_neighborhood(
         all_vecs = [
             embeddings.embed(label) for label in graph.entity_labels
         ]
+        picks = []
         for seed in seeds:
             seed_vec = all_vecs[seed.entity]
             # keys are unique per entity id, so this keeps a full sort's
             # first ``knn`` in the same order
-            nearest = heapq.nsmallest(
+            picks += [e for _, e in heapq.nsmallest(
                 knn,
                 (
                     (-cosine(seed_vec, all_vecs[e]), e)
                     for e in range(graph.num_entities)
                     if e != seed.entity
                 ),
-            )
-            for _, e in nearest:
-                subgraph.add_node(e, 0)
+            )]
+        subgraph.add_nodes(picks, 0)
     return subgraph
 
 
@@ -467,7 +486,7 @@ def apply_edits(
     for edit in edits:
         if isinstance(edit, ExpandSeed):
             check_entity(edit.entity)
-            _bfs_add(subgraph, edit.entity, edit.radius, round_index)
+            _bfs_add(subgraph, [edit.entity], edit.radius, round_index)
         elif isinstance(edit, PruneEdge):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
@@ -487,7 +506,7 @@ def apply_edits(
             check_entity(edit.old_entity)
             check_entity(edit.new_entity)
             subgraph.remove_node(edit.old_entity)
-            _bfs_add(subgraph, edit.new_entity, edit.radius, round_index)
+            _bfs_add(subgraph, [edit.new_entity], edit.radius, round_index)
         else:
             raise EditError(f"unknown edit type: {edit!r}")
     return subgraph

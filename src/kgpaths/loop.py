@@ -448,20 +448,51 @@ def _edit_repr(edit: GraphEdit, graph: KnowledgeGraph) -> str:
     return f"{name}({h}, {r}, {t})"
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``; tied values share the mean of their ranks."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    below = np.cumsum(counts) - counts
-    return (below + (counts + 1) / 2)[inverse]
-
-
-def _spearman(a: np.ndarray, b: np.ndarray) -> float | None:
+def _spearman(a: list[float], b: list[float]) -> float | None:
     """Spearman rank correlation: the Pearson correlation of average ranks;
-    ``None`` for fewer than two points or a (near-)constant input."""
-    if len(a) < 2 or np.allclose(a, a[0]) or np.allclose(b, b[0]):
+    ``None`` for fewer than two points or a (near-)constant input.
+
+    Pure Python on a handful of values, with the bits of numpy's formula:
+    ``np.allclose(x, x[0])`` for "near-constant", then ``np.corrcoef`` of
+    ``np.unique`` average ranks. Ranks are multiples of 1/2 and their mean
+    (n+1)/2 is exact, so the centred sums of products are exact in any
+    order; then come ``np.cov``'s ``* (1 / (n - 1))``, ``np.corrcoef``'s
+    two divisions and its clip.
+    """
+    n = len(a)
+    if n < 2:
         return None
-    rho = np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0]
-    return None if math.isnan(rho) else float(rho)
+    mid = (n + 1) / 2
+    centred = []
+    for x in (a, b):
+        x0 = x[0]
+        tol = 1e-8 + 1e-5 * abs(x0)
+        finite = math.isfinite(x0)
+        if all(v == x0 or (finite and math.isfinite(v) and abs(v - x0) <= tol)
+               for v in x):
+            return None
+        # tied values share the mean of their ranks; NaNs rank last, as one
+        # tie
+        order = sorted(range(n), key=lambda i: (x[i] != x[i], x[i]))
+        ranks = [0.0] * n
+        start = 0
+        while start < n:
+            first = x[order[start]]
+            end = start + 1
+            while end < n and (x[order[end]] == first or first != first):
+                end += 1
+            for i in order[start:end]:
+                ranks[i] = start + (end - start + 1) / 2 - mid
+            start = end
+        centred.append(ranks)
+    ra, rb = centred
+    scale = 1 / (n - 1)
+    c00 = sum(r * r for r in ra) * scale
+    c11 = sum(r * r for r in rb) * scale
+    if c00 == 0.0 or c11 == 0.0:  # every value ties: all NaN
+        return None
+    c01 = sum(r * s for r, s in zip(ra, rb)) * scale
+    return min(1.0, max(-1.0, c01 / math.sqrt(c11) / math.sqrt(c00)))
 
 
 def run_loop(
@@ -588,9 +619,8 @@ def run_loop(
                 masses = {p: attention_mass(reply.attention, key_index, p)
                           for p in key_index}
                 align = alignment_loss(alphas, masses)
-                spearman = _spearman(
-                    np.array([alphas[p] for p in sorted(alphas)]),
-                    np.array([masses[p] for p in sorted(alphas)]))
+                spearman = _spearman([alphas[p] for p in sorted(alphas)],
+                                     [masses[p] for p in sorted(alphas)])
             except (ValueError, IndexError):
                 pass  # external attention may not partition our keys
 

@@ -19,8 +19,7 @@ def build_graph(triples):
 def full_subgraph(graph):
     """Working view containing every node and edge of the parent graph."""
     sub = Subgraph(graph=graph)
-    for n in range(graph.num_entities):
-        sub.add_node(n, 0)
+    sub.add_nodes(range(graph.num_entities), 0)
     return sub
 
 

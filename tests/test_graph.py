@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,115 @@ def test_expand_neighborhood_knn_adds_disconnected_entities(hash_embeddings):
     assert len(sub.nodes) == 4
 
 
+# --- node-at-a-time reference for Subgraph.add_nodes ---------------------------
+
+
+def add_node_reference(sub, entity, round_index):
+    """Add one node the way ``Subgraph.add_node`` did before batches: its
+    out-edges to present nodes and its in-edges from them, both scanned."""
+    nodes, edges = sub.nodes, sub.edges
+    if entity in nodes:
+        return
+    nodes[entity] = round_index
+    sub._hops.clear()
+    for e in sub.graph.out_adj[entity]:
+        if e.tail in nodes and e not in sub.pruned:
+            edges[e] = round_index
+    for e in sub.graph.in_adj[entity]:
+        if e.head in nodes and e not in sub.pruned:
+            edges[e] = round_index
+
+
+def bfs_add_reference(sub, start, radius, round_index):
+    """Breadth-first expansion adding each node as it is found."""
+    add_node_reference(sub, start, round_index)
+    frontier = deque([(start, 0)])
+    seen = {start}
+    while frontier:
+        node, depth = frontier.popleft()
+        if depth == radius:
+            continue
+        for e in sub.graph.out_adj[node]:
+            if e.tail not in seen:
+                seen.add(e.tail)
+                add_node_reference(sub, e.tail, round_index)
+                frontier.append((e.tail, depth + 1))
+
+
+def expand_reference(g, seeds, radius, knn, emb):
+    """``expand_neighborhood`` one node at a time."""
+    ref = Subgraph(graph=g)
+    for seed in seeds:
+        bfs_add_reference(ref, seed, radius, 0)
+    if knn:
+        vecs = [emb.embed(label) for label in g.entity_labels]
+        for seed in seeds:
+            ranked = sorted((-cosine(vecs[seed], vecs[e]), e)
+                            for e in range(g.num_entities) if e != seed)
+            for _, e in ranked[:knn]:
+                add_node_reference(ref, e, 0)
+    return ref
+
+
+_BATCH_STEPS = st.sampled_from(["add", "expand", "swap", "prune"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.integers(1, 3), st.integers(0, 3),
+       st.lists(st.tuples(_BATCH_STEPS,
+                          st.lists(st.integers(0, 11), max_size=5),
+                          st.integers(0, 11), st.integers(1, 2)),
+                max_size=8),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)),
+                min_size=1, max_size=3))
+def test_batched_adds_match_one_node_at_a_time(graph_seed, seed_ids, radius,
+                                               knn, steps, queries):
+    """``add_nodes`` and everything built on it (first expansion with
+    ``knn``, ExpandSeed, SwapSeed) leave the same nodes, in the same order,
+    the same edges, entry rounds included, and the same hop tables as
+    adding one node at a time, after every step of a random sequence that
+    also prunes."""
+    g = random_graph(random.Random(graph_seed))
+    n = g.num_entities
+    seeds = [x % n for x in seed_ids]
+    emb = HashEmbeddings(dimension=4, seed=graph_seed)
+    sub = expand_neighborhood(g, [SeedCandidate(x) for x in seeds], radius,
+                              knn=knn, embeddings=emb)
+    ref = expand_reference(g, seeds, radius, knn, emb)
+    queries = [(t % n, max_hops) for t, max_hops in queries]
+
+    def check():
+        assert list(sub.nodes.items()) == list(ref.nodes.items())
+        assert sub.edges == ref.edges
+        for target, max_hops in queries:
+            assert sub.hops_to(target, max_hops) == ref.hops_to(target,
+                                                                max_hops)
+
+    check()
+    for round_index, (kind, batch, a, radius) in enumerate(steps, start=1):
+        batch = [x % n for x in batch]
+        a = a % n
+        if kind == "add":
+            sub.add_nodes(batch, round_index)
+            for x in batch:
+                add_node_reference(ref, x, round_index)
+        elif kind == "expand":
+            apply_edits(sub, [ExpandSeed(a, radius)], round_index)
+            bfs_add_reference(ref, a, radius, round_index)
+        elif kind == "swap":
+            new = batch[0] if batch else (a + 1) % n
+            apply_edits(sub, [SwapSeed(a, new, radius)], round_index)
+            ref.remove_node(a)
+            bfs_add_reference(ref, new, radius, round_index)
+        elif sub.edges:
+            edge = sorted(sub.edges)[a % len(sub.edges)]
+            apply_edits(sub, [PruneEdge(edge)], round_index)
+            apply_edits(ref, [PruneEdge(edge)], round_index)
+        check()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 5),
        st.sampled_from([1, 2, 8]), st.sets(st.integers(0, 11), min_size=1,
@@ -123,20 +233,13 @@ def test_knn_expansion_keeps_the_sorted_selection(graph_seed, knn, dimension,
                                                   seed_ids):
     """At d = 1 every cosine is +-1, so the id tie-break decides most picks."""
     g = random_graph(random.Random(graph_seed))
-    n = g.num_entities
-    seeds = [SeedCandidate(x) for x in sorted({x % n for x in seed_ids})]
+    seeds = sorted({x % g.num_entities for x in seed_ids})
     emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
-    sub = expand_neighborhood(g, seeds, radius=1, knn=knn, embeddings=emb)
-
-    ref = expand_neighborhood(g, seeds, radius=1)
-    vecs = [emb.embed(label) for label in g.entity_labels]
-    for seed in seeds:
-        ranked = sorted((-cosine(vecs[seed.entity], vecs[e]), e)
-                        for e in range(n) if e != seed.entity)
-        for _, e in ranked[:knn]:
-            ref.add_node(e, 0)
+    sub = expand_neighborhood(g, [SeedCandidate(x) for x in seeds], radius=1,
+                              knn=knn, embeddings=emb)
+    ref = expand_reference(g, seeds, 1, knn, emb)  # a full sort per seed
     assert list(sub.nodes.items()) == list(ref.nodes.items())
-    assert sub.edges.keys() == ref.edges.keys()
+    assert sub.edges == ref.edges
 
 
 def test_expand_neighborhood_validates():
@@ -253,14 +356,14 @@ def test_nodes_added_one_at_a_time_bring_their_edges(graph_seed, first,
     n = g.num_entities
     sub = Subgraph(graph=g)
     for x in first:
-        sub.add_node(x % n, 0)
+        sub.add_nodes([x % n], 0)
     assert sub.edges.keys() == scratch_edges(sub)
     for x in later:
-        sub.add_node(x % n, 1)
+        sub.add_nodes([x % n], 1)
     assert sub.edges.keys() == scratch_edges(sub)
     everything = Subgraph(graph=g)
     for x in range(n):
-        everything.add_node(x, 0)
+        everything.add_nodes([x], 0)
     assert everything.edges.keys() == g.triples
 
 
@@ -301,7 +404,7 @@ def test_kept_hop_tables_match_a_fresh_search(graph_seed, steps, queries):
                 hops_oracle(sub, target, max_hops)
         a, b = a % n, b % n
         if kind == "add":
-            sub.add_node(a, round_index)
+            sub.add_nodes([a], round_index)
         elif kind == "remove":
             sub.remove_node(a)
         elif kind == "expand":
@@ -321,7 +424,7 @@ def test_prunes_keep_the_hop_tables(chain_graph):
     table = sub.hops_to(3, 3)
     apply_edits(sub, [PruneEdge(Triple(0, 2, 2))])
     assert sub.hops_to(3, 3) is table
-    sub.add_node(0, 1)  # present already: the node set stays as it was
+    sub.add_nodes([0], 1)  # present already: the node set stays as it was
     assert sub.hops_to(3, 3) is table
     sub.remove_node(0)
     assert sub.hops_to(3, 3) is not table

@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -174,6 +175,85 @@ def test_spearman_matches_scipy_on_ties():
                 assert len(set(a)) == 1 or len(set(b)) == 1
             else:
                 want = stats.spearmanr(a, b).statistic
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def spearman_reference(a, b):
+    """``_spearman`` as numpy's formula: ``np.allclose`` for "near-constant",
+    then ``np.corrcoef`` of ``np.unique`` average ranks."""
+    def average_ranks(x):
+        _, inverse, counts = np.unique(x, return_inverse=True,
+                                       return_counts=True)
+        below = np.cumsum(counts) - counts
+        return (below + (counts + 1) / 2)[inverse]
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(all="ignore"):  # inputs hold infinities and NaNs
+        if len(a) < 2 or np.allclose(a, a[0]) or np.allclose(b, b[0]):
+            return None
+        rho = np.corrcoef(average_ranks(a), average_ranks(b))[1, 0]
+    return None if math.isnan(rho) else float(rho)
+
+
+@st.composite
+def _spearman_vector(draw, n):
+    """``n`` values: near a base ``x0``, at the edge of ``np.allclose``'s
+    tolerance (exactly on it when ``x0`` is 0), with ``x0`` itself first or
+    not; or mixed with a few distinct values, so ties are common, and with
+    infinities and NaNs."""
+    x0 = draw(st.sampled_from([0.0, 1.0, -2.5, 1e-3, 123.0, math.inf,
+                               math.nan]))
+    tol = 1e-8 + 1e-5 * abs(x0)
+    near = [x0, x0 + tol, x0 - tol, math.nextafter(x0 + tol, math.inf),
+            math.nextafter(x0 - tol, -math.inf), x0 + tol / 2]
+    value = st.sampled_from(near)
+    if draw(st.booleans()):  # not only values near x0
+        value = st.one_of(
+            value,
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0]),
+            st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300]))
+    if n and draw(st.booleans()):
+        return [x0] + draw(st.lists(value, min_size=n - 1, max_size=n - 1))
+    return draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(_spearman_vector(n), _spearman_vector(n))))
+def test_spearman_equals_the_numpy_formula(pair):
+    a, b = pair
+    assert _spearman(a, b) == spearman_reference(a, b)
+
+
+def spearman_fraction_oracle(a, b):
+    """Average ranks and their covariances in exact rationals; finite
+    inputs only."""
+    n = len(a)
+
+    def centred_ranks(x):
+        ranks = [Fraction(sum(v < u for v in x))
+                 + Fraction(sum(v == u for v in x) + 1, 2) for u in x]
+        mean = sum(ranks) / n
+        return [r - mean for r in ranks]
+
+    ra, rb = centred_ranks(a), centred_ranks(b)
+    c00 = sum(r * r for r in ra)
+    c11 = sum(r * r for r in rb)
+    c01 = sum(r * s for r, s in zip(ra, rb))
+    return math.copysign(math.sqrt(c01 * c01 / (c00 * c11)), c01)
+
+
+def test_spearman_matches_exact_rank_arithmetic_on_ties():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8, 13):
+        for _ in range(20):
+            a = (rng.integers(0, 4, n) / 4).tolist()  # few distinct values
+            b = (rng.integers(0, 3, n) / 3).tolist()
+            got = _spearman(a, b)
+            if got is None:  # a constant input
+                assert len(set(a)) == 1 or len(set(b)) == 1
+            else:
+                want = spearman_fraction_oracle(a, b)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 

@@ -102,9 +102,8 @@ def partial_subgraph(graph, rng, seed, prune):
     """Working view holding ``seed`` and about 70% of the other nodes, with
     about 30% of its edges pruned when ``prune`` is set."""
     sub = Subgraph(graph=graph)
-    for n in range(graph.num_entities):
-        if n == seed or rng.random() < 0.7:
-            sub.add_node(n, 0)
+    sub.add_nodes([n for n in range(graph.num_entities)
+                   if n == seed or rng.random() < 0.7], 0)
     if prune:
         apply_edits(sub, [PruneEdge(e) for e in sorted(sub.edges)
                           if rng.random() < 0.3])
