@@ -33,7 +33,7 @@ seeds = [SeedCandidate(graph.entity_id("Argo"), confidence=1.0)]
 subgraph = expand_neighborhood(graph, seeds, radius=2, knn=0,
                                embeddings=embeddings)
 print(f"2-hop neighborhood of Argo: {len(subgraph.nodes)} nodes, "
-      f"{len(subgraph.edges)} edges")
+      f"{subgraph.num_edges} edges")
 
 query = "Where was the screenwriter of Argo born?"
 qvec = embeddings.embed(query)

@@ -2,19 +2,20 @@
 
 Entities and relations are interned to dense integer ids in first-come
 order. The base graph keeps each entity's out- and in-edges as sorted
-lists of triples, built once when the graph is loaded; it is immutable
-after that. All per-query state (working node/edge sets, soft edge
-multipliers, refutations) lives on :class:`Subgraph` values owned by a
-single query episode.
+lists of triples, and the tail ids and head ids of those edges as tuples
+in the same order, built once when the graph is loaded; it is immutable
+after that. All per-query state (working node set, soft edge
+multipliers, refutations, prunes) lives on :class:`Subgraph` values owned
+by a single query episode.
 
-A subgraph's edges are always the base triples with both ends among its
-nodes, minus the ones it has pruned. Adding nodes adds their edges, read
-from the base graph's adjacency lists: the new nodes' out-edges to present
-nodes and their in-edges from nodes present before, so an edit that adds
-no node costs no edge work.
+A subgraph stores only its nodes. Its edges follow from them by one rule:
+a base triple is an edge when both its ends are nodes and it is not
+pruned. Adding nodes only counts the new nodes' edges, reading the id
+tuples: the new nodes' out-edges to present nodes and their in-edges from
+nodes present before, so an edit that adds no node costs no edge work.
 Traversal (``pathenum``) reads a node's subgraph edges the same way, from
-the base adjacency filtered by membership, instead of keeping adjacency
-of its own.
+the base adjacency filtered by node membership, instead of keeping
+adjacency of its own.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import EditError, ParseError, UnknownEntityError, UnknownRelationError
 
@@ -109,8 +111,10 @@ class KnowledgeGraph:
 
     ``out_adj[h]`` lists the triples with head ``h`` and ``in_adj[t]`` the
     triples with tail ``t``, the same objects as in ``triples``, each list
-    sorted after ``finalize()``. Immutable after construction; safe for
-    concurrent readers.
+    sorted after ``finalize()``, which also sets ``out_tails[h]`` to the
+    tail ids of ``out_adj[h]`` and ``in_heads[t]`` to the head ids of
+    ``in_adj[t]``, as tuples in list order. Immutable after construction;
+    safe for concurrent readers.
     """
 
     def __init__(self):
@@ -122,6 +126,8 @@ class KnowledgeGraph:
         self.triples: set[Triple] = set()
         self.out_adj: list[list[Triple]] = []  # entity -> triples out of it
         self.in_adj: list[list[Triple]] = []  # entity -> triples into it
+        self.out_tails: list[tuple[int, ...]] = []  # set by finalize()
+        self.in_heads: list[tuple[int, ...]] = []  # set by finalize()
         self._prior_cost: list[float] = []
 
     # -- interning -----------------------------------------------------
@@ -204,12 +210,15 @@ class KnowledgeGraph:
         return triple
 
     def finalize(self) -> None:
-        """Sort adjacency for deterministic traversal and derive default
-        relation priors from frequency (rare relations cost more)."""
+        """Sort adjacency for deterministic traversal, keep its end ids as
+        tuples, and derive default relation priors from frequency (rare
+        relations cost more)."""
         for adj in self.out_adj:
             adj.sort()
         for adj in self.in_adj:
             adj.sort()
+        self.out_tails = [tuple([e.tail for e in adj]) for adj in self.out_adj]
+        self.in_heads = [tuple([e.head for e in adj]) for adj in self.in_adj]
         max_freq = max(self.relation_frequency, default=0)
         if max_freq > 0:
             self._prior_cost = [
@@ -273,18 +282,54 @@ def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
             graph.set_prior_cost(graph.relation_id(label), float(cost))
 
 
+class EdgeView(Mapping):
+    """A subgraph's edges, each mapped to the round it entered, the later
+    of its two ends' rounds: derived from the nodes when read, so it stores
+    nothing and is read-only. Its length is the subgraph's kept
+    ``num_edges``; iteration follows the nodes and the base out-adjacency.
+    """
+
+    __slots__ = ("_subgraph",)
+
+    def __init__(self, subgraph: Subgraph):
+        self._subgraph = subgraph
+
+    def __len__(self) -> int:
+        return self._subgraph.num_edges
+
+    def __contains__(self, triple) -> bool:
+        return self._subgraph.has_edge(triple)
+
+    def __getitem__(self, triple: Triple) -> int:
+        if not self._subgraph.has_edge(triple):
+            raise KeyError(triple)
+        head, _, tail = triple
+        nodes = self._subgraph.nodes
+        return max(nodes[head], nodes[tail])
+
+    def __iter__(self) -> Iterator[Triple]:
+        sub = self._subgraph
+        nodes, pruned, graph = sub.nodes, sub.pruned, sub.graph
+        for v in nodes:
+            for e, t in zip(graph.out_adj[v], graph.out_tails[v]):
+                if t in nodes and e not in pruned:
+                    yield e
+
+
 @dataclass
 class Subgraph:
     """A per-query working view onto a parent :class:`KnowledgeGraph`.
 
-    ``nodes`` and ``edges`` map each element to the round at which it
-    entered (its provenance). Each edge is an unpruned base triple with both
-    ends among the nodes, and it entered at the later of its two ends'
-    rounds. ``add_nodes`` and ``remove_node`` are the only ways in and out,
-    and each keeps that true, so a subgraph is built empty. Also holds soft
-    edge multipliers and the episode's refuted and pruned triples. Mutated
-    only by its owning query loop. Nothing reads ``nodes`` or ``edges`` in
-    insertion order.
+    ``nodes`` maps each node to the round at which it entered (its
+    provenance). It is all the subgraph stores of its shape: a base triple
+    is an edge exactly when both its ends are nodes and it is not pruned
+    (``has_edge``), so an edge entered at the later of its two ends'
+    rounds. ``edges`` is a view derived from that rule when read;
+    ``num_edges`` is kept as nodes come and go and edges are pruned.
+    ``add_nodes`` and ``remove_node`` are the only ways in and out, so a
+    subgraph is built empty. Also holds soft edge multipliers and the
+    episode's refuted and pruned triples. Mutated only by its owning query
+    loop. Nothing reads ``nodes`` in insertion order.
 
     ``hops_to`` tables depend on the node set alone, so they are kept until
     ``add_nodes`` adds a node or ``remove_node`` removes one.
@@ -292,7 +337,7 @@ class Subgraph:
 
     graph: KnowledgeGraph
     nodes: dict[int, int] = field(default_factory=dict, init=False)
-    edges: dict[Triple, int] = field(default_factory=dict, init=False)
+    num_edges: int = field(default=0, init=False)
     soft: dict[Triple, float] = field(default_factory=dict)
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
@@ -304,13 +349,39 @@ class Subgraph:
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
 
+    def has_edge(self, triple: Triple) -> bool:
+        """Whether ``triple`` is an edge: a base triple, both ends nodes,
+        not pruned."""
+        head, _, tail = triple
+        nodes = self.nodes
+        return (head in nodes and tail in nodes
+                and triple in self.graph.triples
+                and triple not in self.pruned)
+
+    @property
+    def edges(self) -> EdgeView:
+        """Read-only view of the edges, each mapped to its entry round."""
+        return EdgeView(self)
+
+    def _count_edges(self, entities: Iterable[int], adj: list[list[Triple]],
+                     ends: list[tuple[int, ...]]) -> int:
+        """How many base edges of ``entities`` have their other end among
+        the nodes and are not pruned, reading each entity's edges from
+        ``adj`` and their other ends' ids from ``ends`` (so no triple is
+        read while nothing is pruned)."""
+        nodes, pruned = self.nodes, self.pruned
+        if not pruned:
+            ids = chain.from_iterable(map(ends.__getitem__, entities))
+            return sum(map(nodes.__contains__, ids))
+        return sum(1 for v in entities for e, u in zip(adj[v], ends[v])
+                   if u in nodes and e not in pruned)
+
     def add_nodes(self, entities: Iterable[int], round_index: int) -> None:
         """Add the absent ones of ``entities`` at ``round_index``, in order,
-        with their unpruned edges among themselves and to and from the
-        present nodes.
+        and count the edges they bring.
 
-        Each edge is taken from one end: from a new node's out-edges when
-        its tail is present once the batch is in, or from a new node's
+        Each new edge is counted from one end: from a new node's out-edges
+        when its tail is present once the batch is in, or from a new node's
         in-edges when its head was present before the batch. Into an empty
         subgraph there is no in-edge scan at all.
         """
@@ -319,36 +390,46 @@ class Subgraph:
         if not new:
             return
         self._hops.clear()
-        graph, edges, pruned = self.graph, self.edges, self.pruned
+        graph = self.graph
         if nodes:
-            for v in new:
-                for e in graph.in_adj[v]:
-                    if e.head in nodes and e not in pruned:
-                        edges[e] = round_index
+            self.num_edges += self._count_edges(new, graph.in_adj,
+                                                graph.in_heads)
         for v in new:
             nodes[v] = round_index
-        for v in new:
-            for e in graph.out_adj[v]:
-                if e.tail in nodes and e not in pruned:
-                    edges[e] = round_index
+        self.num_edges += self._count_edges(new, graph.out_adj,
+                                            graph.out_tails)
 
     def remove_node(self, entity: int) -> None:
-        """Drop ``entity`` and every edge touching it (nothing when it is
-        absent)."""
-        if self.nodes.pop(entity, None) is None:
+        """Drop ``entity``, and with it every edge touching it (nothing when
+        it is absent)."""
+        if entity not in self.nodes:
             return
         self._hops.clear()
-        for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
-            self.edges.pop(e, None)
+        graph = self.graph
+        # while the node is in, its out-edges include its self-loops; once
+        # it is out, its in-edges count only the edges from other nodes
+        self.num_edges -= self._count_edges((entity,), graph.out_adj,
+                                            graph.out_tails)
+        del self.nodes[entity]
+        self.num_edges -= self._count_edges((entity,), graph.in_adj,
+                                            graph.in_heads)
+
+    def prune(self, triple: Triple) -> bool:
+        """Prune ``triple`` if it is an edge; whether it was."""
+        if not self.has_edge(triple):
+            return False
+        self.pruned.add(triple)
+        self.num_edges -= 1
+        return True
 
     def hops_to(self, target: int, max_hops: int) -> dict[int, int]:
         """Fewest hops from each node to ``target``, for nodes within
         ``max_hops``; empty when ``target`` is not a node. Callers must not
         change the returned table.
 
-        A backwards breadth-first search over the base graph's in-adjacency,
-        limited to the subgraph's nodes. It ignores prunes, so it walks a
-        superset of the subgraph's edges and never overestimates a node's
+        A backwards breadth-first search over the base graph's in-edge head
+        ids, limited to the subgraph's nodes. It ignores prunes, so it walks
+        a superset of the subgraph's edges and never overestimates a node's
         distance; because it reads only the node set, the table is kept
         until a node is added or removed.
         """
@@ -358,14 +439,13 @@ class Subgraph:
         nodes = self.nodes
         hops = {}
         if target in nodes:
-            in_adj = self.graph.in_adj
+            in_heads = self.graph.in_heads
             hops[target] = 0
             frontier = [target]
             for d in range(1, max_hops + 1):
                 nxt = []
                 for node in frontier:
-                    for e in in_adj[node]:
-                        head = e.head
+                    for head in in_heads[node]:
                         if head not in hops and head in nodes:
                             hops[head] = d
                             nxt.append(head)
@@ -402,22 +482,21 @@ def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
              round_index: int) -> None:
     """Add at ``round_index`` every node within ``radius`` out-hops of each
     of ``starts``, in one batch, ordered by start and then breadth-first."""
-    out_adj = subgraph.graph.out_adj
+    out_tails = subgraph.graph.out_tails
     found = []
     for start in starts:
-        frontier = deque([(start, 0)])
         seen = {start}
         found.append(start)
-        while frontier:
-            node, depth = frontier.popleft()
-            if depth == radius:
-                continue
-            for e in out_adj[node]:
-                t = e.tail
-                if t not in seen:
-                    seen.add(t)
-                    found.append(t)
-                    frontier.append((t, depth + 1))
+        frontier = [start]
+        for _ in range(radius):
+            nxt = []
+            for node in frontier:
+                for t in out_tails[node]:
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+            found += nxt
+            frontier = nxt
     subgraph.add_nodes(found, round_index)
 
 
@@ -490,9 +569,7 @@ def apply_edits(
         elif isinstance(edit, PruneEdge):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
-            if subgraph.edges.pop(edit.triple, None) is not None:
-                subgraph.pruned.add(edit.triple)
-            else:
+            if not subgraph.prune(edit.triple):
                 subgraph.warnings.append(
                     f"prune of absent edge {edit.triple} ignored"
                 )

@@ -43,7 +43,9 @@ class AttentionMatrix:
         if rows.ndim != 2 or rows.shape[1] == 0:
             raise ValueError("attention must be a nonempty 2-D matrix")
         sums = rows.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
+        # np.allclose(sums, 1.0, atol=1e-6) without its wrappers: within
+        # atol + rtol * |1.0| (rtol its default), false for NaN and +-inf
+        if not (np.abs(sums - 1.0) <= 1e-6 + 1e-5 * 1.0).all():
             raise ValueError("attention rows must sum to 1")
         if rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12:
             raise ValueError("attention entries must lie in [0, 1]")

@@ -545,7 +545,7 @@ def run_loop(
         counters as they stand now."""
         state = RoundState(
             round=t, subgraph_nodes=len(subgraph.nodes),
-            subgraph_edges=len(subgraph.edges),
+            subgraph_edges=subgraph.num_edges,
             reasoner_calls=episode.reasoner_calls, tokens=episode.tokens,
             edits_applied=episode.edits_applied, **round_fields)
         episode.rounds.append(state)

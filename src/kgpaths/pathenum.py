@@ -12,9 +12,11 @@ the edges and paths its search touches, and nothing for a weight or vector
 an earlier round computed. The table outlives enumeration: the caller
 hands it on to candidate scoring, the verifier and injection.
 
-No generator builds adjacency of its own. A node's subgraph out-edges are
-read from the base graph's sorted ``out_adj``, keeping those in
-``subgraph.edges``, once per node and generator call; they come in
+No generator builds adjacency of its own, and none reads
+``Subgraph.edges``, a view that derives the edges when read. A node's
+subgraph out-edges are read from the base graph's sorted ``out_adj``,
+keeping those whose tail id (from ``out_tails``) is a subgraph node and
+that are not pruned, once per node and generator call; they come in
 (relation, tail) order, which fixes the random walks' choice order. The
 random walks also keep, per node and call, the cumulative inverse costs of
 those edges, so a step whose options no visited node cuts short draws
@@ -23,7 +25,7 @@ straight from them.
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
 with a ``target`` reads the subgraph's hop table to the target
 (``Subgraph.hops_to``, a backwards breadth-first search over the base
-graph's ``in_adj`` limited to subgraph nodes and bounded by L, kept until
+graph's ``in_heads`` limited to subgraph nodes and bounded by L, kept until
 the node set changes), and never pushes a partial path whose tail cannot
 reach the target in the hops left. The hop bound ignores prunes and the
 simple-path rule, so it counts hops over a superset of the subgraph's edges
@@ -81,19 +83,28 @@ class _OutEdges(dict):
     """Node -> its out-edges in the subgraph, in (relation, tail) order.
 
     Read on first ask from the base graph's sorted out-adjacency, keeping
-    the triples the subgraph holds (so no pruned edge). Valid while the
-    subgraph's edges stay as they are, so each generator call builds its
-    own.
+    the triples whose tail id is a subgraph node, and, only when the
+    subgraph has pruned any, dropping the pruned ones: by the subgraph's
+    membership rule, that is exactly its edges out of ``node``. Valid while
+    the subgraph's nodes and prunes stay as they are, so each generator
+    call builds its own.
     """
 
     def __init__(self, subgraph: Subgraph):
         super().__init__()
-        self.edges = subgraph.edges
-        self.out_adj = subgraph.graph.out_adj
+        self.nodes = subgraph.nodes
+        self.pruned = subgraph.pruned
+        self.graph = subgraph.graph
 
     def __missing__(self, node: int) -> list[Triple]:
-        edges = self.edges
-        out = self[node] = [e for e in self.out_adj[node] if e in edges]
+        nodes, pruned = self.nodes, self.pruned
+        out = []
+        if node in nodes:
+            pairs = zip(self.graph.out_adj[node], self.graph.out_tails[node])
+            out = [e for e, t in pairs if t in nodes]
+            if pruned:
+                out = [e for e in out if e not in pruned]
+        self[node] = out
         return out
 
 

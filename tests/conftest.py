@@ -38,6 +38,23 @@ def random_graph(rng: random.Random, max_nodes=12, max_edges=30):
     return graph
 
 
+def random_multigraph(rng: random.Random, max_nodes=10, max_pairs=20):
+    """A graph like ``random_graph``'s that also has self-loops and
+    parallel edges: about a fifth of the drawn pairs are loops, and each
+    pair is joined by one to three relations."""
+    n = rng.randint(1, max_nodes)
+    graph = KnowledgeGraph()
+    for i in range(n):
+        graph._intern_entity(f"n{i}")
+    for _ in range(rng.randint(1, max_pairs)):
+        h = rng.randrange(n)
+        t = h if rng.random() < 0.2 else rng.randrange(n)
+        for r in rng.sample(range(4), rng.randint(1, 3)):
+            graph.add_triple(f"n{h}", f"r{r}", f"n{t}")
+    graph.finalize()
+    return graph
+
+
 def cosine_oracle(a, b):
     """``cosine`` in numpy's own formulas: the bit-for-bit reference."""
     a = np.asarray(a, dtype=float)

@@ -26,7 +26,12 @@ from kgpaths.graph import (
     open_text,
 )
 
-from conftest import build_graph, full_subgraph, random_graph
+from conftest import (
+    build_graph,
+    full_subgraph,
+    random_graph,
+    random_multigraph,
+)
 
 
 def test_load_triples_interns_in_first_come_order():
@@ -119,19 +124,38 @@ def test_expand_neighborhood_knn_adds_disconnected_entities(hash_embeddings):
 # --- node-at-a-time reference for Subgraph.add_nodes ---------------------------
 
 
-def add_node_reference(sub, entity, round_index):
+class ReferenceSubgraph:
+    """Nodes and edges, each mapped to the round it entered, both stored:
+    the subgraph as it was kept before edges were derived from nodes."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.nodes, self.edges, self.pruned = {}, {}, set()
+
+    def remove_node(self, entity):
+        if self.nodes.pop(entity, None) is None:
+            return
+        for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
+            self.edges.pop(e, None)
+
+    def prune(self, triple):
+        if self.edges.pop(triple, None) is not None:
+            self.pruned.add(triple)
+
+
+def add_node_reference(ref, entity, round_index):
     """Add one node the way ``Subgraph.add_node`` did before batches: its
-    out-edges to present nodes and its in-edges from them, both scanned."""
-    nodes, edges = sub.nodes, sub.edges
+    out-edges to present nodes and its in-edges from them, both scanned and
+    stored."""
+    nodes, edges = ref.nodes, ref.edges
     if entity in nodes:
         return
     nodes[entity] = round_index
-    sub._hops.clear()
-    for e in sub.graph.out_adj[entity]:
-        if e.tail in nodes and e not in sub.pruned:
+    for e in ref.graph.out_adj[entity]:
+        if e.tail in nodes and e not in ref.pruned:
             edges[e] = round_index
-    for e in sub.graph.in_adj[entity]:
-        if e.head in nodes and e not in sub.pruned:
+    for e in ref.graph.in_adj[entity]:
+        if e.head in nodes and e not in ref.pruned:
             edges[e] = round_index
 
 
@@ -153,7 +177,7 @@ def bfs_add_reference(sub, start, radius, round_index):
 
 def expand_reference(g, seeds, radius, knn, emb):
     """``expand_neighborhood`` one node at a time."""
-    ref = Subgraph(graph=g)
+    ref = ReferenceSubgraph(g)
     for seed in seeds:
         bfs_add_reference(ref, seed, radius, 0)
     if knn:
@@ -169,8 +193,9 @@ def expand_reference(g, seeds, radius, knn, emb):
 _BATCH_STEPS = st.sampled_from(["add", "expand", "swap", "prune"])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000),
        st.lists(st.integers(0, 11), min_size=1, max_size=3),
        st.integers(1, 3), st.integers(0, 3),
        st.lists(st.tuples(_BATCH_STEPS,
@@ -179,14 +204,16 @@ _BATCH_STEPS = st.sampled_from(["add", "expand", "swap", "prune"])
                 max_size=8),
        st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)),
                 min_size=1, max_size=3))
-def test_batched_adds_match_one_node_at_a_time(graph_seed, seed_ids, radius,
-                                               knn, steps, queries):
+def test_batched_adds_match_one_node_at_a_time(make_graph, graph_seed,
+                                               seed_ids, radius, knn, steps,
+                                               queries):
     """``add_nodes`` and everything built on it (first expansion with
     ``knn``, ExpandSeed, SwapSeed) leave the same nodes, in the same order,
-    the same edges, entry rounds included, and the same hop tables as
-    adding one node at a time, after every step of a random sequence that
-    also prunes."""
-    g = random_graph(random.Random(graph_seed))
+    the same edges, entry rounds included, the same edge count, and the
+    same hop tables as adding one node at a time and storing each edge,
+    after every step of a random sequence that also prunes, on graphs with
+    and without self-loops and parallel edges."""
+    g = make_graph(random.Random(graph_seed))
     n = g.num_entities
     seeds = [x % n for x in seed_ids]
     emb = HashEmbeddings(dimension=4, seed=graph_seed)
@@ -198,8 +225,9 @@ def test_batched_adds_match_one_node_at_a_time(graph_seed, seed_ids, radius,
     def check():
         assert list(sub.nodes.items()) == list(ref.nodes.items())
         assert sub.edges == ref.edges
+        assert sub.num_edges == len(ref.edges)
         for target, max_hops in queries:
-            assert sub.hops_to(target, max_hops) == ref.hops_to(target,
+            assert sub.hops_to(target, max_hops) == hops_oracle(ref, target,
                                                                 max_hops)
 
     check()
@@ -218,10 +246,10 @@ def test_batched_adds_match_one_node_at_a_time(graph_seed, seed_ids, radius,
             apply_edits(sub, [SwapSeed(a, new, radius)], round_index)
             ref.remove_node(a)
             bfs_add_reference(ref, new, radius, round_index)
-        elif sub.edges:
-            edge = sorted(sub.edges)[a % len(sub.edges)]
+        elif ref.edges:
+            edge = sorted(ref.edges)[a % len(ref.edges)]
             apply_edits(sub, [PruneEdge(edge)], round_index)
-            apply_edits(ref, [PruneEdge(edge)], round_index)
+            ref.prune(edge)
         check()
 
 
@@ -240,6 +268,7 @@ def test_knn_expansion_keeps_the_sorted_selection(graph_seed, knn, dimension,
     ref = expand_reference(g, seeds, 1, knn, emb)  # a full sort per seed
     assert list(sub.nodes.items()) == list(ref.nodes.items())
     assert sub.edges == ref.edges
+    assert sub.num_edges == len(ref.edges)
 
 
 def test_expand_neighborhood_validates():
@@ -278,6 +307,32 @@ def test_prune_absent_edge_warns_not_raises(chain_graph):
     ghost = Triple(0, 1, 3)
     apply_edits(sub, [PruneEdge(ghost)])
     assert sub.warnings
+
+
+def test_prunes_that_are_no_edge_warn_and_count_nothing(chain_graph):
+    sub = full_subgraph(chain_graph)
+    edges = dict(sub.edges)
+    assert sub.num_edges == len(edges) == 4
+    ghost = Triple(0, 1, 1)  # a -r2-> b: both ends are nodes, no base triple
+    apply_edits(sub, [PruneEdge(ghost)])
+    assert len(sub.warnings) == 1 and ghost not in sub.pruned
+    assert sub.num_edges == 4 and sub.edges == edges
+    e = Triple(0, 0, 1)
+    apply_edits(sub, [PruneEdge(e), PruneEdge(e)])  # the second is absent
+    assert len(sub.warnings) == 2 and sub.pruned == {e}
+    assert sub.num_edges == 3 and sub.edges.keys() == edges.keys() - {e}
+
+
+def test_pruned_edge_stays_out_when_its_ends_come_back(chain_graph):
+    sub = full_subgraph(chain_graph)
+    e = Triple(0, 0, 1)
+    apply_edits(sub, [PruneEdge(e)])
+    for end, round_index in ((e.head, 1), (e.tail, 2)):
+        sub.remove_node(end)
+        assert sub.num_edges == len(sub.edges) == len(scratch_edges(sub))
+        sub.add_nodes([end], round_index)
+        assert e not in sub.edges and not sub.has_edge(e)
+        assert sub.num_edges == len(sub.edges) == 3
 
 
 def test_swap_seed_replaces_node_and_edges(chain_graph):
@@ -323,7 +378,8 @@ _EDIT_KINDS = st.sampled_from(["expand", "swap", "readd", "prune"])
                           st.integers(1, 2)), min_size=1, max_size=8))
 def test_incremental_induction_matches_recomputation(graph_seed, steps):
     """After every edit, the edges are the unpruned base triples between
-    present nodes, each entered at the later of its two ends' rounds."""
+    present nodes, each entered at the later of its two ends' rounds, and
+    the kept count is their number."""
     g = random_graph(random.Random(graph_seed))
     n = g.num_entities
     sub = expand_neighborhood(g, [SeedCandidate(0)], radius=1)
@@ -345,6 +401,7 @@ def test_incremental_induction_matches_recomputation(graph_seed, steps):
         apply_edits(sub, [edit], round_index)
         assert sub.edges == {e: max(sub.nodes[e.head], sub.nodes[e.tail])
                              for e in scratch_edges(sub)}
+        assert sub.num_edges == len(scratch_edges(sub))
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,6 +493,55 @@ def test_subgraph_cannot_be_built_holding_nodes():
         Subgraph(graph=g, nodes={0: 0, 1: 0})
     with pytest.raises(TypeError):
         Subgraph(graph=g, edges={Triple(0, 0, 1): 0})
+    with pytest.raises(TypeError):
+        Subgraph(graph=g, num_edges=1)
+
+
+def test_edges_are_a_read_only_view(chain_graph):
+    sub = full_subgraph(chain_graph)
+    with pytest.raises(TypeError):
+        sub.edges[Triple(0, 1, 1)] = 0
+
+
+def check_end_ids(g):
+    for v in range(g.num_entities):
+        assert isinstance(g.out_tails[v], tuple)
+        assert isinstance(g.in_heads[v], tuple)
+        assert list(g.out_tails[v]) == [e.tail for e in g.out_adj[v]]
+        assert list(g.in_heads[v]) == [e.head for e in g.in_adj[v]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000))
+def test_finalize_keeps_end_ids_in_adjacency_order(make_graph, graph_seed):
+    g = make_graph(random.Random(graph_seed))
+    check_end_ids(g)
+    lines = ["\t".join(g.triple_labels(e)) + "\n" for e in sorted(g.triples)]
+    check_end_ids(load_triples(lines, add_inverse=True))
+
+
+class UnhashableTriple(Triple):
+    def __hash__(self):
+        raise AssertionError(f"{tuple(self)} hashed")
+
+
+def test_adding_nodes_hashes_no_triple_while_nothing_is_pruned():
+    """Node edits read only id tuples while nothing is pruned, and an
+    edit that adds no node reads nothing at all."""
+    g = random_multigraph(random.Random(3))
+    n = g.num_entities
+    total = len(g.triples)
+    g.out_adj = [[UnhashableTriple(*e) for e in adj] for adj in g.out_adj]
+    g.in_adj = [[UnhashableTriple(*e) for e in adj] for adj in g.in_adj]
+    sub = expand_neighborhood(g, [SeedCandidate(0)], radius=2)
+    apply_edits(sub, [ExpandSeed(n - 1, 1), SwapSeed(0, n // 2)], 1)
+    sub.hops_to(n // 2, 3)
+    sub.add_nodes(range(n), 2)
+    assert sub.num_edges == total
+    g.out_adj = g.in_adj = g.out_tails = g.in_heads = None
+    sub.add_nodes(range(n), 3)
+    assert sub.num_edges == total
 
 
 @pytest.mark.parametrize("radius", [0, -1])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpaths.embeddings import HashEmbeddings
 from kgpaths.errors import CapabilityError, KgError
@@ -38,6 +40,34 @@ def test_attention_matrix_validation():
         AttentionMatrix(np.array([[1.5, -0.5]]))
     with pytest.raises(ValueError):
         AttentionMatrix(np.zeros((2, 0)))
+
+
+_TOL = 1e-6 + 1e-5  # np.allclose's atol as passed, plus its default rtol
+_ROW_SUMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1.0 - 3e-5, 1.0 + 3e-5),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 1.0, 1.0 - _TOL, 1.0 + _TOL,
+        *(math.nextafter(1.0 + sign * _TOL, toward)
+          for sign in (-1, 1) for toward in (0.0, math.inf)),
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW_SUMS, min_size=1, max_size=4))
+def test_row_sum_check_matches_allclose(sums):
+    """Rows ``[s/2, s/2]`` sum to ``s`` (exactly, but for subnormals);
+    entries of any accepted sum lie in [0, 1], so the matrix is accepted
+    exactly when numpy's own ``allclose`` accepts the sums, NaN and
+    infinities included."""
+    rows = np.array([[s / 2, s / 2] for s in sums])
+    try:
+        AttentionMatrix(rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_load_attention_json_shape_check():
