@@ -12,7 +12,7 @@ import itertools
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .config import RunConfig
 from .errors import KgError, ParseError
@@ -170,9 +170,11 @@ class EpisodeMetrics:
     latency: float  # last: the one column reports carry only with timings
 
     def to_row(self, include_timings: bool = False) -> dict:
-        """The report row: every field in order, ``None`` as ``""`` and
-        ``failed`` as 0/1; ``latency`` only with ``include_timings``."""
-        row = {k: "" if v is None else v for k, v in asdict(self).items()}
+        """The report row: every field (all scalars) in order, ``None`` as
+        ``""`` and ``failed`` as 0/1; ``latency`` only with
+        ``include_timings``."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row = {k: "" if v is None else v for k, v in row.items()}
         row["failed"] = int(self.failed)
         if not include_timings:
             del row["latency"]

@@ -13,9 +13,11 @@ a base triple is an edge when both its ends are nodes and it is not
 pruned. Adding nodes only counts the new nodes' edges, reading the id
 tuples: the new nodes' out-edges to present nodes and their in-edges from
 nodes present before, so an edit that adds no node costs no edge work.
-Traversal (``pathenum``) reads a node's subgraph edges the same way, from
-the base adjacency filtered by node membership, instead of keeping
-adjacency of its own.
+A node's out-edges in the subgraph have one home, ``Subgraph.out_edges``:
+each list is read from the base adjacency filtered by that rule the first
+time anything asks, and kept until the nodes change or one of its edges
+is pruned. The edge view and all three path generators (``pathenum``)
+read it; none keeps adjacency of its own.
 """
 
 from __future__ import annotations
@@ -308,12 +310,33 @@ class EdgeView(Mapping):
         return max(nodes[head], nodes[tail])
 
     def __iter__(self) -> Iterator[Triple]:
-        sub = self._subgraph
-        nodes, pruned, graph = sub.nodes, sub.pruned, sub.graph
-        for v in nodes:
-            for e, t in zip(graph.out_adj[v], graph.out_tails[v]):
-                if t in nodes and e not in pruned:
-                    yield e
+        out_edges = self._subgraph.out_edges
+        for v in self._subgraph.nodes:
+            yield from out_edges[v]
+
+
+class OutEdges(dict):
+    """Node -> its out-edges in a subgraph, in (relation, tail) order, read
+    on first ask: the base out-adjacency whose tail id is a node, less the
+    pruned triples (none for a non-node). A found entry is a plain dict
+    subscript. The subgraph keeps it valid: it clears the map when its
+    nodes change and drops a pruned edge's head's entry."""
+
+    def __init__(self, subgraph: Subgraph):
+        super().__init__()
+        self._nodes, self._pruned = subgraph.nodes, subgraph.pruned
+        self._graph = subgraph.graph
+
+    def __missing__(self, node: int) -> list[Triple]:
+        nodes, pruned = self._nodes, self._pruned
+        out = []
+        if node in nodes:
+            pairs = zip(self._graph.out_adj[node], self._graph.out_tails[node])
+            out = [e for e, t in pairs if t in nodes]
+            if pruned:
+                out = [e for e in out if e not in pruned]
+        self[node] = out
+        return out
 
 
 @dataclass
@@ -332,7 +355,9 @@ class Subgraph:
     loop. Nothing reads ``nodes`` in insertion order.
 
     ``hops_to`` tables depend on the node set alone, so they are kept until
-    ``add_nodes`` adds a node or ``remove_node`` removes one.
+    ``add_nodes`` adds a node or ``remove_node`` removes one. The
+    ``out_edges`` lists (see :class:`OutEdges`) are dropped at the same
+    points, and a prune drops its edge's head's list.
     """
 
     graph: KnowledgeGraph
@@ -345,6 +370,10 @@ class Subgraph:
     # (target, max_hops) -> hops_to table, valid for the current node set
     _hops: dict[tuple[int, int], dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    out_edges: OutEdges = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.out_edges = OutEdges(self)
 
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
@@ -390,6 +419,7 @@ class Subgraph:
         if not new:
             return
         self._hops.clear()
+        self.out_edges.clear()
         graph = self.graph
         if nodes:
             self.num_edges += self._count_edges(new, graph.in_adj,
@@ -405,6 +435,7 @@ class Subgraph:
         if entity not in self.nodes:
             return
         self._hops.clear()
+        self.out_edges.clear()
         graph = self.graph
         # while the node is in, its out-edges include its self-loops; once
         # it is out, its in-edges count only the edges from other nodes
@@ -419,6 +450,7 @@ class Subgraph:
         if not self.has_edge(triple):
             return False
         self.pruned.add(triple)
+        self.out_edges.pop(triple.head, None)
         self.num_edges -= 1
         return True
 

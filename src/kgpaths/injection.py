@@ -19,8 +19,6 @@ from .graph import open_text
 from .paths import Path
 from .weights import ScoreTable
 
-ROW_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PathLatent:

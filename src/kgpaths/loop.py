@@ -650,10 +650,6 @@ def run_loop(
             remaining = config.edit_budget - episode.edits_applied
             edits = edits[:max(remaining, 0)]
 
-            edge_deltas = soft_mask(
-                uncertainty, candidates, edits,
-                gain=config.mask_gain,
-                uncertainty_gain=config.mask_uncertainty_gain)
             per_path = path_mask(
                 uncertainty, candidates, edits,
                 gain=config.mask_gain,
@@ -663,10 +659,12 @@ def run_loop(
                 rng_seed=config.seed + 104729 * (t + 1),
                 deterministic=config.deterministic,
                 tau=config.discretize_tau))
-            by_key = {c.path.key(): c for c in candidates}
-            for key in kept:
-                for e in by_key[key].path.edges:
-                    subgraph.soft[e] = edge_deltas[e]
+            # the kept paths' edges take their mask values; the confirmed
+            # and refuted triples it also covers are set by the edits below
+            subgraph.soft.update(soft_mask(
+                uncertainty, [c for c in candidates if c.path.key() in kept],
+                edits, gain=config.mask_gain,
+                uncertainty_gain=config.mask_uncertainty_gain))
             apply_edits(subgraph, edits, round_index=t + 1)
             episode.edits_applied += len(edits)
 

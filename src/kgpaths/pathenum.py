@@ -12,15 +12,13 @@ the edges and paths its search touches, and nothing for a weight or vector
 an earlier round computed. The table outlives enumeration: the caller
 hands it on to candidate scoring, the verifier and injection.
 
-No generator builds adjacency of its own, and none reads
-``Subgraph.edges``, a view that derives the edges when read. A node's
-subgraph out-edges are read from the base graph's sorted ``out_adj``,
-keeping those whose tail id (from ``out_tails``) is a subgraph node and
-that are not pruned, once per node and generator call; they come in
-(relation, tail) order, which fixes the random walks' choice order. The
-random walks also keep, per node and call, the cumulative inverse costs of
-those edges, so a step whose options no visited node cuts short draws
-straight from them.
+No generator builds adjacency of its own. All three read a node's
+subgraph out-edges from ``Subgraph.out_edges``, which the subgraph builds
+once per node from the base adjacency and keeps until its nodes change or
+a prune touches that node; they come in (relation, tail) order, which
+fixes the random walks' choice order. The random walks also keep, per
+node and call, the cumulative inverse costs of those edges, so a step
+whose options no visited node cuts short draws straight from them.
 
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
 with a ``target`` reads the subgraph's hop table to the target
@@ -75,50 +73,20 @@ def edge_costs(
     subgraph: Subgraph, coeffs: WeightCoefficients, embeddings
 ) -> ScoreTable:
     """Effective traversal cost of subgraph edges, each computed once, when
-    it is first read: a ``ScoreTable`` without a query embedding."""
+    it is first read: a ``ScoreTable`` without a query embedding. Nothing
+    in the package calls it; perfbench/tracing.py wraps it here."""
     return ScoreTable(subgraph, coeffs, embeddings)
 
 
-class _OutEdges(dict):
-    """Node -> its out-edges in the subgraph, in (relation, tail) order.
-
-    Read on first ask from the base graph's sorted out-adjacency, keeping
-    the triples whose tail id is a subgraph node, and, only when the
-    subgraph has pruned any, dropping the pruned ones: by the subgraph's
-    membership rule, that is exactly its edges out of ``node``. Valid while
-    the subgraph's nodes and prunes stay as they are, so each generator
-    call builds its own.
-    """
-
-    def __init__(self, subgraph: Subgraph):
-        super().__init__()
-        self.nodes = subgraph.nodes
-        self.pruned = subgraph.pruned
-        self.graph = subgraph.graph
-
-    def __missing__(self, node: int) -> list[Triple]:
-        nodes, pruned = self.nodes, self.pruned
-        out = []
-        if node in nodes:
-            pairs = zip(self.graph.out_adj[node], self.graph.out_tails[node])
-            out = [e for e, t in pairs if t in nodes]
-            if pruned:
-                out = [e for e in out if e not in pruned]
-        self[node] = out
-        return out
-
-
 def k_shortest_weighted(
-    subgraph: Subgraph,
+    table: ScoreTable,
     seed: int,
     k: int,
     budget: EnumerationBudget,
-    coeffs: WeightCoefficients,
-    embeddings,
     target: int | None = None,
-    costs: dict[Triple, float] | None = None,
 ) -> list[Path]:
-    """The k lowest-effective-cost simple paths from ``seed``, length <= L.
+    """The k lowest-effective-cost simple paths over ``table.subgraph``
+    from ``seed``, length <= L.
 
     Best-first expansion over partial simple paths: with nonnegative edge
     costs, popping in (cost, node-sequence, relation-sequence) order emits
@@ -137,9 +105,10 @@ def k_shortest_weighted(
     with no out-edge, or that cannot reach the target within L hops, costs
     no expansion at all.
     """
+    subgraph = table.subgraph
     if seed not in subgraph.nodes:
         raise ValueError(f"seed {seed} not in subgraph")
-    adj = _OutEdges(subgraph)
+    adj = subgraph.out_edges
     if not adj[seed]:
         return []
     max_length = budget.max_length
@@ -149,8 +118,6 @@ def k_shortest_weighted(
         hops = subgraph.hops_to(target, max_length)
         if seed not in hops:
             return []
-    if costs is None:
-        costs = edge_costs(subgraph, coeffs, embeddings)
 
     def too_far(node: int, left: int) -> bool:
         """Whether ``node`` cannot reach the target in ``left`` more hops."""
@@ -161,7 +128,7 @@ def k_shortest_weighted(
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
     for e in adj[seed]:
         if not too_far(e.tail, max_length - 1):
-            heapq.heappush(heap, (costs[e], (seed, e.tail), (e.relation,), (e,)))
+            heapq.heappush(heap, (table[e], (seed, e.tail), (e.relation,), (e,)))
 
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)
@@ -177,7 +144,7 @@ def k_shortest_weighted(
                     continue
                 heapq.heappush(
                     heap,
-                    (cost + costs[e], nodes + (e.tail,), rels + (e.relation,),
+                    (cost + table[e], nodes + (e.tail,), rels + (e.relation,),
                      edges + (e,)),
                 )
     return out
@@ -191,7 +158,7 @@ def beam_expand(
     """Breadth-first expansion over ``table.subgraph`` keeping the B
     highest-scoring partial paths per depth; every retained prefix is
     returned as a candidate."""
-    adj = _OutEdges(table.subgraph)
+    adj = table.subgraph.out_edges
 
     frontier: list[Path] = []
     for s in sorted(set(seeds)):
@@ -218,12 +185,12 @@ def beam_expand(
 
 
 def random_walk_proposals(
-    costs: ScoreTable,
+    table: ScoreTable,
     seeds: list[int],
     budget: EnumerationBudget,
     rng_seed: int,
 ) -> list[Path]:
-    """R restart-limited walks over ``costs.subgraph``; each walk records its
+    """R restart-limited walks over ``table.subgraph``; each walk records its
     prefix as a path.
 
     Step choice is proportional to inverse effective cost; revisits are
@@ -238,7 +205,7 @@ def random_walk_proposals(
     """
     if budget.walks == 0 or not seeds:
         return []
-    adj = _OutEdges(costs.subgraph)
+    adj = table.subgraph.out_edges
     steps: dict[int, tuple] = {}
     rng = random.Random(rng_seed)
     seeds = sorted(set(seeds))
@@ -255,7 +222,7 @@ def random_walk_proposals(
             step = steps.get(node)
             if step is None:
                 opts = adj[node]
-                inv = [1.0 / max(costs[e], 1e-9) for e in opts]
+                inv = [1.0 / max(table[e], 1e-9) for e in opts]
                 step = steps[node] = (opts, inv, list(accumulate(inv)),
                                       {e.tail for e in opts})
             opts, inv, cum, tails = step
@@ -308,9 +275,8 @@ def enumerate_paths(
             pool.setdefault(p.key(), p)
 
     def k_shortest(seed, target=None):
-        return k_shortest_weighted(
-            subgraph, seed, budget.max_candidates, budget, table.coeffs,
-            table.embeddings, target=target, costs=table)
+        return k_shortest_weighted(table, seed, budget.max_candidates, budget,
+                                   target=target)
 
     exhaustive = pair_mode
     for s in sorted(set(seeds)):

@@ -84,8 +84,7 @@ def test_criterion_1_k_shortest_oracle():
         length = rng.randint(1, 4)
         budget = EnumerationBudget(max_length=length)
         expected = _brute_force_paths(graph, costs, seed, k, length)
-        got = k_shortest_weighted(sub, seed, k, budget, coeffs, emb,
-                                  costs=costs)
+        got = k_shortest_weighted(costs, seed, k, budget)
         ok = ok and [p.key() for p in got] == [p.key() for p in expected]
     elapsed = time.perf_counter() - start
     verdict(1, "k-shortest oracle", ok and elapsed < 5.0)

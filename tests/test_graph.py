@@ -209,10 +209,12 @@ def test_batched_adds_match_one_node_at_a_time(make_graph, graph_seed,
                                                queries):
     """``add_nodes`` and everything built on it (first expansion with
     ``knn``, ExpandSeed, SwapSeed) leave the same nodes, in the same order,
-    the same edges, entry rounds included, the same edge count, and the
-    same hop tables as adding one node at a time and storing each edge,
-    after every step of a random sequence that also prunes, on graphs with
-    and without self-loops and parallel edges."""
+    the same edges, entry rounds included, the same edge count, the same
+    hop tables and the same kept out-edge lists as adding one node at a
+    time and storing each edge, after every step of a random sequence that
+    also prunes, on graphs with and without self-loops and parallel edges.
+    Every entity's out-edge list is read before each step, so a step that
+    leaves one stale fails."""
     g = make_graph(random.Random(graph_seed))
     n = g.num_entities
     seeds = [x % n for x in seed_ids]
@@ -229,9 +231,14 @@ def test_batched_adds_match_one_node_at_a_time(make_graph, graph_seed,
         for target, max_hops in queries:
             assert sub.hops_to(target, max_hops) == hops_oracle(ref, target,
                                                                 max_hops)
+        for v in range(n):  # a non-node's list is empty
+            assert sub.out_edges[v] == [e for e in g.out_adj[v]
+                                        if e in ref.edges]
 
     check()
     for round_index, (kind, batch, a, radius) in enumerate(steps, start=1):
+        for v in range(n):
+            sub.out_edges[v]  # kept from here on, unless the step drops it
         batch = [x % n for x in batch]
         a = a % n
         if kind == "add":

@@ -744,13 +744,16 @@ def test_episode_table_matches_fresh_round_values(
         return paths
 
     def check():
-        """Everything the table holds or gives for this round's candidates
-        equals the reference functions on the subgraph as it stands."""
+        """Everything the table holds or gives for this round's candidates,
+        and every out-edge list the subgraph keeps, equals the reference
+        functions on the subgraph as it stands."""
         table, paths = rounds_seen[-1]
         sub, q = table.subgraph, table.query_embedding
         for edge, cost in table.items():
             assert cost == effective_cost(edge, config.coefficients(), emb,
                                           g, sub)
+        for node, out in sub.out_edges.items():
+            assert out == [e for e in g.out_adj[node] if sub.has_edge(e)]
         for p in paths:
             assert table.score(p) == path_score(p, q, config.coefficients(),
                                                 emb, g, sub)

@@ -59,10 +59,10 @@ def test_budget_validation():
 def test_k_shortest_simple_chain(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4)
-    paths = k_shortest_weighted(sub, 0, 100, budget, COEFFS, EMB)
+    costs = edge_costs(sub, COEFFS, EMB)
+    paths = k_shortest_weighted(costs, 0, 100, budget)
     # simple paths from a: a-b, a-b-c, a-b-c-d, a-c, a-c-d
     assert len(paths) == 5
-    costs = edge_costs(sub, COEFFS, EMB)
     totals = [sum(costs[e] for e in p.edges) for p in paths]
     assert totals == sorted(totals)
 
@@ -71,7 +71,8 @@ def test_k_shortest_pair_mode(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=4)
     target = chain_graph.entity_id("c")
-    paths = k_shortest_weighted(sub, 0, 100, budget, COEFFS, EMB, target=target)
+    paths = k_shortest_weighted(edge_costs(sub, COEFFS, EMB), 0, 100, budget,
+                                target=target)
     assert {p.terminal for p in paths} == {target}
     assert len(paths) == 2
 
@@ -79,7 +80,7 @@ def test_k_shortest_pair_mode(chain_graph):
 def test_k_shortest_respects_length_cap(chain_graph):
     sub = full_subgraph(chain_graph)
     budget = EnumerationBudget(max_length=1)
-    paths = k_shortest_weighted(sub, 0, 100, budget, COEFFS, EMB)
+    paths = k_shortest_weighted(edge_costs(sub, COEFFS, EMB), 0, 100, budget)
     assert all(len(p) == 1 for p in paths)
 
 
@@ -92,7 +93,7 @@ def test_k_shortest_matches_brute_force_on_random_graphs():
         costs = edge_costs(sub, COEFFS, EMB)
         seed = rng.randrange(g.num_entities)
         k = rng.randint(1, 10)
-        got = k_shortest_weighted(sub, seed, k, budget, COEFFS, EMB, costs=costs)
+        got = k_shortest_weighted(costs, seed, k, budget)
         want = brute_force(sub, seed, k, 4, costs)
         assert [(p.nodes, p.relations) for p in got] == \
             [(nodes, rels) for _, nodes, rels, _ in want], f"graph {i}"
@@ -122,8 +123,7 @@ def test_k_shortest_brute_force_property(graph_seed, k, target, view):
            else partial_subgraph(g, rng, seed, prune=view == "pruned"))
     costs = edge_costs(sub, COEFFS, EMB)
     budget = EnumerationBudget(max_length=3)
-    got = k_shortest_weighted(sub, seed, k, budget, COEFFS, EMB,
-                              target=target, costs=costs)
+    got = k_shortest_weighted(costs, seed, k, budget, target=target)
     want = brute_force(sub, seed, k, 3, costs, target=target)
     assert [(p.nodes, p.relations) for p in got] == \
         [(nodes, rels) for _, nodes, rels, _ in want]
@@ -213,8 +213,8 @@ def pair_mode_reference(sub, seeds, budget, q, rng_seed):
     proposals = [
         p
         for s in present for t in present if t != s
-        for p in k_shortest_weighted(sub, s, budget.max_candidates, budget,
-                                     COEFFS, EMB, target=t, costs=table)
+        for p in k_shortest_weighted(table, s, budget.max_candidates, budget,
+                                     target=t)
     ]
     proposals += beam_expand(table, present, budget)
     proposals += random_walk_proposals(table, present, budget, rng_seed)

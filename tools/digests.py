@@ -15,7 +15,10 @@ the workloads come from its ``perfbench/workloads.py``. The matrix:
   workload, run through ``run_loop`` with the suite's own config changed
   as ``VARIANTS`` says: the trace JSONL, the retrieved paths, the subgraph
   (``Subgraph.to_json()``, node entry order, pruned edges and warnings)
-  and the ``run_benchmark`` report. Workloads are ``fixtures`` (which
+  and the ``run_benchmark`` report. The suite's ``ScriptedReasoner`` only
+  ever asks to VERIFY, so the ``cycled_edits`` variant swaps in
+  ``CyclingReasoner``, which asks for every edit kind. Workloads are
+  ``fixtures`` (which
   ignores the seed), ``pair_island`` and a small ``hub_dialogue`` (3,000
   entities, 6,000 background triples, hub degree 300), seeds 1 and 2;
 * ``demo/<name>``: each demo's standard output.
@@ -49,7 +52,14 @@ import workloads  # noqa: E402
 from kgpaths import cli  # noqa: E402
 from kgpaths.evaluation import run_benchmark  # noqa: E402
 from kgpaths.graph import SeedCandidate  # noqa: E402
-from kgpaths.loop import ScriptedReasoner, run_loop  # noqa: E402
+from kgpaths.loop import (  # noqa: E402
+    DISAMBIGUATE,
+    EXPAND,
+    PRUNE,
+    VERIFY,
+    ScriptedReasoner,
+    run_loop,
+)
 from kgpaths.synthetic import ARGO_QUESTION, FIXTURES  # noqa: E402
 
 VARIANTS = {
@@ -63,8 +73,39 @@ VARIANTS = {
     "no_verifier": {"no_verifier": True},
     "deterministic=False": {"deterministic": False},
     "edit_budget=8,rounds=6": {"edit_budget": 8, "rounds": 6},
+    "cycled_edits": {"edit_budget": 8, "rounds": 6},
 }
 SEEDS = {"fixtures": (1,), "pair_island": (1, 2), "hub_dialogue": (1, 2)}
+
+
+class CyclingReasoner(ScriptedReasoner):
+    """Never confident; its diagnostics cycle through PRUNE, DISAMBIGUATE,
+    EXPAND and VERIFY, call by call, each built from one of the round's
+    selected paths: prune a candidate, swap the path's terminal for its
+    first node, expand two hops around the terminal, verify the first
+    edge. Two hops, because with one no line changed when
+    ``Subgraph.add_nodes`` was made to keep stale out-edge lists."""
+
+    def __init__(self, graph, **kwargs):
+        super().__init__(graph, **kwargs)
+        self.calls = 0
+
+    def reason(self, question, selected, mixture=None):
+        reply = super().reason(question, selected, mixture=mixture)
+        i, self.calls = self.calls, self.calls + 1
+        pick = i % len(selected)
+        path, labels = selected[pick].path, self.graph.entity_labels
+        if i % 4 == 0:
+            diagnostic = f"{PRUNE}({pick})"
+        elif i % 4 == 1:
+            diagnostic = (f"{DISAMBIGUATE}({labels[path.terminal]}, "
+                          f"{labels[path.nodes[0]]})")
+        elif i % 4 == 2:
+            diagnostic = f"{EXPAND}({labels[path.terminal]}, 2)"
+        else:
+            diagnostic = "{}({}, {}, {})".format(
+                VERIFY, *self.graph.triple_labels(path.edges[0]))
+        return replace(reply, confidence=0.0, diagnostic=diagnostic)
 
 
 def small_hub_dialogue(seed: int):
@@ -120,16 +161,18 @@ def cli_artefacts(name: str) -> dict[str, str]:
     return out
 
 
-def run_artefacts(suites, prefix: str, overrides: dict) -> dict[str, str]:
-    """Every question of ``suites()`` under one config variant."""
+def run_artefacts(suites, prefix: str, overrides: dict,
+                  make_reasoner=ScriptedReasoner) -> dict[str, str]:
+    """Every question of ``suites()`` under one config variant, with
+    reasoners built by ``make_reasoner``."""
     parts = {"trace": [], "paths": [], "subgraph": [], "report": []}
     for suite in suites():
         config = replace(suite.config, **overrides)
         graph = suite.graph
 
         def reasoner():
-            return ScriptedReasoner(graph, conf_threshold=config.conf_threshold,
-                                    probes=suite.probes)
+            return make_reasoner(graph, conf_threshold=config.conf_threshold,
+                                 probes=suite.probes)
 
         for record in suite.records:
             seeds = [SeedCandidate(graph.entity_id(label), conf)
@@ -167,8 +210,10 @@ def jobs():
             suites = cache(partial(BUILD[workload], seed))  # built on first use
             for variant, overrides in VARIANTS.items():
                 prefix = f"run/{workload}/s{seed}/{variant}"
+                reasoner = (CyclingReasoner if variant == "cycled_edits"
+                            else ScriptedReasoner)
                 yield prefix + "/", partial(run_artefacts, suites, prefix,
-                                            overrides)
+                                            overrides, reasoner)
     for name in sorted(os.listdir(os.path.join(CHECKOUT, "demos"))):
         if name.endswith(".py"):
             yield f"demo/{name}", partial(demo_artefacts, name)
