@@ -288,7 +288,7 @@ class EdgeView(Mapping):
     """A subgraph's edges, each mapped to the round it entered, the later
     of its two ends' rounds: derived from the nodes when read, so it stores
     nothing and is read-only. Its length is the subgraph's kept
-    ``num_edges``; iteration follows the nodes and the base out-adjacency.
+    ``num_edges``; iteration follows the nodes and their ``out_edges``.
     """
 
     __slots__ = ("_subgraph",)
