@@ -37,10 +37,15 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    return normed_cosine(a, b, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)))
+
+
+def normed_cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """``cosine`` of float arrays ``a`` and ``b`` whose norms ``na`` and
+    ``nb`` (``sqrt(v.dot(v))``) the caller already holds: the shape check,
+    the zero-vector error and the clamp of ``cosine``, in its order."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(a.dot(a))
-    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero vector is undefined")
     c = float(a.dot(b) / (na * nb))

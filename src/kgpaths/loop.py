@@ -99,8 +99,10 @@ def map_diagnostic(
     """Rule-template mapping from a diagnostic to concrete graph edits.
 
     VERIFY is a local check against the base KG: present facts are
-    confirmed, absent ones refuted. Parse failures never abort the loop;
-    they yield no edits.
+    confirmed, absent ones refuted. ``PRUNE(i)`` prunes the edges of
+    ``candidates[i]``, where ``candidates`` are the paths the reasoner was
+    shown, in the order it saw them (``run_loop`` passes the selected
+    paths). Parse failures never abort the loop; they yield no edits.
     """
     if message is None:
         log.warning("unparseable diagnostic; no edits emitted")
@@ -646,7 +648,7 @@ def run_loop(
         if not done and not last_round:
             uncertainty = 1.0 - reply.confidence
             message = parse_diagnostic(reply.diagnostic)
-            edits = map_diagnostic(message, graph, candidates=candidates)
+            edits = map_diagnostic(message, graph, candidates=selected)
             remaining = config.edit_budget - episode.edits_applied
             edits = edits[:max(remaining, 0)]
 

@@ -28,11 +28,20 @@ the node set changes), and never pushes a partial path whose tail cannot
 reach the target in the hops left. The hop bound ignores prunes and the
 simple-path rule, so it counts hops over a superset of the subgraph's edges
 and never overestimates the distance: only partial paths with no completion
-are dropped, and the output is exactly the unpruned one. When
-every seed pair's k-shortest search returns fewer than K paths, it has
-listed every simple path of length <= L between seeds, which is all that a
-beam or walk proposal can contribute after the endpoint filter, so
-``enumerate_paths`` then skips beam expansion and random walks.
+are dropped, and the output is exactly the unpruned one.
+
+In both modes, a k-shortest search that returns fewer than K paths has
+listed every simple path of length <= L it could: with no target, every
+path from its seed (it emits every partial path it pops and extends all
+of them up to L); with a target, every path from its seed to that target.
+Beam and walk proposals are simple paths of length <= L from a seed, and
+in pair mode the endpoint filter keeps only those that end at another
+seed, so when every k-shortest call of a round comes back short they add
+nothing, and ``enumerate_paths`` skips beam expansion and random walks.
+
+The generators build each ``Path`` from the node, relation and edge tuples
+they already hold (``Path.unchecked``), since their own rules keep every
+path contiguous and simple.
 """
 
 from __future__ import annotations
@@ -127,13 +136,13 @@ def k_shortest_weighted(
     # heap entries: (cost, node sequence, relation sequence, edges)
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
     for e in adj[seed]:
-        if not too_far(e.tail, max_length - 1):
+        if e.tail != seed and not too_far(e.tail, max_length - 1):
             heapq.heappush(heap, (table[e], (seed, e.tail), (e.relation,), (e,)))
 
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)
         if target is None or nodes[-1] == target:
-            out.append(Path(edges))
+            out.append(Path.unchecked(edges, nodes, rels))
             if target is not None:
                 continue
         if len(edges) < max_length:
@@ -157,29 +166,41 @@ def beam_expand(
 ) -> list[Path]:
     """Breadth-first expansion over ``table.subgraph`` keeping the B
     highest-scoring partial paths per depth; every retained prefix is
-    returned as a candidate."""
-    adj = table.subgraph.out_edges
+    returned as a candidate.
 
-    frontier: list[Path] = []
-    for s in sorted(set(seeds)):
-        for e in adj[s]:
-            frontier.append(Path((e,)))
-    frontier.sort(key=lambda p: (-table.score(p), p.nodes, p.relations))
-    frontier = frontier[: budget.beam_size]
+    Each depth keeps the B smallest (-score, node sequence, relation
+    sequence) keys, which are unique, so ``heapq.nsmallest`` keeps what a
+    full sort cut to B would. An extension is built from its prefix's
+    tuples, with no check: its edge leaves the prefix's terminal for a node
+    the prefix does not visit. A seed's self-loop is no simple path and is
+    skipped, as at every later depth.
+    """
+    adj = table.subgraph.out_edges
+    score = table.score
+    beam_size = budget.beam_size
+
+    def rank(p: Path):
+        return (-score(p), p.nodes, p.relations)
+
+    frontier = heapq.nsmallest(beam_size, [
+        Path.unchecked((e,), (s, e.tail), (e.relation,))
+        for s in sorted(set(seeds)) for e in adj[s] if e.tail != s
+    ], key=rank)
 
     retained: list[Path] = list(frontier)
     for _depth in range(1, budget.max_length):
         nxt: list[Path] = []
         for p in frontier:
-            visited = set(p.nodes)
-            for e in adj[p.terminal]:
+            edges, nodes, rels = p.edges, p.nodes, p.relations
+            visited = set(nodes)
+            for e in adj[nodes[-1]]:
                 if e.tail in visited:
                     continue
-                nxt.append(Path(p.edges + (e,)))
+                nxt.append(Path.unchecked(edges + (e,), nodes + (e.tail,),
+                                          rels + (e.relation,)))
         if not nxt:
             break
-        nxt.sort(key=lambda p: (-table.score(p), p.nodes, p.relations))
-        frontier = nxt[: budget.beam_size]
+        frontier = heapq.nsmallest(beam_size, nxt, key=rank)
         retained.extend(frontier)
     return retained
 
@@ -256,38 +277,32 @@ def enumerate_paths(
     on (node sequence, relation sequence), ranked by ``table.score``
     descending, truncated to K.
 
-    In pair mode only paths from one seed to another are kept. If every seed
-    pair's k-shortest search came back with fewer than K paths, those
-    searches were exhaustive and already hold every path a beam or walk
-    proposal could add, so beam expansion and random walks are skipped.
+    k-shortest runs from every seed (in pair mode, once per other seed as
+    target), and in pair mode only paths from one seed to another are kept.
+    If every k-shortest call came back with fewer than K paths, they were
+    exhaustive and already hold every path a beam or walk proposal could
+    add, so beam expansion and random walks are skipped.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
     subgraph = table.subgraph
-    seeds = [s for s in seeds if s in subgraph.nodes]
+    seeds = sorted({s for s in seeds if s in subgraph.nodes})
     if not seeds:
         return []
 
+    k = budget.max_candidates
     pool: dict[tuple, Path] = {}
 
     def absorb(paths):
         for p in paths:
             pool.setdefault(p.key(), p)
 
-    def k_shortest(seed, target=None):
-        return k_shortest_weighted(table, seed, budget.max_candidates, budget,
-                                   target=target)
-
-    exhaustive = pair_mode
-    for s in sorted(set(seeds)):
-        if pair_mode:
-            for t in sorted(set(seeds)):
-                if t != s:
-                    found = k_shortest(s, target=t)
-                    exhaustive = exhaustive and len(found) < budget.max_candidates
-                    absorb(found)
-        else:
-            absorb(k_shortest(s))
+    exhaustive = True
+    for s in seeds:
+        for target in ([t for t in seeds if t != s] if pair_mode else [None]):
+            found = k_shortest_weighted(table, s, k, budget, target=target)
+            exhaustive = exhaustive and len(found) < k
+            absorb(found)
     if not exhaustive:
         absorb(beam_expand(table, seeds, budget))
         absorb(random_walk_proposals(table, seeds, budget, rng_seed))
@@ -299,4 +314,4 @@ def enumerate_paths(
                       if p.terminal in seed_set and p.terminal != p.nodes[0]]
     ranked = sorted(
         candidates, key=lambda p: (-table.score(p), p.nodes, p.relations))
-    return ranked[: budget.max_candidates]
+    return ranked[:k]

@@ -35,6 +35,17 @@ class Path:
         self.nodes: tuple[int, ...] = tuple(nodes)
         self.relations: tuple[int, ...] = tuple(e.relation for e in edges)
 
+    @classmethod
+    def unchecked(cls, edges: tuple[Triple, ...], nodes: tuple[int, ...],
+                  relations: tuple[int, ...]) -> "Path":
+        """A path from tuples its caller built as a nonempty, contiguous,
+        simple chain, kept as given: nothing is checked or derived again."""
+        path = cls.__new__(cls)
+        path.edges = edges
+        path.nodes = nodes
+        path.relations = relations
+        return path
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -63,19 +74,25 @@ class Path:
 
 
 def pool_path_vector(path: Path, embeddings, graph: KnowledgeGraph) -> np.ndarray:
-    """Mean of all node and relation embeddings along the path, normalized.
-
-    Order-insensitive by construction; a zero mean is an error. Equal bit
-    for bit to ``np.mean(vectors, axis=0)`` divided by its
-    ``np.linalg.norm``: ``np.mean`` is ``np.add.reduce(axis=0)`` divided by
-    the count, and the norm is ``sqrt(mean.dot(mean))``, so this makes the
-    same float operations, pairwise summation included, without numpy's
-    per-call Python wrappers.
-    """
+    """Mean of all node and relation embeddings along the path, normalized:
+    ``pool_vectors`` of the nodes' vectors, then the relations'."""
     labels = [graph.entity_labels[n] for n in path.nodes]
     labels += [graph.relation_labels[r] for r in path.relations]
-    mean = np.add.reduce([embeddings.embed(label) for label in labels],
-                         axis=0) / len(labels)
+    return pool_vectors([embeddings.embed(label) for label in labels], path)
+
+
+def pool_vectors(vectors: list[np.ndarray], path) -> np.ndarray:
+    """The normalized mean of ``vectors``, which belong to ``path`` (named
+    in the error when the mean is zero).
+
+    Order-insensitive by construction. Equal bit for bit to
+    ``np.mean(vectors, axis=0)`` divided by its ``np.linalg.norm``:
+    ``np.mean`` is ``np.add.reduce(axis=0)`` divided by the count, and the
+    norm is ``sqrt(mean.dot(mean))``, so this makes the same float
+    operations, pairwise summation included, without numpy's per-call
+    Python wrappers.
+    """
+    mean = np.add.reduce(vectors, axis=0) / len(vectors)
     norm = math.sqrt(mean.dot(mean))
     if norm == 0.0:
         raise ZeroVectorError(f"pooled vector is zero for {path!r}")

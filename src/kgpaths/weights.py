@@ -12,12 +12,14 @@ Soft multipliers lower effective traversal cost multiplicatively
 shortest-path search.
 
 ``ScoreTable`` holds one episode's values, each computed once, when first
-read. What depends only on the edge or path (an edge's weight, a path's
-pooled vector and semantic match) is kept for the whole episode; what a
-round's soft multipliers change (effective costs and path scores) is
-dropped by ``new_round``. Path enumeration, candidate scoring, the verifier
-and latent injection all read the same table. ``effective_cost``,
-``semantic_match`` and ``path_score`` are the uncached reference forms.
+read. What depends only on a label, edge or path (a label's vector, an
+edge's weight, a path's pooled vector and semantic match) is kept for the
+whole episode; what a round's soft multipliers change (effective costs and
+path scores) is dropped by ``new_round``. Path enumeration, candidate
+scoring, the verifier and latent injection all read the same table.
+``edge_weight``, ``effective_cost``, ``semantic_match`` and ``path_score``
+are the uncached reference forms; they and the table share the kernels
+``edge_terms``, ``pool_vectors`` and ``normed_cosine``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine
+from .embeddings import cosine, normed_cosine
 from .errors import EmptyPathError
 from .graph import KnowledgeGraph, Subgraph, Triple
-from .paths import Path, pool_path_vector
+from .paths import Path, pool_path_vector, pool_vectors
 
 DEFAULT_LAMBDA_SEM = 0.70
 DEFAULT_TAU = 0.2
@@ -60,26 +62,38 @@ class EdgeWeightBreakdown:
     total: float
 
 
-def edge_weight(
+def edge_terms(
     edge: Triple,
     coeffs: WeightCoefficients,
-    embeddings,
     graph: KnowledgeGraph,
-) -> EdgeWeightBreakdown:
+    cos: float,
+) -> tuple[float, float, float, float]:
+    """(structural, semantic_gap, relation_prior, total) of ``edge``, whose
+    endpoint embeddings have cosine ``cos``: the weight formula's one home."""
     if coeffs.struct_mode == "degree":
         structural = math.log1p(graph.out_degree(edge.head))
     else:
         structural = 1.0
-    head_vec = embeddings.embed(graph.entity_labels[edge.head])
-    tail_vec = embeddings.embed(graph.entity_labels[edge.tail])
-    semantic_gap = 1.0 - cosine(head_vec, tail_vec)
+    semantic_gap = 1.0 - cos
     relation_prior = graph.prior_cost(edge.relation)
     total = (
         coeffs.alpha * structural
         + coeffs.beta * semantic_gap
         + coeffs.gamma * relation_prior
     )
-    return EdgeWeightBreakdown(structural, semantic_gap, relation_prior, total)
+    return structural, semantic_gap, relation_prior, total
+
+
+def edge_weight(
+    edge: Triple,
+    coeffs: WeightCoefficients,
+    embeddings,
+    graph: KnowledgeGraph,
+) -> EdgeWeightBreakdown:
+    head_vec = embeddings.embed(graph.entity_labels[edge.head])
+    tail_vec = embeddings.embed(graph.entity_labels[edge.tail])
+    return EdgeWeightBreakdown(
+        *edge_terms(edge, coeffs, graph, cosine(head_vec, tail_vec)))
 
 
 def effective_cost(
@@ -123,16 +137,35 @@ def path_score(
     return -cost + coeffs.lambda_sem * sem
 
 
+class _Memo(dict):
+    """``key -> make(key)``, computed on the first read of ``key`` and kept;
+    a ``make`` that raises stores nothing."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class ScoreTable(dict):
     """One episode's weighting values, each computed once, when first read.
 
     As a mapping it takes an edge to its effective traversal cost. The
     methods ``vector``, ``sem`` and ``score`` give a path's pooled vector,
-    semantic match and score, keyed by ``path.key()``; they repeat the
-    float operations of ``effective_cost``, ``pool_path_vector``,
-    ``semantic_match`` and ``path_score`` in the same order, so they return
-    the same values. A table built without a query embedding serves costs
-    and vectors only.
+    semantic match and score, keyed by ``path.key()``. A table built
+    without a query embedding serves costs and vectors only.
+
+    Each label is embedded once per table: the table keeps the provider's
+    entity and relation vectors by id, each entity's float view and norm,
+    and the query's. The values equal the reference functions'
+    (``effective_cost``, ``pool_path_vector``, ``semantic_match``,
+    ``path_score``) because both call the same kernels on the same
+    vectors: ``edge_terms`` for a weight, ``pool_vectors`` for a pooled
+    vector and ``normed_cosine`` for a cosine, whose shape check,
+    zero-vector error and clamp come with it.
 
     An edge's weight total and a path's vector and semantic match depend
     only on the edge or path, the graph, the provider, the coefficients and
@@ -145,10 +178,27 @@ class ScoreTable(dict):
                  embeddings, query_embedding: np.ndarray | None = None):
         super().__init__()
         self.subgraph = subgraph
-        self.graph = subgraph.graph
+        self.graph = graph = subgraph.graph
         self.coeffs = coeffs
         self.embeddings = embeddings
         self.query_embedding = query_embedding
+        # the memos' functions hold no reference to the table, so a table
+        # is freed when its episode ends rather than by the cycle collector
+        embed = embeddings.embed
+        entities = self._entity_vectors = _Memo(
+            lambda n: embed(graph.entity_labels[n]))
+        self._relation_vectors = _Memo(
+            lambda r: embed(graph.relation_labels[r]))
+
+        def float_and_norm(n: int) -> tuple[np.ndarray, float]:
+            vec = np.asarray(entities[n], dtype=float)
+            return vec, math.sqrt(vec.dot(vec))
+
+        self._normed = _Memo(float_and_norm)
+        # as ``cosine`` reads it; with no query, ``sem`` raises as
+        # ``cosine(vector, None)`` does
+        self._query = np.asarray(query_embedding, dtype=float)
+        self._query_norm = math.sqrt(self._query.dot(self._query))
         self._totals: dict[Triple, float] = {}
         self._vectors: dict[tuple, np.ndarray] = {}
         self._sems: dict[tuple, float] = {}
@@ -156,15 +206,18 @@ class ScoreTable(dict):
 
     def new_round(self) -> None:
         """Drop the effective costs and scores, which the soft multipliers
-        set; keep the weight totals, vectors and semantic matches."""
+        set; keep the vectors, weight totals and semantic matches."""
         self.clear()
         self._scores.clear()
 
     def __missing__(self, edge: Triple) -> float:
         total = self._totals.get(edge)
         if total is None:
-            total = self._totals[edge] = edge_weight(
-                edge, self.coeffs, self.embeddings, self.graph).total
+            head, head_norm = self._normed[edge.head]
+            tail, tail_norm = self._normed[edge.tail]
+            total = self._totals[edge] = edge_terms(
+                edge, self.coeffs, self.graph,
+                normed_cosine(head, tail, head_norm, tail_norm))[3]
         cost = self[edge] = total / (1.0 + self.subgraph.multiplier(edge))
         return cost
 
@@ -172,16 +225,20 @@ class ScoreTable(dict):
         key = path.key()
         vec = self._vectors.get(key)
         if vec is None:
-            vec = self._vectors[key] = pool_path_vector(
-                path, self.embeddings, self.graph)
+            entities = self._entity_vectors
+            relations = self._relation_vectors
+            vec = self._vectors[key] = pool_vectors(
+                [entities[n] for n in path.nodes]
+                + [relations[r] for r in path.relations], path)
         return vec
 
     def sem(self, path: Path) -> float:
         key = path.key()
         sem = self._sems.get(key)
         if sem is None:
-            sem = self._sems[key] = cosine(self.vector(path),
-                                           self.query_embedding)
+            vec = np.asarray(self.vector(path), dtype=float)
+            sem = self._sems[key] = normed_cosine(
+                vec, self._query, math.sqrt(vec.dot(vec)), self._query_norm)
         return sem
 
     def score(self, path: Path) -> float:

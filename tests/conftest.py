@@ -73,7 +73,13 @@ def pool_oracle(path, embeddings, graph):
     reference."""
     labels = [graph.entity_labels[n] for n in path.nodes]
     labels += [graph.relation_labels[r] for r in path.relations]
-    mean = np.mean([embeddings.embed(label) for label in labels], axis=0)
+    return pool_vectors_oracle([embeddings.embed(label) for label in labels],
+                               path)
+
+
+def pool_vectors_oracle(vectors, path):
+    """``pool_vectors`` in numpy's own formulas."""
+    mean = np.mean(vectors, axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         raise ZeroVectorError(f"pooled vector is zero for {path!r}")

@@ -29,7 +29,7 @@ from kgpaths.evaluation import (
 from kgpaths.loop import ScriptedReasoner
 from kgpaths.synthetic import FIXTURES, metrics_fixture
 
-from conftest import build_graph, cosine_oracle, pool_oracle
+from conftest import build_graph, cosine_oracle, pool_vectors_oracle
 
 
 def test_benchmark_record_validation():
@@ -146,9 +146,12 @@ def _fixture_reports() -> dict[str, str]:
 
 
 def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
-    """``cosine`` and ``pool_path_vector`` against numpy's formulas, end to
-    end. Both runs use this machine's BLAS dot, so the check holds on any
-    CPU, where a pinned digest would not."""
+    """The cosine and pooling kernels that the score table and the
+    reference functions share, ``normed_cosine`` and ``pool_vectors``,
+    against numpy's formulas, end to end. The cosine oracle recomputes both
+    norms, so the norms the table keeps are checked too. Both runs use this
+    machine's BLAS dot, so the check holds on any CPU, where a pinned
+    digest would not."""
     shipped = _fixture_reports()
     calls = Counter()
 
@@ -158,9 +161,13 @@ def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
             return oracle(*args)
         return kernel
 
+    def normed_cosine_oracle(a, b, na, nb):
+        return cosine_oracle(a, b)
+
     for name, ref, oracle in (
-            ("cosine", kgpaths.embeddings.cosine, cosine_oracle),
-            ("pool_path_vector", kgpaths.paths.pool_path_vector, pool_oracle)):
+            ("normed_cosine", kgpaths.embeddings.normed_cosine,
+             normed_cosine_oracle),
+            ("pool_vectors", kgpaths.paths.pool_vectors, pool_vectors_oracle)):
         kernel = counted(name, oracle)
         for module in list(sys.modules.values()):
             module_name = getattr(module, "__name__", "")
@@ -168,7 +175,7 @@ def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
                     and getattr(module, name, None) is ref:
                 monkeypatch.setattr(module, name, kernel)
     assert _fixture_reports() == shipped
-    assert calls["cosine"] > 0 and calls["pool_path_vector"] > 0
+    assert calls["normed_cosine"] > 0 and calls["pool_vectors"] > 0
 
 
 REPORT_COLUMNS = (

@@ -114,6 +114,38 @@ def test_map_diagnostic_failures_yield_no_edits(chain_graph):
     assert map_diagnostic(parse_diagnostic("EXPAND(b, x)"), chain_graph) == []
 
 
+class _PruneFirst(ScriptedReasoner):
+    """Scripted reasoner that is never confident and always asks to prune
+    the first path it was shown."""
+
+    def reason(self, question, selected, mixture=None):
+        reply = super().reason(question, selected, mixture=mixture)
+        return replace(reply, confidence=0.0, diagnostic="PRUNE(0)")
+
+
+def test_prune_names_the_selected_path_the_reasoner_saw(chain_graph,
+                                                         monkeypatch):
+    rounds = []  # (candidates, selected) of each round
+    select_ref = kgpaths.loop.select_and_inject
+
+    def select(candidates, **kwargs):
+        selected = select_ref(candidates, **kwargs)
+        rounds.append((list(candidates), list(selected)))
+        return selected
+
+    monkeypatch.setattr(kgpaths.loop, "select_and_inject", select)
+    # the verifier gates out every one-edge path, the best-ranked
+    # candidates here, so selection skips them
+    result = run_loop("q", [SeedCandidate(0, 1.0)], chain_graph,
+                      RunConfig(rounds=2, radius=3, select_top_k=2),
+                      _PruneFirst(chain_graph), EMB,
+                      verifier=lambda path, table: float(len(path) > 1))
+    candidates, selected = rounds[0]
+    assert len(candidates[0].path) == 1 and len(selected[0].path) > 1
+    assert result.edits_applied == len(selected[0].path)
+    assert result.subgraph.pruned == set(selected[0].path.edges)
+
+
 # --- masks and discretization --------------------------------------------------
 
 
@@ -629,15 +661,15 @@ class _CountingEmbeddings:
 
 def _count_poolings_and_weightings(monkeypatch):
     """Counters of the path keys pooled and the edges weighted from now on,
-    counted at every name the package binds ``pool_path_vector`` and
-    ``edge_weight`` to."""
+    counted at every name the package binds the pooling and weighting
+    kernels, ``pool_vectors`` and ``edge_terms``, to."""
     pooled, weighted = Counter(), Counter()
-    pool_ref = kgpaths.paths.pool_path_vector
-    weight_ref = kgpaths.weights.edge_weight
+    pool_ref = kgpaths.paths.pool_vectors
+    weight_ref = kgpaths.weights.edge_terms
 
-    def pool(path, *args):
+    def pool(vectors, path):
         pooled[path.key()] += 1
-        return pool_ref(path, *args)
+        return pool_ref(vectors, path)
 
     def weight(edge, *args):
         weighted[edge] += 1
@@ -645,8 +677,8 @@ def _count_poolings_and_weightings(monkeypatch):
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("kgpaths."):
-            for name, ref, counted in (("pool_path_vector", pool_ref, pool),
-                                       ("edge_weight", weight_ref, weight)):
+            for name, ref, counted in (("pool_vectors", pool_ref, pool),
+                                       ("edge_terms", weight_ref, weight)):
                 if getattr(module, name, None) is ref:
                     monkeypatch.setattr(module, name, counted)
     return pooled, weighted
@@ -673,11 +705,14 @@ def test_run_loop_pools_each_path_and_weights_each_edge_once(
     assert candidates and set(pooled) >= candidates
     assert max(pooled.values()) == 1
     assert max(weighted.values(), default=1) == 1
-    # the provider saw the query, one lookup per label of each pooled path
-    # and two per weighted edge: nothing pools or weighs around the table,
-    # and no round repeats an earlier round's lookup
-    labels = sum(len(nodes) + len(rels) for nodes, rels in pooled)
-    assert emb.calls == 1 + labels + 2 * len(weighted)
+    # the provider saw the query and each label the episode read once: the
+    # nodes and relations of the pooled paths and the ends of the weighted
+    # edges; nothing pools or weighs around the table, and no path, edge
+    # or round repeats an earlier lookup
+    entities = {n for nodes, _ in pooled for n in nodes}
+    entities |= {n for e in weighted for n in (e.head, e.tail)}
+    relations = {r for _, rels in pooled for r in rels}
+    assert emb.calls == 1 + len(entities) + len(relations)
 
 
 class _RandomDiagnostics(ScriptedReasoner):
@@ -726,11 +761,12 @@ class _FreshEachRound(kgpaths.weights.ScoreTable):
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=10_000), st.integers(2, 4),
        st.integers(1, 2), st.booleans(),
-       st.lists(st.integers(0, 11), min_size=1, max_size=2, unique=True))
+       st.lists(st.integers(0, 11), min_size=1, max_size=2, unique=True),
+       st.sampled_from([1, 2, 8, 64]))
 def test_episode_table_matches_fresh_round_values(
-        graph_seed, diag_seed, rounds, radius, pair_mode, seeds):
+        graph_seed, diag_seed, rounds, radius, pair_mode, seeds, dimension):
     g = random_graph(random.Random(graph_seed), max_nodes=12, max_edges=40)
-    emb = HashEmbeddings(dimension=8, seed=graph_seed)
+    emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
     seeds = [SeedCandidate(s % g.num_entities, 1.0) for s in seeds]
     config = RunConfig(rounds=rounds, radius=radius, L=3, K=12, beam=4,
                        walks=20, select_top_k=4, edit_budget=rounds,

@@ -18,7 +18,7 @@ from kgpaths.pathenum import (
 from kgpaths.paths import Path
 from kgpaths.weights import ScoreTable, WeightCoefficients, path_score
 
-from conftest import build_graph, full_subgraph, random_graph
+from conftest import build_graph, full_subgraph, random_graph, random_multigraph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
 COEFFS = WeightCoefficients()
@@ -125,8 +125,8 @@ def test_k_shortest_brute_force_property(graph_seed, k, target, view):
     budget = EnumerationBudget(max_length=3)
     got = k_shortest_weighted(costs, seed, k, budget, target=target)
     want = brute_force(sub, seed, k, 3, costs, target=target)
-    assert [(p.nodes, p.relations) for p in got] == \
-        [(nodes, rels) for _, nodes, rels, _ in want]
+    assert [(p.edges, p.nodes, p.relations) for p in got] == \
+        [(edges, nodes, rels) for _, nodes, rels, edges in want]
 
 
 def test_beam_expand_respects_beam_size():
@@ -203,23 +203,25 @@ def test_enumerate_paths_pair_mode():
     assert [p.nodes for p in paths] == [(0, 1, 2)]
 
 
-def pair_mode_reference(sub, seeds, budget, q, rng_seed):
-    """Pair mode with every generator run: the pooled k-shortest, beam and
-    walk proposals, filtered to seed-to-seed paths, ranked by the uncached
-    ``path_score`` and cut to K."""
+def enumerate_reference(sub, seeds, budget, q, rng_seed, pair_mode):
+    """``enumerate_paths`` with every generator run: the pooled k-shortest,
+    beam and walk proposals (in pair mode filtered to seed-to-seed paths),
+    ranked by the uncached ``path_score`` and cut to K."""
     table = ScoreTable(sub, COEFFS, EMB, q)
     present = sorted({s for s in seeds if s in sub.nodes})
     pool = {}
     proposals = [
         p
-        for s in present for t in present if t != s
+        for s in present
+        for t in ([t for t in present if t != s] if pair_mode else [None])
         for p in k_shortest_weighted(table, s, budget.max_candidates, budget,
                                      target=t)
     ]
     proposals += beam_expand(table, present, budget)
     proposals += random_walk_proposals(table, present, budget, rng_seed)
     for p in proposals:
-        if p.terminal in present and p.terminal != p.nodes[0]:
+        if not pair_mode or (p.terminal in present
+                             and p.terminal != p.nodes[0]):
             pool.setdefault(p.key(), p)
     ranked = sorted(pool.values(), key=lambda p: (
         -path_score(p, q, COEFFS, EMB, sub.graph, sub),
@@ -242,7 +244,96 @@ def test_enumerate_paths_pair_mode_matches_reference(graph_seed, k, length,
     got = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
                           rng_seed=graph_seed, pair_mode=True)
     assert [p.key() for p in got] == \
-        pair_mode_reference(sub, seeds, budget, q, graph_seed)
+        enumerate_reference(sub, seeds, budget, q, graph_seed, pair_mode=True)
+
+
+@settings(max_examples=60, deadline=None)
+@example(0, 2, 3, 2, 30, [0, 1])  # K saturated; beam adds a better path
+@example(0, 8, 3, 2, 30, [0, 1])  # K saturated; a walk adds a kept path
+@example(17, 8, 4, 3, 30, [0, 1, 2])  # 7 of K = 8: beam and walks skipped
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([1, 2, 3, 8, 200]), st.integers(1, 4),
+       st.integers(1, 5), st.sampled_from([0, 30]),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+def test_enumerate_paths_matches_reference(graph_seed, k, length, beam, walks,
+                                           seeds):
+    g = random_graph(random.Random(graph_seed))
+    sub = full_subgraph(g)
+    budget = EnumerationBudget(max_length=length, max_candidates=k,
+                               beam_size=beam, walks=walks)
+    q = EMB.embed(f"q{graph_seed}")
+    got = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
+                          rng_seed=graph_seed)
+    assert [p.key() for p in got] == \
+        enumerate_reference(sub, seeds, budget, q, graph_seed, pair_mode=False)
+
+
+def beam_reference(table, seeds, budget):
+    """``beam_expand`` with checked ``Path``s and a full sort per depth, as
+    it was before it built extensions from their prefixes' tuples."""
+    adj = table.subgraph.out_edges
+
+    def key(p):
+        return (-table.score(p), p.nodes, p.relations)
+
+    frontier = sorted((Path((e,)) for s in sorted(set(seeds))
+                       for e in adj[s] if e.tail != s), key=key)
+    frontier = frontier[:budget.beam_size]
+    retained = list(frontier)
+    for _depth in range(1, budget.max_length):
+        nxt = [Path(p.edges + (e,)) for p in frontier
+               for e in adj[p.terminal] if e.tail not in p.nodes]
+        if not nxt:
+            break
+        frontier = sorted(nxt, key=key)[:budget.beam_size]
+        retained.extend(frontier)
+    return retained
+
+
+# uniform edge costs and no semantic term: paths of one length tie on
+# score, and the node and relation sequences order them
+STRUCTURAL = WeightCoefficients(alpha=1.0, beta=0.0, gamma=0.0,
+                                lambda_sem=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.sampled_from(["full", "partial", "pruned"]),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.integers(1, 4), st.sampled_from([1, 2, 3, 32]),
+       st.sampled_from([COEFFS, STRUCTURAL]))
+def test_beam_expand_matches_the_sorting_reference(graph_seed, multigraph,
+                                                   view, seeds, length, beam,
+                                                   coeffs):
+    rng = random.Random(graph_seed)
+    g = random_multigraph(rng) if multigraph else random_graph(rng)
+    seeds = [s % g.num_entities for s in seeds]
+    sub = (full_subgraph(g) if view == "full"
+           else partial_subgraph(g, rng, seeds[0], prune=view == "pruned"))
+    seeds = [s for s in seeds if s in sub.nodes]
+    for e in sorted(sub.edges)[::3]:  # soft multipliers change scores
+        sub.soft[e] = rng.random()
+    budget = EnumerationBudget(max_length=length, beam_size=beam)
+    table = ScoreTable(sub, coeffs, EMB, EMB.embed(f"q{graph_seed}"))
+    got = beam_expand(table, seeds, budget)
+    assert [(p.edges, p.nodes, p.relations) for p in got] == [
+        (p.edges, p.nodes, p.relations)
+        for p in beam_reference(table, seeds, budget)]
+
+
+def test_a_seed_self_loop_is_no_path():
+    g = build_graph([("a", "r", "a"), ("a", "r", "b"), ("b", "r", "b")])
+    sub = full_subgraph(g)
+    budget = EnumerationBudget(max_length=3, max_candidates=1, walks=20)
+    table = ScoreTable(sub, COEFFS, EMB, EMB.embed("q"))
+    a, b = g.entity_id("a"), g.entity_id("b")
+    loop_free = [((a, b), (0,))]
+    assert [p.key() for p in k_shortest_weighted(table, a, 5, budget)] \
+        == loop_free
+    assert [p.key() for p in beam_expand(table, [a, b], budget)] == loop_free
+    # K = 1 is reached, so beam expansion and walks run too
+    assert [p.key() for p in enumerate_paths(table, [a, b], budget)] \
+        == loop_free
 
 
 def walks_reference(costs, seeds, budget, rng_seed):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,14 +148,16 @@ def test_path_score_formula():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from(["uniform", "degree"]),
-       st.floats(min_value=0.0, max_value=2.0))
-def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem):
+       st.floats(min_value=0.0, max_value=2.0),
+       st.sampled_from([1, 2, 8, 64]))
+def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem,
+                                       dimension):
     rng = random.Random(graph_seed)
     g = random_graph(rng)
     sub = full_subgraph(g)
     for e in sorted(sub.edges)[::3]:  # soft multipliers change costs
         sub.soft[e] = rng.random()
-    emb = HashEmbeddings(dimension=8, seed=graph_seed)
+    emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
     coeffs = WeightCoefficients(struct_mode=struct_mode, lambda_sem=lambda_sem)
     q = emb.embed("q")
     table = ScoreTable(sub, coeffs, emb, q)
@@ -166,6 +170,79 @@ def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem):
             for e in p.edges:
                 assert table[e] == effective_cost(e, coeffs, emb, g, sub)
     assert len(table) == len({e for p in paths for e in p.edges})
+
+
+class _CountingVectors:
+    """Embedding provider over a dict of vectors that counts lookups."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.calls = 0
+
+    def embed(self, label):
+        self.calls += 1
+        return self.vectors[label]
+
+
+def test_score_table_embeds_each_label_once():
+    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("a", "s", "c")])
+    rng = np.random.default_rng(0)
+    emb = _CountingVectors({label: rng.standard_normal(4)
+                            for label in ("a", "b", "c", "r", "s")})
+    table = ScoreTable(full_subgraph(g), WeightCoefficients(), emb,
+                       rng.standard_normal(4))
+    paths = [Path(edges) for edges in _simple_edge_paths(table.subgraph, 2)]
+    for _ in range(2):
+        for p in paths:
+            table.score(p)
+        table.new_round()
+    assert emb.calls == 5
+
+
+@pytest.mark.parametrize("vectors, query, error", [
+    # an endpoint of another dimension: cosine's shape check
+    ({"a": [1.0, 0.0], "b": [0.0, 1.0, 0.0], "r": [1.0, 1.0]}, [1.0, 0.0],
+     ValueError),
+    # a zero endpoint
+    ({"a": [0.0, 0.0], "b": [0.0, 1.0], "r": [1.0, 1.0]}, [1.0, 0.0],
+     ZeroVectorError),
+    # the pooled vector cancels to zero
+    ({"a": [1.0, 2.0], "b": [-1.0, -2.0], "r": [0.0, 0.0]}, [1.0, 0.0],
+     ZeroVectorError),
+    # a zero query
+    ({"a": [1.0, 0.0], "b": [0.0, 1.0], "r": [1.0, 1.0]}, [0.0, 0.0],
+     ZeroVectorError),
+    # a query of another dimension
+    ({"a": [1.0, 0.0], "b": [0.0, 1.0], "r": [1.0, 1.0]}, [1.0, 0.0, 0.0],
+     ValueError),
+])
+def test_score_table_raises_as_the_reference_does(vectors, query, error):
+    g = build_graph([("a", "r", "b")])
+    sub = full_subgraph(g)
+    emb = SimpleNamespace(embed=lambda label: np.asarray(vectors[label]))
+    q = np.asarray(query)
+    coeffs = WeightCoefficients()
+    table = ScoreTable(sub, coeffs, emb, q)
+    p = Path([Triple(0, 0, 1)])
+    e = p.edges[0]
+
+    def outcome(read):
+        try:
+            return np.asarray(read()).tolist()
+        except (ValueError, ZeroVectorError) as exc:
+            return type(exc)
+
+    got = [outcome(read) for read in (
+        lambda: table[e], lambda: table.vector(p), lambda: table.sem(p),
+        lambda: table.score(p))]
+    assert got == [outcome(read) for read in (
+        lambda: effective_cost(e, coeffs, emb, g, sub),
+        lambda: pool_path_vector(p, emb, g),
+        lambda: semantic_match(p, q, emb, g),
+        lambda: path_score(p, q, coeffs, emb, g, sub))]
+    assert got[-1] is error
+    # a lookup that raises stores nothing
+    assert (e in table) == isinstance(got[0], float)
 
 
 def _simple_edge_paths(sub, max_length):
@@ -192,3 +269,18 @@ def test_coefficients_validation():
         WeightCoefficients(alpha=-0.1)
     with pytest.raises(ValueError):
         WeightCoefficients(struct_mode="bogus")
+
+
+def test_score_table_is_freed_without_the_cycle_collector(chain_graph):
+    emb = HashEmbeddings(dimension=8, seed=0)
+    table = ScoreTable(full_subgraph(chain_graph), WeightCoefficients(), emb,
+                       emb.embed("q"))
+    for edges in _simple_edge_paths(table.subgraph, 3):
+        table.score(Path(edges))
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()

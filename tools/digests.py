@@ -17,7 +17,8 @@ the workloads come from its ``perfbench/workloads.py``. The matrix:
   (``Subgraph.to_json()``, node entry order, pruned edges and warnings)
   and the ``run_benchmark`` report. The suite's ``ScriptedReasoner`` only
   ever asks to VERIFY, so the ``cycled_edits`` variant swaps in
-  ``CyclingReasoner``, which asks for every edit kind. Workloads are
+  ``CyclingReasoner``, which asks for every edit kind; ``K=2`` makes
+  k-shortest fill K, so beam expansion and random walks run. Workloads are
   ``fixtures`` (which
   ignores the seed), ``pair_island`` and a small ``hub_dialogue`` (3,000
   entities, 6,000 background triples, hub degree 300), seeds 1 and 2;
@@ -74,6 +75,10 @@ VARIANTS = {
     "deterministic=False": {"deterministic": False},
     "edit_budget=8,rounds=6": {"edit_budget": 8, "rounds": 6},
     "cycled_edits": {"edit_budget": 8, "rounds": 6},
+    # k-shortest fills K on every workload, so beam and walks run: in
+    # every round on fixtures and hub_dialogue, and in the pair_island
+    # rounds whose seeds are joined (K=8 fills it in none of them)
+    "K=2": {"K": 2},
 }
 SEEDS = {"fixtures": (1,), "pair_island": (1, 2), "hub_dialogue": (1, 2)}
 
@@ -81,7 +86,7 @@ SEEDS = {"fixtures": (1,), "pair_island": (1, 2), "hub_dialogue": (1, 2)}
 class CyclingReasoner(ScriptedReasoner):
     """Never confident; its diagnostics cycle through PRUNE, DISAMBIGUATE,
     EXPAND and VERIFY, call by call, each built from one of the round's
-    selected paths: prune a candidate, swap the path's terminal for its
+    selected paths: prune that path, swap the path's terminal for its
     first node, expand two hops around the terminal, verify the first
     edge. Two hops, because with one no line changed when
     ``Subgraph.add_nodes`` was made to keep stale out-edge lists."""
