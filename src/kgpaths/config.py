@@ -72,6 +72,10 @@ class RunConfig:
             (self.edit_budget >= 0, "edit_budget must be >= 0"),
             (self.radius >= 1, "radius must be >= 1"),
             (self.knn >= 0, "knn must be >= 0"),
+            # beyond 36, a mask value's sigmoid rounds to 1.0 (which
+            # discretize_topk refuses) or overflows math.exp
+            (abs(self.mask_gain) + abs(self.mask_uncertainty_gain) <= 36,
+             "|mask_gain| + |mask_uncertainty_gain| must be <= 36"),
             (self.discretize_tau > 0, "discretize_tau must be > 0"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
         ]

@@ -1,23 +1,23 @@
 """Knowledge-graph storage, loading, neighborhood expansion, and edits.
 
 Entities and relations are interned to dense integer ids in first-come
-order. The base graph keeps each entity's out- and in-edges as sorted
-lists of triples, and the tail ids and head ids of those edges as tuples
-in the same order, built once when the graph is loaded; it is immutable
-after that. All per-query state (working node set, soft edge
-multipliers, refutations, prunes) lives on :class:`Subgraph` values owned
-by a single query episode.
+order. The base graph keeps each entity's out-edges as a sorted list of
+triples with their tail ids as a tuple in the same order, and each
+entity's in-edge head ids as a tuple, built once when the graph is
+loaded; it is immutable after that. All per-query state (working node
+set, soft edge multipliers, refutations, prunes) lives on
+:class:`Subgraph` values owned by a single query episode.
 
 A subgraph stores only its nodes. Its edges follow from them by one rule:
 a base triple is an edge when both its ends are nodes and it is not
-pruned. Adding nodes only counts the new nodes' edges, reading the id
-tuples: the new nodes' out-edges to present nodes and their in-edges from
-nodes present before, so an edit that adds no node costs no edge work.
-A node's out-edges in the subgraph have one home, ``Subgraph.out_edges``:
-each list is read from the base adjacency filtered by that rule the first
-time anything asks, and kept until the nodes change or one of its edges
-is pruned. The edge view and all three path generators (``pathenum``)
-read it; none keeps adjacency of its own.
+pruned. So adding or removing a node only marks it, and the edge count is
+read from the out-tail id tuples the first time anything asks, then kept
+until the nodes change or an edge is pruned. A node's out-edges in the
+subgraph have one home, ``Subgraph.out_edges``: each list is read from
+the base adjacency filtered by that rule the first time anything asks,
+and kept until the nodes change or one of its edges is pruned. The edge
+view and all three path generators (``pathenum``) read it; none keeps
+adjacency of its own.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EditError, ParseError, UnknownEntityError, UnknownRelationError
 
@@ -108,15 +110,15 @@ GraphEdit = ExpandSeed | PruneEdge | ConfirmTriple | RefuteTriple | SwapSeed
 
 
 class KnowledgeGraph:
-    """Interned triple store with typed out- and in-adjacency and relation
-    priors.
+    """Interned triple store with typed out-adjacency, in-edge head ids
+    and relation priors.
 
-    ``out_adj[h]`` lists the triples with head ``h`` and ``in_adj[t]`` the
-    triples with tail ``t``, the same objects as in ``triples``, each list
-    sorted after ``finalize()``, which also sets ``out_tails[h]`` to the
-    tail ids of ``out_adj[h]`` and ``in_heads[t]`` to the head ids of
-    ``in_adj[t]``, as tuples in list order. Immutable after construction;
-    safe for concurrent readers.
+    ``out_adj[h]`` lists the triples with head ``h``, the same objects as
+    in ``triples``, sorted after ``finalize()``, which also sets
+    ``out_tails[h]`` to the tail ids of ``out_adj[h]`` in list order and
+    ``in_heads[t]`` to the head ids of the triples with tail ``t`` in
+    triple order (by head, then relation), both as tuples. Immutable after
+    construction; safe for concurrent readers.
     """
 
     def __init__(self):
@@ -127,7 +129,6 @@ class KnowledgeGraph:
         self.relation_frequency: list[int] = []
         self.triples: set[Triple] = set()
         self.out_adj: list[list[Triple]] = []  # entity -> triples out of it
-        self.in_adj: list[list[Triple]] = []  # entity -> triples into it
         self.out_tails: list[tuple[int, ...]] = []  # set by finalize()
         self.in_heads: list[tuple[int, ...]] = []  # set by finalize()
         self._prior_cost: list[float] = []
@@ -141,7 +142,6 @@ class KnowledgeGraph:
             self._entity_ids[label] = eid
             self.entity_labels.append(label)
             self.out_adj.append([])
-            self.in_adj.append([])
         return eid
 
     def _intern_relation(self, label: str) -> int:
@@ -208,19 +208,23 @@ class KnowledgeGraph:
         if triple not in self.triples:
             self.triples.add(triple)
             self.out_adj[h].append(triple)
-            self.in_adj[t].append(triple)
         return triple
 
     def finalize(self) -> None:
-        """Sort adjacency for deterministic traversal, keep its end ids as
-        tuples, and derive default relation priors from frequency (rare
-        relations cost more)."""
+        """Sort the out-adjacency for deterministic traversal, keep its tail
+        ids and each entity's in-edge head ids as tuples, and derive default
+        relation priors from frequency (rare relations cost more)."""
         for adj in self.out_adj:
             adj.sort()
-        for adj in self.in_adj:
-            adj.sort()
         self.out_tails = [tuple([e.tail for e in adj]) for adj in self.out_adj]
-        self.in_heads = [tuple([e.head for e in adj]) for adj in self.in_adj]
+        # the sorted out-edges come in (head, relation) order, which a stable
+        # sort by tail keeps: each entity's in-edge heads are in triple order
+        n = len(self.out_tails)
+        tails = np.fromiter(chain.from_iterable(self.out_tails), np.intp)
+        heads = np.repeat(np.arange(n), list(map(len, self.out_tails)))
+        heads = heads[np.argsort(tails, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+        self.in_heads = [tuple(heads[a:b]) for a, b in zip([0, *ends], ends)]
         max_freq = max(self.relation_frequency, default=0)
         if max_freq > 0:
             self._prior_cost = [
@@ -287,8 +291,8 @@ def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
 class EdgeView(Mapping):
     """A subgraph's edges, each mapped to the round it entered, the later
     of its two ends' rounds: derived from the nodes when read, so it stores
-    nothing and is read-only. Its length is the subgraph's kept
-    ``num_edges``; iteration follows the nodes and their ``out_edges``.
+    nothing and is read-only. Its length is the subgraph's ``num_edges``;
+    iteration follows the nodes and their ``out_edges``.
     """
 
     __slots__ = ("_subgraph",)
@@ -347,22 +351,19 @@ class Subgraph:
     provenance). It is all the subgraph stores of its shape: a base triple
     is an edge exactly when both its ends are nodes and it is not pruned
     (``has_edge``), so an edge entered at the later of its two ends'
-    rounds. ``edges`` is a view derived from that rule when read;
-    ``num_edges`` is kept as nodes come and go and edges are pruned.
+    rounds; ``edges`` is a view derived from that rule when read.
     ``add_nodes`` and ``remove_node`` are the only ways in and out, so a
     subgraph is built empty. Also holds soft edge multipliers and the
     episode's refuted and pruned triples. Mutated only by its owning query
     loop. Nothing reads ``nodes`` in insertion order.
 
-    ``hops_to`` tables depend on the node set alone, so they are kept until
-    ``add_nodes`` adds a node or ``remove_node`` removes one. The
-    ``out_edges`` lists (see :class:`OutEdges`) are dropped at the same
-    points, and a prune drops its edge's head's list.
+    The ``hops_to`` tables, the ``out_edges`` lists (see :class:`OutEdges`)
+    and ``num_edges`` are computed when first read and kept until a node is
+    added or removed; a prune drops its edge's head's list and the count.
     """
 
     graph: KnowledgeGraph
     nodes: dict[int, int] = field(default_factory=dict, init=False)
-    num_edges: int = field(default=0, init=False)
     soft: dict[Triple, float] = field(default_factory=dict)
     refuted: set[Triple] = field(default_factory=set)
     pruned: set[Triple] = field(default_factory=set)
@@ -371,6 +372,8 @@ class Subgraph:
     _hops: dict[tuple[int, int], dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     out_edges: OutEdges = field(init=False, repr=False, compare=False)
+    _num_edges: int | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.out_edges = OutEdges(self)
@@ -392,58 +395,39 @@ class Subgraph:
         """Read-only view of the edges, each mapped to its entry round."""
         return EdgeView(self)
 
-    def _count_edges(self, entities: Iterable[int], adj: list[list[Triple]],
-                     ends: list[tuple[int, ...]]) -> int:
-        """How many base edges of ``entities`` have their other end among
-        the nodes and are not pruned, reading each entity's edges from
-        ``adj`` and their other ends' ids from ``ends`` (so no triple is
-        read while nothing is pruned)."""
-        nodes, pruned = self.nodes, self.pruned
-        if not pruned:
-            ids = chain.from_iterable(map(ends.__getitem__, entities))
-            return sum(map(nodes.__contains__, ids))
-        return sum(1 for v in entities for e, u in zip(adj[v], ends[v])
-                   if u in nodes and e not in pruned)
+    @property
+    def num_edges(self) -> int:
+        """How many edges there are: on first read, the nodes' out-tail ids
+        that are nodes, less the pruned triples between nodes; kept until
+        the nodes change or an edge is pruned."""
+        if self._num_edges is None:
+            nodes, out_tails = self.nodes, self.graph.out_tails
+            ids = chain.from_iterable(map(out_tails.__getitem__, nodes))
+            self._num_edges = sum(map(nodes.__contains__, ids)) - sum(
+                1 for h, _, t in self.pruned if h in nodes and t in nodes)
+        return self._num_edges
 
-    def add_nodes(self, entities: Iterable[int], round_index: int) -> None:
-        """Add the absent ones of ``entities`` at ``round_index``, in order,
-        and count the edges they bring.
-
-        Each new edge is counted from one end: from a new node's out-edges
-        when its tail is present once the batch is in, or from a new node's
-        in-edges when its head was present before the batch. Into an empty
-        subgraph there is no in-edge scan at all.
-        """
-        nodes = self.nodes
-        new = [v for v in dict.fromkeys(entities) if v not in nodes]
-        if not new:
-            return
+    def _nodes_changed(self) -> None:
+        """Drop what is kept for the current node set."""
         self._hops.clear()
         self.out_edges.clear()
-        graph = self.graph
-        if nodes:
-            self.num_edges += self._count_edges(new, graph.in_adj,
-                                                graph.in_heads)
-        for v in new:
-            nodes[v] = round_index
-        self.num_edges += self._count_edges(new, graph.out_adj,
-                                            graph.out_tails)
+        self._num_edges = None
+
+    def add_nodes(self, entities: Iterable[int], round_index: int) -> None:
+        """Add the absent ones of ``entities`` at ``round_index``, in order."""
+        nodes = self.nodes
+        new = [v for v in dict.fromkeys(entities) if v not in nodes]
+        if new:
+            self._nodes_changed()
+            for v in new:
+                nodes[v] = round_index
 
     def remove_node(self, entity: int) -> None:
         """Drop ``entity``, and with it every edge touching it (nothing when
         it is absent)."""
-        if entity not in self.nodes:
-            return
-        self._hops.clear()
-        self.out_edges.clear()
-        graph = self.graph
-        # while the node is in, its out-edges include its self-loops; once
-        # it is out, its in-edges count only the edges from other nodes
-        self.num_edges -= self._count_edges((entity,), graph.out_adj,
-                                            graph.out_tails)
-        del self.nodes[entity]
-        self.num_edges -= self._count_edges((entity,), graph.in_adj,
-                                            graph.in_heads)
+        if entity in self.nodes:
+            self._nodes_changed()
+            del self.nodes[entity]
 
     def prune(self, triple: Triple) -> bool:
         """Prune ``triple`` if it is an edge; whether it was."""
@@ -451,7 +435,7 @@ class Subgraph:
             return False
         self.pruned.add(triple)
         self.out_edges.pop(triple.head, None)
-        self.num_edges -= 1
+        self._num_edges = None
         return True
 
     def hops_to(self, target: int, max_hops: int) -> dict[int, int]:

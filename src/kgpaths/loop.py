@@ -566,6 +566,8 @@ def run_loop(
     # computed once; costs and scores, which the soft multipliers set, are
     # dropped at the start of each round, after the previous round's edits
     table = ScoreTable(subgraph, coeffs, embeddings, qvec)
+    # the candidates of the last round the reasoner answered
+    answered: list[ScoredCandidate] = []
     for t in range(config.rounds):
         table.new_round()
         candidates: list[ScoredCandidate] = []
@@ -626,12 +628,7 @@ def run_loop(
             except (ValueError, IndexError):
                 pass  # external attention may not partition our keys
 
-        # collect before edits mutate anything
-        episode.retrieved_paths = [
-            (tuple(graph.entity_labels[n] for n in c.path.nodes),
-             tuple(graph.relation_labels[r] for r in c.path.relations))
-            for c in candidates
-        ]
+        answered = candidates
         terminal_mass: dict[str, float] = {}
         for c in selected:
             label = graph.entity_labels[c.path.terminal]
@@ -691,4 +688,9 @@ def run_loop(
         if done:
             break
 
+    episode.retrieved_paths = [
+        (tuple(graph.entity_labels[n] for n in c.path.nodes),
+         tuple(graph.relation_labels[r] for r in c.path.relations))
+        for c in answered
+    ]
     return episode

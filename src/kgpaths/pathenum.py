@@ -235,6 +235,7 @@ def random_walk_proposals(
     for i in range(budget.walks):
         start = seeds[i % len(seeds)]
         edges: list[Triple] = []
+        walk = [start]
         visited = {start}
         node = start
         while len(edges) < budget.max_length:
@@ -259,10 +260,12 @@ def random_walk_proposals(
                 options, weights = zip(*kept)
                 chosen = rng.choices(options, weights=weights, k=1)[0]
             edges.append(chosen)
-            visited.add(chosen.tail)
             node = chosen.tail
+            walk.append(node)
+            visited.add(node)
         if edges:
-            out.append(Path(edges))
+            out.append(Path.unchecked(tuple(edges), tuple(walk),
+                                      tuple([e.relation for e in edges])))
     return out
 
 

@@ -13,7 +13,8 @@ from kgpaths.synthetic import FIXTURES
     ("restart", 0.0), ("restart", 1.0), ("tau", 0.0), ("select_top_k", 0),
     ("rho", -1.0), ("rounds", 0), ("conf_threshold", 0.0),
     ("conf_threshold", 1.5), ("edit_budget", -1), ("radius", 0), ("knn", -1),
-    ("discretize_tau", 0.0), ("embed_dim", 0),
+    ("discretize_tau", 0.0), ("embed_dim", 0), ("mask_gain", 800.0),
+    ("mask_uncertainty_gain", 33.0),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
     # construction, dataclasses.replace (the sweep path) and the string
@@ -29,7 +30,8 @@ def test_validate_rejects_each_bad_value_as_config_error(key, value):
 def test_validate_accepts_defaults_and_edges():
     assert RunConfig().with_overrides() == RunConfig()
     RunConfig(alpha=0.0, beta=0.0, gamma=0.0, lambda_sem=0.0, walks=0,
-              conf_threshold=1.0, edit_budget=0, knn=0, rho=0.0)
+              conf_threshold=1.0, edit_budget=0, knn=0, rho=0.0,
+              mask_gain=-4.0, mask_uncertainty_gain=32.0)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

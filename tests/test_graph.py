@@ -124,6 +124,11 @@ def test_expand_neighborhood_knn_adds_disconnected_entities(hash_embeddings):
 # --- node-at-a-time reference for Subgraph.add_nodes ---------------------------
 
 
+def in_edges(graph, entity):
+    """The triples into ``entity``, in triple order."""
+    return [e for e in sorted(graph.triples) if e.tail == entity]
+
+
 class ReferenceSubgraph:
     """Nodes and edges, each mapped to the round it entered, both stored:
     the subgraph as it was kept before edges were derived from nodes."""
@@ -135,7 +140,7 @@ class ReferenceSubgraph:
     def remove_node(self, entity):
         if self.nodes.pop(entity, None) is None:
             return
-        for e in self.graph.out_adj[entity] + self.graph.in_adj[entity]:
+        for e in self.graph.out_adj[entity] + in_edges(self.graph, entity):
             self.edges.pop(e, None)
 
     def prune(self, triple):
@@ -154,7 +159,7 @@ def add_node_reference(ref, entity, round_index):
     for e in ref.graph.out_adj[entity]:
         if e.tail in nodes and e not in ref.pruned:
             edges[e] = round_index
-    for e in ref.graph.in_adj[entity]:
+    for e in in_edges(ref.graph, entity):
         if e.head in nodes and e not in ref.pruned:
             edges[e] = round_index
 
@@ -515,7 +520,7 @@ def check_end_ids(g):
         assert isinstance(g.out_tails[v], tuple)
         assert isinstance(g.in_heads[v], tuple)
         assert list(g.out_tails[v]) == [e.tail for e in g.out_adj[v]]
-        assert list(g.in_heads[v]) == [e.head for e in g.in_adj[v]]
+        assert list(g.in_heads[v]) == [e.head for e in in_edges(g, v)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,13 +545,12 @@ def test_adding_nodes_hashes_no_triple_while_nothing_is_pruned():
     n = g.num_entities
     total = len(g.triples)
     g.out_adj = [[UnhashableTriple(*e) for e in adj] for adj in g.out_adj]
-    g.in_adj = [[UnhashableTriple(*e) for e in adj] for adj in g.in_adj]
     sub = expand_neighborhood(g, [SeedCandidate(0)], radius=2)
     apply_edits(sub, [ExpandSeed(n - 1, 1), SwapSeed(0, n // 2)], 1)
     sub.hops_to(n // 2, 3)
     sub.add_nodes(range(n), 2)
     assert sub.num_edges == total
-    g.out_adj = g.in_adj = g.out_tails = g.in_heads = None
+    g.out_adj = g.out_tails = g.in_heads = None
     sub.add_nodes(range(n), 3)
     assert sub.num_edges == total
 

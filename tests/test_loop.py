@@ -314,6 +314,20 @@ def test_discretize_topk_noise_reproducible():
     assert a != c  # noise actually matters at near-ties
 
 
+@pytest.mark.parametrize("gain, uncertainty_gain", [(32.0, 4.0),
+                                                     (-32.0, -4.0)])
+def test_mask_values_at_the_config_bound_stay_inside_the_unit_interval(
+        gain, uncertainty_gain):
+    # |mask_gain| + |mask_uncertainty_gain| <= 36 is RunConfig's bound: a
+    # confirmed edge then reaches +-36 at full uncertainty, short of the
+    # sigmoid rounding to 1.0 or 0.0
+    e, f = Triple(0, 0, 1), Triple(1, 0, 2)
+    deltas = soft_mask(1.0, [], [ConfirmTriple(e), RefuteTriple(f)],
+                       gain=gain, uncertainty_gain=uncertainty_gain)
+    assert all(0.0 < d < 1.0 for d in deltas.values())
+    assert discretize_topk(deltas, k=10) == [e, f]
+
+
 def test_discretize_topk_validation():
     with pytest.raises(ValueError):
         discretize_topk({0: 1.0}, k=10)
@@ -889,7 +903,7 @@ def _argo_episode(embeddings, scorer=None, verifier=None,
 def test_run_loop_embedding_failure_keeps_earlier_rounds():
     fx = argo_fixture()
     first_round = _CountingEmbeddings(fx.embeddings)
-    _argo_episode(first_round, reasoner_type=_ExpandFirst, rounds=1)
+    first = _argo_episode(first_round, reasoner_type=_ExpandFirst, rounds=1)
     whole = _CountingEmbeddings(fx.embeddings)
     good = _argo_episode(whole, reasoner_type=_ExpandFirst, rounds=2)
     assert len(good.rounds) == 2 and not good.failed
@@ -907,6 +921,7 @@ def test_run_loop_embedding_failure_keeps_earlier_rounds():
         assert result.rounds[1].answer is None
         assert result.rounds[1].selected == []
         assert result.answer == "Boston"  # the finished round's answer
+        assert result.retrieved_paths == first.retrieved_paths != []
         assert result.reasoner_calls == 1
 
 

@@ -389,3 +389,7 @@ def test_walk_step_tables_match_the_per_step_filter(
     want = walks_reference(edge_costs(sub, COEFFS, EMB), seeds, budget,
                            rng_seed)
     assert [p.key() for p in got] == [p.key() for p in want]
+    for p in got:  # built unchecked, as the checked constructor would
+        checked = Path(p.edges)
+        assert (p.edges, p.nodes, p.relations) == \
+            (checked.edges, checked.nodes, checked.relations)
