@@ -16,6 +16,7 @@ import math
 import os
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
+from functools import partial
 
 import numpy as np
 
@@ -26,30 +27,71 @@ EMBED_URL_ENV = "KGPATHS_EMBED_URL"
 EMBED_TOKEN_ENV = "KGPATHS_EMBED_TOKEN"
 
 
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
+
+# ``row_dots(a, b)``: the dot product of each row of ``a`` with the same
+# row of ``b``, ``np.einsum("ij,ij->i", a, b)``: the package's one dot
+# kernel. ``einsum`` sums each row's products in its own loop and never
+# calls BLAS, so a row's dot has the same bits alone (``row_dot``) as
+# inside any batch, whichever BLAS kernel the CPU gets; ``ndarray.dot``
+# calls BLAS ``ddot``, whose kernel OpenBLAS picks per CPU at run time.
+# ``np.einsum`` with ``optimize=False`` calls the C function bound here;
+# binding it directly skips the wrapper, which costs more than the dot at
+# these sizes.
+row_dots = partial(_einsum, "ij,ij->i")
+# ``row_dot(a, b)``: ``row_dots`` of one row, the dot product of 1-D
+# ``a`` and ``b`` as a numpy float.
+row_dot = partial(_einsum, "i,i->")
+
+
+def _mismatch(a: tuple, b: tuple) -> ValueError:
+    return ValueError(f"dimension mismatch: {a} vs {b}")
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]. Zero vectors are an error, not
     a silent 0.
 
-    On contiguous 1-D vectors it equals
-    ``np.clip(np.dot(a, b) / (norm(a) * norm(b)), -1, 1)`` bit for bit:
-    ``np.linalg.norm(v)`` computes ``sqrt(v.dot(v))``, so this makes the same
-    float operations without numpy's per-call Python wrappers.
+    It equals ``np.clip(dot(a, b) / (norm(a) * norm(b)), -1, 1)`` with every
+    dot product, the norms' included, taken by ``row_dot``. Vectors of
+    different shapes raise ``ValueError`` before any dot is taken.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return normed_cosine(a, b, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)))
+    if a.shape != b.shape:
+        raise _mismatch(a.shape, b.shape)
+    return normed_cosine(a, b, math.sqrt(row_dot(a, a)),
+                         math.sqrt(row_dot(b, b)))
 
 
 def normed_cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     """``cosine`` of float arrays ``a`` and ``b`` whose norms ``na`` and
-    ``nb`` (``sqrt(v.dot(v))``) the caller already holds: the shape check,
-    the zero-vector error and the clamp of ``cosine``, in its order."""
+    ``nb`` (``sqrt(row_dot(v, v))``) the caller already holds: the shape
+    check, the zero-vector error and the clamp of ``cosine``, in its
+    order."""
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise _mismatch(a.shape, b.shape)
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine of a zero vector is undefined")
-    c = float(a.dot(b) / (na * nb))
+    c = float(row_dot(a, b) / (na * nb))
     return -1.0 if c < -1.0 else 1.0 if c > 1.0 else c
+
+
+def normed_cosines(rows: np.ndarray, b: np.ndarray, row_norms: np.ndarray,
+                   nb: float) -> np.ndarray:
+    """``normed_cosine(rows[i], b, row_norms[i], nb)`` for each row of the
+    2-D float array ``rows``, through one ``row_dots`` call: the same
+    bits, and the same errors, raised before any dot is taken."""
+    if rows.shape[1:] != b.shape:
+        raise _mismatch(rows.shape[1:], b.shape)
+    if nb == 0.0 or not row_norms.all():
+        raise ZeroVectorError("cosine of a zero vector is undefined")
+    c = row_dots(rows, b[None]) / (row_norms * nb)  # b broadcast to each row
+    return np.clip(c, -1.0, 1.0)
 
 
 class HashEmbeddings:
@@ -74,7 +116,7 @@ class HashEmbeddings:
             ).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "big"))
             raw = rng.standard_normal(self.dimension)
-            norm = math.sqrt(raw.dot(raw))
+            norm = math.sqrt(row_dot(raw, raw))
             if norm == 0.0:  # standard normal draw; effectively unreachable
                 raw[0] = 1.0
                 norm = 1.0
@@ -287,7 +329,7 @@ def query_embedding(provider, question: str, graph) -> np.ndarray:
         return provider.embed(question)
     mean = np.add.reduce([provider.embed(label) for label in matched],
                          axis=0) / len(matched)
-    norm = math.sqrt(mean.dot(mean))
+    norm = math.sqrt(row_dot(mean, mean))
     if norm == 0.0:
         raise ZeroVectorError("query token embeddings cancel to zero")
     return mean / norm

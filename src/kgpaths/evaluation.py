@@ -36,6 +36,11 @@ class BenchmarkRecord:
             raise ValueError("record needs at least one seed")
         if not self.answers:
             raise ValueError("record needs at least one gold answer")
+        for _, confidence in self.seeds:
+            # the check ``SeedCandidate`` makes when the run links the seed;
+            # made here, a bad record fails its load, with its line number
+            if not 0.0 <= confidence <= 1.0:
+                raise ValueError(f"seed confidence {confidence} outside [0, 1]")
         if self.hops is not None and self.hops < 1:
             raise ValueError("hops must be >= 1 when present")
 

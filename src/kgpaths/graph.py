@@ -22,7 +22,6 @@ adjacency of its own.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
@@ -516,6 +515,35 @@ def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
     subgraph.add_nodes(found, round_index)
 
 
+def _nearest(vecs: list, seeds: list[int], knn: int) -> list[int]:
+    """The ``knn`` entities other than each seed whose vectors in ``vecs``
+    (indexed by entity id) have the highest cosine with the seed's, seed by
+    seed, ties broken on the lower id.
+
+    Each seed's cosines with every entity are one ``normed_cosines`` call
+    on the stacked vectors and their norms, taken once: the same bits as
+    ``cosine``, and its zero-vector error once a seed is compared with
+    any other entity.
+    """
+    from .embeddings import normed_cosines, row_dots  # deferred: import cycle
+
+    if len(vecs) < 2:
+        return []
+    try:
+        vecs = np.array(vecs, dtype=float)
+    except ValueError:
+        raise ValueError("dimension mismatch among entity vectors") from None
+    norms = np.sqrt(row_dots(vecs, vecs))
+    ids = np.arange(len(vecs))
+    picks = []
+    for seed in seeds:
+        keys = -normed_cosines(vecs, vecs[seed], norms, norms[seed])
+        keys[seed] = np.inf  # sorted last, and never reached
+        # by key, then by id: the order of the (-cosine, id) tuples
+        picks += np.lexsort((ids, keys))[:min(knn, len(vecs) - 1)].tolist()
+    return picks
+
+
 def expand_neighborhood(
     graph: KnowledgeGraph,
     seeds: list[SeedCandidate],
@@ -539,24 +567,8 @@ def expand_neighborhood(
     if knn > 0:
         if embeddings is None:
             raise ValueError("knn expansion requires an embedding provider")
-        from .embeddings import cosine  # deferred: avoid import cycle
-
-        all_vecs = [
-            embeddings.embed(label) for label in graph.entity_labels
-        ]
-        picks = []
-        for seed in seeds:
-            seed_vec = all_vecs[seed.entity]
-            # keys are unique per entity id, so this keeps a full sort's
-            # first ``knn`` in the same order
-            picks += [e for _, e in heapq.nsmallest(
-                knn,
-                (
-                    (-cosine(seed_vec, all_vecs[e]), e)
-                    for e in range(graph.num_entities)
-                    if e != seed.entity
-                ),
-            )]
+        vecs = [embeddings.embed(label) for label in graph.entity_labels]
+        picks = _nearest(vecs, [seed.entity for seed in seeds], knn)
         subgraph.add_nodes(picks, 0)
     return subgraph
 

@@ -10,7 +10,12 @@ All three generators and the final ranking read the episode's
 and scored, the first time anything asks for it, so a round pays only for
 the edges and paths its search touches, and nothing for a weight or vector
 an earlier round computed. The table outlives enumeration: the caller
-hands it on to candidate scoring, the verifier and injection.
+hands it on to candidate scoring, the verifier and injection. Where many
+values are read at once, they are filled as a batch first: k-shortest
+weighs a seed's out-edges (``ScoreTable.weigh``), and beam expansion and
+the final ranking pool and match the paths they rank
+(``ScoreTable.match``). A batched value has the same bits as the one the
+table computes alone.
 
 No generator builds adjacency of its own. All three read a node's
 subgraph out-edges from ``Subgraph.out_edges``, which the subgraph builds
@@ -135,9 +140,11 @@ def k_shortest_weighted(
     out: list[Path] = []
     # heap entries: (cost, node sequence, relation sequence, edges)
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
-    for e in adj[seed]:
-        if e.tail != seed and not too_far(e.tail, max_length - 1):
-            heapq.heappush(heap, (table[e], (seed, e.tail), (e.relation,), (e,)))
+    first = [e for e in adj[seed]
+             if e.tail != seed and not too_far(e.tail, max_length - 1)]
+    table.weigh(first)
+    for e in first:
+        heapq.heappush(heap, (table[e], (seed, e.tail), (e.relation,), (e,)))
 
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)
@@ -182,10 +189,10 @@ def beam_expand(
     def rank(p: Path):
         return (-score(p), p.nodes, p.relations)
 
-    frontier = heapq.nsmallest(beam_size, [
-        Path.unchecked((e,), (s, e.tail), (e.relation,))
-        for s in sorted(set(seeds)) for e in adj[s] if e.tail != s
-    ], key=rank)
+    first = [Path.unchecked((e,), (s, e.tail), (e.relation,))
+             for s in sorted(set(seeds)) for e in adj[s] if e.tail != s]
+    table.match(first)
+    frontier = heapq.nsmallest(beam_size, first, key=rank)
 
     retained: list[Path] = list(frontier)
     for _depth in range(1, budget.max_length):
@@ -200,6 +207,7 @@ def beam_expand(
                                           rels + (e.relation,)))
         if not nxt:
             break
+        table.match(nxt)
         frontier = heapq.nsmallest(beam_size, nxt, key=rank)
         retained.extend(frontier)
     return retained
@@ -315,6 +323,7 @@ def enumerate_paths(
         seed_set = set(seeds)
         candidates = [p for p in candidates
                       if p.terminal in seed_set and p.terminal != p.nodes[0]]
+    table.match(candidates)
     ranked = sorted(
         candidates, key=lambda p: (-table.score(p), p.nodes, p.relations))
     return ranked[:k]

@@ -19,7 +19,8 @@ path scores) is dropped by ``new_round``. Path enumeration, candidate
 scoring, the verifier and latent injection all read the same table.
 ``edge_weight``, ``effective_cost``, ``semantic_match`` and ``path_score``
 are the uncached reference forms; they and the table share the kernels
-``edge_terms``, ``pool_vectors`` and ``normed_cosine``.
+``edge_terms``, ``pool_vectors`` and ``normed_cosine``, and every dot
+product goes through ``row_dot`` or ``row_dots``.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine, normed_cosine
-from .errors import EmptyPathError
+from .embeddings import cosine, normed_cosine, normed_cosines, row_dot, row_dots
+from .errors import EmptyPathError, KgError
 from .graph import KnowledgeGraph, Subgraph, Triple
-from .paths import Path, pool_path_vector, pool_vectors
+from .paths import Path, pool_path_vector, pool_vector_stack, pool_vectors
 
 DEFAULT_LAMBDA_SEM = 0.70
 DEFAULT_TAU = 0.2
+# the fewest rows ``ScoreTable.weigh`` and ``match`` compute in one kernel
+# call; smaller batches are left to the one-edge and one-path forms, which
+# cost less there
+BATCH_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,16 @@ class ScoreTable(dict):
     ``path_score``) because both call the same kernels on the same
     vectors: ``edge_terms`` for a weight, ``pool_vectors`` for a pooled
     vector and ``normed_cosine`` for a cosine, whose shape check,
-    zero-vector error and clamp come with it.
+    zero-vector error and clamp come with it. Every dot product, norms
+    included, is a ``row_dot`` or ``row_dots`` call, whose bits do not
+    depend on the batch a row is in.
+
+    ``weigh`` and ``match`` fill the same values for many edges or paths
+    at once, with one ``row_dots`` call per step (``normed_cosines``,
+    ``pool_vector_stack``), so a value is the same bits whichever way it
+    was computed. The path generators call them on what they are about to
+    read; batches of fewer than ``BATCH_ROWS`` rows are left to the
+    one-edge and one-path forms.
 
     An edge's weight total and a path's vector and semantic match depend
     only on the edge or path, the graph, the provider, the coefficients and
@@ -192,13 +206,15 @@ class ScoreTable(dict):
 
         def float_and_norm(n: int) -> tuple[np.ndarray, float]:
             vec = np.asarray(entities[n], dtype=float)
-            return vec, math.sqrt(vec.dot(vec))
+            return vec, math.sqrt(row_dot(vec, vec))
 
         self._normed = _Memo(float_and_norm)
         # as ``cosine`` reads it; with no query, ``sem`` raises as
-        # ``cosine(vector, None)`` does
-        self._query = np.asarray(query_embedding, dtype=float)
-        self._query_norm = math.sqrt(self._query.dot(self._query))
+        # ``cosine(vector, None)`` does, and no norm of the 0-d array is
+        # taken
+        query = self._query = np.asarray(query_embedding, dtype=float)
+        self._query_norm = (math.sqrt(row_dot(query, query))
+                            if query.ndim == 1 else math.nan)
         self._totals: dict[Triple, float] = {}
         self._vectors: dict[tuple, np.ndarray] = {}
         self._sems: dict[tuple, float] = {}
@@ -221,6 +237,91 @@ class ScoreTable(dict):
         cost = self[edge] = total / (1.0 + self.subgraph.multiplier(edge))
         return cost
 
+    def weigh(self, edges: list[Triple]) -> None:
+        """Weigh ``edges``, which all leave one node, as a batch: fill the
+        weight totals that ``__missing__`` reads for those the table does
+        not hold yet.
+
+        One ``row_dots`` call takes the tails' norms, and one more the
+        head-tail cosines; ``edge_terms`` then makes each total. The table
+        keeps the norms of tails it held none for. Fewer than
+        ``BATCH_ROWS`` edges, or a batch that meets a provider error, a
+        shape mismatch or a zero vector, store nothing: those edges are
+        left to ``__missing__``, which raises the same error when the edge
+        is read.
+        """
+        totals = self._totals
+        edges = [e for e in edges if e not in totals]
+        if len(edges) < BATCH_ROWS:
+            return
+        normed = self._normed
+        entities = self._entity_vectors
+        try:
+            head, head_norm = normed[edges[0].head]
+            tails = np.array([entities[e.tail] for e in edges], dtype=float)
+            norms = np.sqrt(row_dots(tails, tails))
+            cosines = normed_cosines(tails, head, norms, head_norm)
+        except (KgError, ValueError):
+            return
+        coeffs, graph = self.coeffs, self.graph
+        for e, tail, norm, cos in zip(edges, tails, norms.tolist(),
+                                      cosines.tolist()):
+            normed.setdefault(e.tail, (tail, norm))
+            totals[e] = edge_terms(e, coeffs, graph, cos)[3]
+
+    def match(self, paths) -> None:
+        """Pool ``paths`` and match them against the query as batches, one
+        per path length: fill the vectors and semantic matches that
+        ``vector`` and ``sem`` read for the paths the table holds no vector
+        for.
+
+        A batch stacks each path's node vectors, then its relation vectors,
+        as ``vector`` orders them, pools them with ``pool_vector_stack``
+        and matches them with ``normed_cosines``. A batch of fewer than
+        ``BATCH_ROWS`` paths, one with d = 1 vectors, which
+        ``pool_vector_stack`` does not pool as ``pool_vectors`` does, and
+        one that meets a provider error, a shape mismatch or a zero vector
+        store nothing: those paths are left to ``vector`` and ``sem``,
+        which raise the same error when the path is read. A table without
+        a query matches nothing.
+        """
+        query = self._query
+        if len(paths) < BATCH_ROWS or query.ndim != 1 or len(query) < 2:
+            return
+        held = self._vectors
+        groups: dict[int, dict[tuple, Path]] = {}
+        for p in paths:
+            key = p.key()
+            if key not in held:
+                groups.setdefault(len(p.edges), {})[key] = p
+        for group in groups.values():
+            if len(group) >= BATCH_ROWS:
+                self._match_batch(group)
+
+    def _match_batch(self, group: dict[tuple, Path]) -> None:
+        """``match`` for paths of one length, keyed by ``path.key()``."""
+        entity = self._entity_vectors.__getitem__
+        relation = self._relation_vectors.__getitem__
+        query = self._query
+        paths = list(group.values())
+        rows = []
+        try:
+            for p in paths:
+                rows += map(entity, p.nodes)
+                rows += map(relation, p.relations)
+            rows = np.array(rows)
+            if rows.shape[1:] != query.shape or rows.dtype != np.float64:
+                return
+            vectors = pool_vector_stack(
+                rows.reshape(len(paths), -1, len(query)), paths)
+            sems = normed_cosines(vectors, query,
+                                  np.sqrt(row_dots(vectors, vectors)),
+                                  self._query_norm)
+        except (KgError, ValueError):
+            return
+        self._vectors.update(zip(group, vectors))
+        self._sems.update(zip(group, sems.tolist()))
+
     def vector(self, path: Path) -> np.ndarray:
         key = path.key()
         vec = self._vectors.get(key)
@@ -238,7 +339,8 @@ class ScoreTable(dict):
         if sem is None:
             vec = np.asarray(self.vector(path), dtype=float)
             sem = self._sems[key] = normed_cosine(
-                vec, self._query, math.sqrt(vec.dot(vec)), self._query_norm)
+                vec, self._query, math.sqrt(row_dot(vec, vec)),
+                self._query_norm)
         return sem
 
     def score(self, path: Path) -> float:

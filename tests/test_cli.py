@@ -111,6 +111,23 @@ def test_bench_reports_and_reproducibility(metrics_files, capsys, tmp_path):
     assert "latency" not in header
 
 
+def test_bench_bad_seed_confidence_exits_1_with_its_line(metrics_files,
+                                                        capsys, tmp_path):
+    with open(metrics_files["bench.jsonl"]) as f:
+        lines = f.read().splitlines()
+    record = json.loads(lines[2])
+    record["seeds"][0]["confidence"] = 1.5
+    lines[2] = json.dumps(record)
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text("\n".join(lines) + "\n")
+    argv = ["bench", metrics_files["triples.tsv"], str(bench),
+            "--config", metrics_files["config.cfg"]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: seed confidence 1.5 outside [0, 1]" in captured.err
+
+
 def test_bench_ablation_flags(argo_files, capsys):
     base = ["bench", argo_files["triples.tsv"], argo_files["bench.jsonl"],
             "--config", argo_files["config.cfg"],

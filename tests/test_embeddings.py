@@ -19,10 +19,12 @@ from kgpaths.embeddings import (
     ServiceEmbeddings,
     cosine,
     query_embedding,
+    row_dot,
+    row_dots,
 )
 from kgpaths.errors import ParseError, ServiceError, UnknownItemError, ZeroVectorError
 
-from conftest import build_graph, cosine_oracle
+from conftest import build_graph, cosine_oracle, einsum_norm
 
 
 def test_cosine_basic_and_clamped():
@@ -37,8 +39,11 @@ def test_cosine_basic_and_clamped():
 def test_cosine_errors():
     with pytest.raises(ZeroVectorError):
         cosine([0, 0], [1, 0])
-    with pytest.raises(ValueError):
+    # the shape check comes before any dot product is taken
+    with pytest.raises(ValueError, match="dimension mismatch"):
         cosine([1, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(2,\) vs \(\)"):
+        cosine([1, 0], None)
 
 
 # per-vector magnitudes 10**-150 .. 10**150 keep every dot product finite
@@ -63,6 +68,33 @@ def test_cosine_equals_numpy_formula_bit_for_bit(d, seed, ea, eb, relation):
     assert cosine(a, b) == cosine_oracle(a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_DIM, _SEED, st.integers(min_value=1, max_value=40),
+       st.lists(_EXPONENT, min_size=2, max_size=2), st.data())
+@example(1, 0, 9, [0, 0], None)
+def test_row_kernel_gives_a_row_the_same_bits_in_any_batch(d, seed, n,
+                                                           exponents, data):
+    """A row's dot product has the same bits alone (``row_dot``), in the
+    whole batch, in any slice of it, and against one vector broadcast to
+    every row, as ``normed_cosines`` calls it. Row magnitudes range over
+    ``10**-75 .. 10**75`` each, so every product stays finite."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** (rng.integers(*sorted(exponents), endpoint=True,
+                                  size=(2, n, 1)) / 2)
+    a = rng.standard_normal((n, d)) * scale[0]
+    b = rng.standard_normal((n, d)) * scale[1]
+    rows = row_dots(a, b)
+    alone = [row_dot(a[i], b[i]) for i in range(n)]
+    assert rows.tobytes() == np.array(alone).tobytes()
+    lo = data.draw(st.integers(0, n - 1)) if data is not None else 0
+    hi = data.draw(st.integers(lo + 1, n)) if data is not None else n
+    assert row_dots(a[lo:hi], b[lo:hi]).tobytes() == rows[lo:hi].tobytes()
+    assert np.isfinite(rows).all()
+    broadcast = row_dots(a, b[lo][None])
+    assert broadcast.tobytes() == np.array(
+        [row_dot(a[i], b[lo]) for i in range(n)]).tobytes()
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 16, 128])
 def test_hash_embeddings_normalize_like_numpy_norm(dimension):
     emb = HashEmbeddings(dimension=dimension, seed=3)
@@ -71,7 +103,7 @@ def test_hash_embeddings_normalize_like_numpy_norm(dimension):
                                  key=b"3").digest()
         raw = np.random.default_rng(
             int.from_bytes(digest, "big")).standard_normal(dimension)
-        assert np.array_equal(emb.embed(label), raw / np.linalg.norm(raw))
+        assert np.array_equal(emb.embed(label), raw / einsum_norm(raw))
 
 
 def test_hash_embeddings_deterministic_unit_norm():
@@ -214,7 +246,7 @@ def test_query_embedding_mean_equals_numpy_formula_bit_for_bit(
     # "?" keeps the question itself out of the provider: the tokens match
     vec = query_embedding(FileEmbeddings(vectors), " ".join(labels) + "?", g)
     mean = np.mean([vectors[label] for label in labels], axis=0)
-    assert np.array_equal(vec, mean / np.linalg.norm(mean))
+    assert np.array_equal(vec, mean / einsum_norm(mean))
 
 
 def test_query_embedding_hash_fallback(hash_embeddings):

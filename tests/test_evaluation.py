@@ -3,6 +3,7 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import kgpaths.embeddings
@@ -54,6 +55,20 @@ def test_load_benchmark_jsonl():
     assert rec.gold_paths == ((("s", "a"), ("r",)),)
     with pytest.raises(ParseError, match="line 1"):
         load_benchmark(io.StringIO("{bad json\n"))
+
+
+@pytest.mark.parametrize("confidence", ["1.5", "-0.1", "NaN", "Infinity"])
+def test_load_benchmark_rejects_seed_confidence_outside_unit_interval(
+        confidence):
+    good = json.dumps({"question": "q", "seeds": [{"entity": "s"}],
+                       "answers": ["a"]})
+    bad = ('{"question": "q", "seeds": [{"entity": "s", "confidence": %s}], '
+           '"answers": ["a"]}' % confidence)
+    with pytest.raises(ParseError, match=r"line 2: seed confidence .* "
+                                         r"outside \[0, 1\]"):
+        load_benchmark(io.StringIO(good + "\n" + bad + "\n"))
+    with pytest.raises(ValueError, match="outside"):
+        BenchmarkRecord("q", (("s", float(confidence)),), frozenset({"a"}))
 
 
 def test_answer_metrics():
@@ -147,11 +162,12 @@ def _fixture_reports() -> dict[str, str]:
 
 def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
     """The cosine and pooling kernels that the score table and the
-    reference functions share, ``normed_cosine`` and ``pool_vectors``,
-    against numpy's formulas, end to end. The cosine oracle recomputes both
-    norms, so the norms the table keeps are checked too. Both runs use this
-    machine's BLAS dot, so the check holds on any CPU, where a pinned
-    digest would not."""
+    reference functions share, against numpy's formulas, end to end: the
+    one-value forms ``normed_cosine`` and ``pool_vectors``, and the batched
+    forms ``normed_cosines`` and ``pool_vector_stack``, which the table's
+    ``weigh`` and ``match`` call on the coverage suite's wide rounds. The
+    cosine oracle recomputes both norms, so the norms the table keeps,
+    batched or not, are checked too."""
     shipped = _fixture_reports()
     calls = Counter()
 
@@ -164,10 +180,22 @@ def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
     def normed_cosine_oracle(a, b, na, nb):
         return cosine_oracle(a, b)
 
-    for name, ref, oracle in (
-            ("normed_cosine", kgpaths.embeddings.normed_cosine,
-             normed_cosine_oracle),
-            ("pool_vectors", kgpaths.paths.pool_vectors, pool_vectors_oracle)):
+    def normed_cosines_oracle(rows, b, row_norms, nb):
+        return np.array([cosine_oracle(row, b) for row in rows])
+
+    def pool_vector_stack_oracle(stack, paths):
+        return np.array([pool_vectors_oracle(list(vectors), path)
+                         for vectors, path in zip(stack, paths)])
+
+    kernels = (
+        ("normed_cosine", kgpaths.embeddings.normed_cosine,
+         normed_cosine_oracle),
+        ("normed_cosines", kgpaths.embeddings.normed_cosines,
+         normed_cosines_oracle),
+        ("pool_vectors", kgpaths.paths.pool_vectors, pool_vectors_oracle),
+        ("pool_vector_stack", kgpaths.paths.pool_vector_stack,
+         pool_vector_stack_oracle))
+    for name, ref, oracle in kernels:
         kernel = counted(name, oracle)
         for module in list(sys.modules.values()):
             module_name = getattr(module, "__name__", "")
@@ -175,7 +203,7 @@ def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
                     and getattr(module, name, None) is ref:
                 monkeypatch.setattr(module, name, kernel)
     assert _fixture_reports() == shipped
-    assert calls["normed_cosine"] > 0 and calls["pool_vectors"] > 0
+    assert all(calls[name] > 0 for name, _, _ in kernels), calls
 
 
 REPORT_COLUMNS = (

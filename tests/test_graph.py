@@ -3,13 +3,20 @@ import json
 import math
 import random
 from collections import deque
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgpaths.embeddings import HashEmbeddings, cosine
-from kgpaths.errors import EditError, ParseError, UnknownEntityError
+from kgpaths.embeddings import FileEmbeddings, HashEmbeddings, cosine
+from kgpaths.errors import (
+    EditError,
+    ParseError,
+    UnknownEntityError,
+    ZeroVectorError,
+)
 from kgpaths.graph import (
     ConfirmTriple,
     ExpandSeed,
@@ -265,18 +272,39 @@ def test_batched_adds_match_one_node_at_a_time(make_graph, graph_seed,
         check()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 5),
-       st.sampled_from([1, 2, 8]), st.sets(st.integers(0, 11), min_size=1,
-                                          max_size=3))
+       st.sampled_from([1, 2, 8, 64]), st.sets(st.integers(0, 11), min_size=1,
+                                              max_size=3),
+       st.sampled_from(["hash", "scaled", "repeated", "zero"]))
 def test_knn_expansion_keeps_the_sorted_selection(graph_seed, knn, dimension,
-                                                  seed_ids):
-    """At d = 1 every cosine is +-1, so the id tie-break decides most picks."""
+                                                  seed_ids, vectors):
+    """The batched scan picks what ``cosine`` called once per entity and a
+    full sort pick. At d = 1 every cosine is +-1, and with vectors
+    ``repeated`` from three, many cosines tie exactly, so the id
+    tie-break decides most picks; ``scaled`` vectors span 10**-50 to
+    10**50; with a ``zero`` vector, both raise ``ZeroVectorError``."""
     g = random_graph(random.Random(graph_seed))
     seeds = sorted({x % g.num_entities for x in seed_ids})
     emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
-    sub = expand_neighborhood(g, [SeedCandidate(x) for x in seeds], radius=1,
-                              knn=knn, embeddings=emb)
+    if vectors != "hash":
+        rng = random.Random(graph_seed)
+        table = {label: emb.embed(label) * 10.0 ** rng.randint(-50, 50)
+                 for label in g.entity_labels}
+        if vectors == "repeated":
+            table = {label: table[g.entity_labels[i % 3]]
+                     for i, label in enumerate(g.entity_labels)}
+        elif vectors == "zero":
+            table[g.entity_labels[-1]] = np.zeros(dimension)
+        emb = FileEmbeddings(table)
+    expand = partial(expand_neighborhood, g, [SeedCandidate(x) for x in seeds],
+                     radius=1, knn=knn, embeddings=emb)
+    if vectors == "zero":
+        for run in (expand, lambda: expand_reference(g, seeds, 1, knn, emb)):
+            with pytest.raises(ZeroVectorError):
+                run()
+        return
+    sub = expand()
     ref = expand_reference(g, seeds, 1, knn, emb)  # a full sort per seed
     assert list(sub.nodes.items()) == list(ref.nodes.items())
     assert sub.edges == ref.edges

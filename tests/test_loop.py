@@ -676,14 +676,20 @@ class _CountingEmbeddings:
 def _count_poolings_and_weightings(monkeypatch):
     """Counters of the path keys pooled and the edges weighted from now on,
     counted at every name the package binds the pooling and weighting
-    kernels, ``pool_vectors`` and ``edge_terms``, to."""
+    kernels, ``pool_vectors``, ``pool_vector_stack`` and ``edge_terms``, to:
+    a batch of paths pooled in one call counts each of its paths."""
     pooled, weighted = Counter(), Counter()
     pool_ref = kgpaths.paths.pool_vectors
+    stack_ref = kgpaths.paths.pool_vector_stack
     weight_ref = kgpaths.weights.edge_terms
 
     def pool(vectors, path):
         pooled[path.key()] += 1
         return pool_ref(vectors, path)
+
+    def pool_stack(stack, paths):
+        pooled.update(path.key() for path in paths)
+        return stack_ref(stack, paths)
 
     def weight(edge, *args):
         weighted[edge] += 1
@@ -692,6 +698,8 @@ def _count_poolings_and_weightings(monkeypatch):
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("kgpaths."):
             for name, ref, counted in (("pool_vectors", pool_ref, pool),
+                                       ("pool_vector_stack", stack_ref,
+                                        pool_stack),
                                        ("edge_terms", weight_ref, weight)):
                 if getattr(module, name, None) is ref:
                     monkeypatch.setattr(module, name, counted)

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kgpaths.weights
 from kgpaths.embeddings import FileEmbeddings, HashEmbeddings, cosine
-from kgpaths.errors import EmptyPathError, ZeroVectorError
+from kgpaths.errors import (
+    EmptyPathError,
+    KgError,
+    UnknownItemError,
+    ZeroVectorError,
+)
 from kgpaths.graph import Triple
 from kgpaths.paths import Path, pool_path_vector
 from kgpaths.weights import (
@@ -170,6 +177,161 @@ def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem,
             for e in p.edges:
                 assert table[e] == effective_cost(e, coeffs, emb, g, sub)
     assert len(table) == len({e for p in paths for e in p.edges})
+
+
+def _count_batch_rows(mp):
+    """Counters of the rows that ``weigh`` and ``match`` batch from now on:
+    the edges weighed and the paths pooled in one kernel call each."""
+    rows = Counter()
+    cosines_ref = kgpaths.weights.normed_cosines
+    stack_ref = kgpaths.weights.pool_vector_stack
+
+    def cosines(vectors, b, *args):
+        rows["cosines"] += len(vectors)
+        return cosines_ref(vectors, b, *args)
+
+    def stack(vectors, paths):
+        rows["pooled"] += len(paths)
+        return stack_ref(vectors, paths)
+
+    mp.setattr(kgpaths.weights, "normed_cosines", cosines)
+    mp.setattr(kgpaths.weights, "pool_vector_stack", stack)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(["uniform", "degree"]),
+       st.sampled_from([1, 2, 3, 8, 64]), st.sampled_from([1, 3, None]))
+def test_batched_fills_match_reference(graph_seed, struct_mode, dimension,
+                                       cutoff):
+    """``weigh`` on every node's out-edges and ``match`` on the simple
+    paths of up to 4 edges (the first 600) fill the values that the
+    reference functions give, by ``==``, with the cut-off at 1 (every
+    batch), 3 or its own value (most batches left to the one-value forms).
+    A 4-edge path pools 9 vectors, where numpy's pairwise summation would
+    part from the row order. At d = 1, ``match`` pools nothing."""
+    rng = random.Random(graph_seed)
+    g = random_graph(rng, max_nodes=12, max_edges=60)
+    sub = full_subgraph(g)
+    for e in sorted(sub.edges)[::3]:  # soft multipliers change costs
+        sub.soft[e] = rng.random()
+    emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
+    coeffs = WeightCoefficients(struct_mode=struct_mode)
+    q = emb.embed("q")
+    table = ScoreTable(sub, coeffs, emb, q)
+    paths = [Path(edges) for edges in _simple_edge_paths(sub, 4)[:600]]
+    with pytest.MonkeyPatch.context() as mp:
+        if cutoff is not None:
+            mp.setattr(kgpaths.weights, "BATCH_ROWS", cutoff)
+        rows = _count_batch_rows(mp)
+        for node in sorted(sub.nodes):
+            table.weigh(sub.out_edges[node])
+        table.match(paths)
+        cutoff = kgpaths.weights.BATCH_ROWS
+    lengths = Counter(len(p) for p in paths)
+    assert rows["pooled"] == (0 if dimension == 1 else sum(
+        n for n in lengths.values() if n >= cutoff))
+    out_degrees = [len(sub.out_edges[node]) for node in sub.nodes]
+    assert rows["cosines"] == rows["pooled"] + sum(
+        n for n in out_degrees if n >= cutoff)
+    for e in sub.edges:
+        assert table[e] == effective_cost(e, coeffs, emb, g, sub)
+    for p in paths:
+        assert np.array_equal(table.vector(p), pool_path_vector(p, emb, g))
+        assert table.sem(p) == semantic_match(p, q, emb, g)
+        assert table.score(p) == path_score(p, q, coeffs, emb, g, sub)
+
+
+@pytest.mark.parametrize("bad, kind, error", [
+    (None, None, None),
+    ("t3", "zero", ZeroVectorError),  # a zero tail
+    ("s", "zero", ZeroVectorError),  # a zero head
+    ("t4", "cancel", ZeroVectorError),  # s -r0-> t4 pools to zero
+    ("r1", "ragged", ValueError),  # a relation of another dimension
+    ("t5", "missing", UnknownItemError),  # the provider has no vector
+])
+def test_a_batch_that_meets_an_error_stores_nothing(bad, kind, error):
+    """A star of nine edges and its nine paths, above the cut-off. A batch
+    that meets an error stores nothing, so the one-value forms make what
+    it would have, and each value read afterwards is the reference value,
+    or the reference's error."""
+    tails = [f"t{i}" for i in range(9)]
+    g = build_graph([("s", f"r{i % 2}", t) for i, t in enumerate(tails)])
+    rng = np.random.default_rng(0)
+    vectors = {label: rng.standard_normal(4)
+               for label in ["s", "r0", "r1", "q"] + tails}
+    if kind == "zero":
+        vectors[bad] = np.zeros(4)
+    elif kind == "cancel":
+        vectors["s"], vectors["r0"] = np.array([1.0, 2, 0, 0]), np.eye(4)[2]
+        vectors[bad] = -vectors["s"] - vectors["r0"]
+    elif kind == "ragged":
+        vectors[bad] = np.ones(3)
+    elif kind == "missing":
+        del vectors[bad]
+    emb = _Vectors(vectors)
+    sub = full_subgraph(g)
+    coeffs = WeightCoefficients()
+    q = vectors["q"]
+    table = ScoreTable(sub, coeffs, emb, q)
+    edges = sub.out_edges[g.entity_id("s")]
+    paths = [Path([e]) for e in edges]
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _count_batch_rows(mp)
+        table.weigh(edges)
+        table.match(paths)
+    if error is None:
+        assert rows == Counter(cosines=18, pooled=9)
+
+    def outcome(read):
+        try:
+            return np.asarray(read()).tolist()
+        except (KgError, ValueError) as exc:
+            return type(exc)
+
+    one_value = Counter()  # weights and pools made by the one-value forms
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("edge_terms", "pool_vectors"):
+            def counted(*args, _name=name, _ref=getattr(kgpaths.weights,
+                                                        name)):
+                one_value[_name] += 1
+                return _ref(*args)
+            mp.setattr(kgpaths.weights, name, counted)
+        got = [[outcome(read) for read in (
+            lambda: table[e], lambda: table.vector(p), lambda: table.sem(p),
+            lambda: table.score(p))] for e, p in zip(edges, paths)]
+    # ``weigh`` meets what is wrong with an entity vector, ``match`` what
+    # is wrong with any vector or with a pooled one; with a zero head, no
+    # edge has a weight to make
+    assert bool(one_value["edge_terms"]) == (
+        kind in ("zero", "missing") and bad != "s")
+    assert bool(one_value["pool_vectors"]) == (
+        kind in ("cancel", "ragged", "missing"))
+    for e, p, values in zip(edges, paths, got):
+        assert values == [outcome(read) for read in (
+            lambda: effective_cost(e, coeffs, emb, g, sub),
+            lambda: pool_path_vector(p, emb, g),
+            lambda: semantic_match(p, q, emb, g),
+            lambda: path_score(p, q, coeffs, emb, g, sub))]
+        if error is not None and bad in (g.entity_labels[e.head],
+                                         g.entity_labels[e.tail],
+                                         g.relation_labels[e.relation]):
+            assert values[-1] is error
+
+
+class _Vectors:
+    """Embedding provider over a dict of vectors; an unknown label is an
+    ``UnknownItemError``, as ``FileEmbeddings`` raises."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, label):
+        try:
+            return self.vectors[label]
+        except KeyError:
+            raise UnknownItemError(f"no embedding for {label!r}") from None
 
 
 class _CountingVectors:

@@ -25,9 +25,12 @@ the workloads come from its ``perfbench/workloads.py``. The matrix:
 * ``demo/<name>``: each demo's standard output.
 
 ``--select`` keeps the artefacts whose name starts with one of the given
-prefixes and runs only what they need. No digest is pinned anywhere:
-``cosine`` calls BLAS, so the bits may differ between machines. Compare
-outputs from the same machine.
+prefixes and runs only what they need. Every dot product in the package
+goes through ``embeddings.row_dots`` (numpy's ``einsum``), never BLAS, so
+the lines do not depend on which BLAS kernel the CPU gets: CI diffs them
+under the default kernel and under ``OPENBLAS_CORETYPE=Haswell``. No
+digest is pinned anywhere: a numpy release may still sum differently, so
+compare outputs made with the same numpy.
 """
 
 from __future__ import annotations
