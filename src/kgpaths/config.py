@@ -4,6 +4,7 @@ config-file parsing, and the string overrides of the CLI's ``--set``."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -65,7 +66,9 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         checks = [
             (self.select_top_k >= 1, "select_top_k must be >= 1"),
-            (self.rho >= 0, "rho must be >= 0"),
+            (math.isfinite(self.select_threshold),
+             "select_threshold must be finite"),
+            (0 <= self.rho < math.inf, "rho must be finite and >= 0"),
             (self.rounds >= 1, "rounds must be >= 1"),
             (0.0 < self.conf_threshold <= 1.0,
              "conf_threshold must lie in (0, 1]"),
@@ -76,7 +79,8 @@ class RunConfig:
             # discretize_topk refuses) or overflows math.exp
             (abs(self.mask_gain) + abs(self.mask_uncertainty_gain) <= 36,
              "|mask_gain| + |mask_uncertainty_gain| must be <= 36"),
-            (self.discretize_tau > 0, "discretize_tau must be > 0"),
+            (0 < self.discretize_tau < math.inf,
+             "discretize_tau must be finite and > 0"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
         ]
         for ok, message in checks:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EditError, ParseError, UnknownEntityError, UnknownRelationError
 
-# sigmoid(+/-4): default soft multipliers for confirmed / refuted triples.
+# sigmoid(+/-4): the soft multipliers of confirmed / refuted triples.
 # Confirmation roughly halves effective traversal cost; refutation leaves the
 # cost nearly unchanged and relies on the verifier hard gate instead.
 CONFIRM_MULTIPLIER = 1.0 / (1.0 + math.exp(-4.0))
@@ -64,18 +64,14 @@ class SeedCandidate:
 # them; the diagnostic mapper in kgpaths.loop produces them.
 
 
-def _check_radius(radius: int) -> None:
-    if radius < 1:
-        raise ValueError(f"edit radius {radius} must be >= 1")
-
-
 @dataclass(frozen=True)
 class ExpandSeed:
     entity: int
     radius: int = 1
 
     def __post_init__(self):
-        _check_radius(self.radius)
+        if self.radius < 1:
+            raise ValueError(f"edit radius {self.radius} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,23 +82,20 @@ class PruneEdge:
 @dataclass(frozen=True)
 class ConfirmTriple:
     triple: Triple
-    multiplier: float = CONFIRM_MULTIPLIER
 
 
 @dataclass(frozen=True)
 class RefuteTriple:
     triple: Triple
-    multiplier: float = REFUTE_MULTIPLIER
 
 
 @dataclass(frozen=True)
 class SwapSeed:
+    """Drop ``old_entity`` and add ``new_entity`` with its one-hop
+    neighbourhood: DISAMBIGUATE names no radius."""
+
     old_entity: int
     new_entity: int
-    radius: int = 1
-
-    def __post_init__(self):
-        _check_radius(self.radius)
 
 
 GraphEdit = ExpandSeed | PruneEdge | ConfirmTriple | RefuteTriple | SwapSeed
@@ -580,9 +573,11 @@ def apply_edits(
 ) -> Subgraph:
     """Apply graph edits in order, mutating and returning ``subgraph``.
 
-    Pruning an edge already absent is a no-op recorded in
-    ``subgraph.warnings``. Edits referencing entities outside
-    ``subgraph.graph`` raise :class:`EditError`.
+    A confirmed or refuted triple's multiplier becomes
+    ``CONFIRM_MULTIPLIER`` or ``REFUTE_MULTIPLIER``. Pruning an edge
+    already absent is a no-op recorded in ``subgraph.warnings``. Edits
+    referencing entities outside ``subgraph.graph`` raise
+    :class:`EditError`.
     """
     num_entities = subgraph.graph.num_entities
 
@@ -604,14 +599,16 @@ def apply_edits(
         elif isinstance(edit, (ConfirmTriple, RefuteTriple)):
             check_entity(edit.triple.head)
             check_entity(edit.triple.tail)
-            subgraph.soft[edit.triple] = edit.multiplier
             if isinstance(edit, RefuteTriple):
+                subgraph.soft[edit.triple] = REFUTE_MULTIPLIER
                 subgraph.refuted.add(edit.triple)
+            else:
+                subgraph.soft[edit.triple] = CONFIRM_MULTIPLIER
         elif isinstance(edit, SwapSeed):
             check_entity(edit.old_entity)
             check_entity(edit.new_entity)
             subgraph.remove_node(edit.old_entity)
-            _bfs_add(subgraph, [edit.new_entity], edit.radius, round_index)
+            _bfs_add(subgraph, [edit.new_entity], 1, round_index)
         else:
             raise EditError(f"unknown edit type: {edit!r}")
     return subgraph

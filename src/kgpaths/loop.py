@@ -4,9 +4,12 @@ Each round enumerates and scores candidate paths, injects a soft mixture of
 selected path latents into a reasoner, and, when the reasoner's confidence
 stays below threshold, maps its diagnostic message to targeted graph edits
 (verification, expansion, disambiguation, pruning) applied before the next
-round. Soft per-edge masks bridge the diagnostics into traversal costs; a
-noisy top-k discretization picks which candidate paths carry the mask
-forward.
+round. Each edit carries only what its diagnostic names. Soft multipliers
+bridge the diagnostics into traversal costs: a noisy top-k over per-path
+mask values (``path_mask``, with a relevance term for confirmed and
+refuted triples) picks the paths whose edges take the uncertainty term
+(``soft_mask``); then the edits give each confirmed or refuted triple
+its fixed multiplier.
 """
 
 from __future__ import annotations
@@ -146,43 +149,20 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _mask_values(items: dict, edits: list[GraphEdit], uncertainty: float,
-                 gain: float, uncertainty_gain: float) -> dict:
-    """The one relevance rule behind both masks, for items given as
-    key -> edges: key -> delta in (0, 1).
-
-    delta = sigmoid(gain * relevance + uncertainty_gain * uncertainty) with
-    relevance -1 when the round's edits refute any of the item's edges,
-    else +1 when they confirm any, else 0.
-    """
-    confirmed = {e.triple for e in edits if isinstance(e, ConfirmTriple)}
-    refuted = {e.triple for e in edits if isinstance(e, RefuteTriple)}
-    out = {}
-    for key, edges in items.items():
-        relevance = (-1.0 if any(e in refuted for e in edges)
-                     else 1.0 if any(e in confirmed for e in edges) else 0.0)
-        out[key] = _sigmoid(gain * relevance + uncertainty_gain * uncertainty)
-    return out
-
-
 def soft_mask(
     uncertainty: float,
     candidates: list[ScoredCandidate],
-    edits: list[GraphEdit],
-    gain: float = 4.0,
     uncertainty_gain: float = 0.0,
 ) -> dict[Triple, float]:
-    """Per-edge mask values delta in (0, 1), keyed by edge.
+    """Per-edge mask values keyed by edge, for the edges of ``candidates``:
+    each is sigmoid(uncertainty_gain * uncertainty), in (0, 1).
 
-    Edges covered are those on candidate paths plus the confirmed and
-    refuted triples of the round's edits; each edge is its own item under
-    the shared relevance rule (``_mask_values``).
+    No edge carries a relevance term: the round's confirmed and refuted
+    triples take their edits' multipliers in ``apply_edits``, which runs
+    after this mask and overwrites any value it gave them.
     """
-    edges = {e.triple for e in edits if isinstance(e, (ConfirmTriple, RefuteTriple))}
-    for c in candidates:
-        edges.update(c.path.edges)
-    return _mask_values({e: (e,) for e in edges}, edits, uncertainty, gain,
-                        uncertainty_gain)
+    delta = _sigmoid(uncertainty_gain * uncertainty)
+    return {e: delta for c in candidates for e in c.path.edges}
 
 
 def path_mask(
@@ -192,10 +172,22 @@ def path_mask(
     gain: float = 4.0,
     uncertainty_gain: float = 0.0,
 ) -> dict[tuple, float]:
-    """Per-path mask values keyed by path identity under the shared
-    relevance rule: refutation of any edge dominates confirmation."""
-    return _mask_values({c.path.key(): c.path.edges for c in candidates},
-                        edits, uncertainty, gain, uncertainty_gain)
+    """Per-path mask values delta in (0, 1), keyed by path identity.
+
+    delta = sigmoid(gain * relevance + uncertainty_gain * uncertainty) with
+    relevance -1 when the round's edits refute any of the path's edges
+    (refutation dominates), else +1 when they confirm any, else 0.
+    """
+    confirmed = {e.triple for e in edits if isinstance(e, ConfirmTriple)}
+    refuted = {e.triple for e in edits if isinstance(e, RefuteTriple)}
+    out = {}
+    for c in candidates:
+        edges = c.path.edges
+        relevance = (-1.0 if any(e in refuted for e in edges)
+                     else 1.0 if any(e in confirmed for e in edges) else 0.0)
+        out[c.path.key()] = _sigmoid(gain * relevance
+                                     + uncertainty_gain * uncertainty)
+    return out
 
 
 def discretize_target(k: int) -> int:
@@ -333,9 +325,10 @@ class ExternalReasoner:
     POST ``{"question", "paths": [{"text", "weight", "verifier"}],
     "mixture": [...]}`` and expect ``{"answer", "confidence", "diagnostic",
     "attention"?, "tokens"?, "logprob"?}``; confidence must be a scalar in
-    [0, 1] and logprob, when given, a finite number. A reply that is not
-    JSON or breaks this shape raises ``ServiceError``, which fails the
-    episode and leaves the rest of a benchmark run going.
+    [0, 1], tokens, when given, an integer >= 0 (not a bool) and logprob,
+    when given, a finite number. A reply that is not JSON or breaks this
+    shape raises ``ServiceError``, which fails the episode and leaves the
+    rest of a benchmark run going.
     """
 
     def __init__(self, graph: KnowledgeGraph, url: str | None = None,
@@ -369,8 +362,10 @@ class ExternalReasoner:
             if body.get("attention") is not None:
                 attention = AttentionMatrix(
                     np.asarray(body["attention"], dtype=float))
-            tokens = int(body.get("tokens", sum(
-                len(p["text"].split()) for p in payload["paths"])))
+            tokens = body.get("tokens", sum(
+                len(p["text"].split()) for p in payload["paths"]))
+            if type(tokens) is not int or tokens < 0:
+                raise ValueError(f"tokens {tokens!r} is not an integer >= 0")
             logprob = body.get("logprob")
             if logprob is not None:
                 logprob = float(logprob)
@@ -659,10 +654,9 @@ def run_loop(
                 deterministic=config.deterministic,
                 tau=config.discretize_tau))
             # the kept paths' edges take their mask values; the confirmed
-            # and refuted triples it also covers are set by the edits below
+            # and refuted triples then take their edits' multipliers
             subgraph.soft.update(soft_mask(
                 uncertainty, [c for c in candidates if c.path.key() in kept],
-                edits, gain=config.mask_gain,
                 uncertainty_gain=config.mask_uncertainty_gain))
             apply_edits(subgraph, edits, round_index=t + 1)
             episode.edits_applied += len(edits)

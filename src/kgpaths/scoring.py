@@ -43,8 +43,8 @@ class GumbelConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature (tau) must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature (tau) must be finite and > 0")
 
 
 def _path_features(path: Path, table: ScoreTable) -> dict[str, float]:

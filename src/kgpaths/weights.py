@@ -53,8 +53,8 @@ class WeightCoefficients:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "lambda_sem"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.struct_mode not in ("uniform", "degree"):
             raise ValueError(f"unknown struct_mode: {self.struct_mode!r}")
 

@@ -61,6 +61,7 @@ def test_bad_set_value_exits_2(argo_files, capsys):
     assert main(query_argv(argo_files, "--set", "tau=-1")) == 2
     assert "config error" in capsys.readouterr().err
     assert main(query_argv(argo_files, "--set", "mask_gain=800")) == 2
+    assert main(query_argv(argo_files, "--set", "alpha=nan")) == 2
     assert main(query_argv(argo_files, "--set", "nonsense")) == 2
     assert main(query_argv(argo_files, "--set", "jobs=2")) == 2
     assert main(query_argv(argo_files,

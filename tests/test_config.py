@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,13 @@ from kgpaths.synthetic import FIXTURES
     ("conf_threshold", 1.5), ("edit_budget", -1), ("radius", 0), ("knn", -1),
     ("discretize_tau", 0.0), ("embed_dim", 0), ("mask_gain", 800.0),
     ("mask_uncertainty_gain", 33.0),
+    # non-finite values, each of which used to fail every episode or
+    # force an EXPAND in every round without an error
+    ("alpha", math.nan), ("alpha", math.inf), ("beta", math.nan),
+    ("gamma", math.inf), ("lambda_sem", math.nan), ("lambda_sem", math.inf),
+    ("tau", math.nan), ("tau", math.inf), ("select_threshold", math.nan),
+    ("select_threshold", -math.inf), ("select_threshold", math.inf),
+    ("rho", math.inf), ("discretize_tau", math.inf),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
     # construction, dataclasses.replace (the sweep path) and the string

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -262,9 +263,9 @@ def test_batched_adds_match_one_node_at_a_time(make_graph, graph_seed,
             bfs_add_reference(ref, a, radius, round_index)
         elif kind == "swap":
             new = batch[0] if batch else (a + 1) % n
-            apply_edits(sub, [SwapSeed(a, new, radius)], round_index)
+            apply_edits(sub, [SwapSeed(a, new)], round_index)
             ref.remove_node(a)
-            bfs_add_reference(ref, new, radius, round_index)
+            bfs_add_reference(ref, new, 1, round_index)
         elif ref.edges:
             edge = sorted(ref.edges)[a % len(ref.edges)]
             apply_edits(sub, [PruneEdge(edge)], round_index)
@@ -433,9 +434,9 @@ def test_incremental_induction_matches_recomputation(graph_seed, steps):
                 continue
             edit = PruneEdge(sorted(sub.edges)[a % len(sub.edges)])
         elif kind == "readd" and removed:  # a node an earlier swap removed
-            edit = SwapSeed(a, removed[b % len(removed)], radius)
+            edit = SwapSeed(a, removed[b % len(removed)])
         else:
-            edit = SwapSeed(a, b, radius)
+            edit = SwapSeed(a, b)
         if isinstance(edit, SwapSeed) and edit.old_entity in sub.nodes:
             removed.append(edit.old_entity)
         apply_edits(sub, [edit], round_index)
@@ -507,7 +508,7 @@ def test_kept_hop_tables_match_a_fresh_search(graph_seed, steps, queries):
         elif kind == "expand":
             apply_edits(sub, [ExpandSeed(a, radius)], round_index)
         elif kind == "swap":
-            apply_edits(sub, [SwapSeed(a, b, radius)], round_index)
+            apply_edits(sub, [SwapSeed(a, b)], round_index)
         elif sub.edges:
             edge = sorted(sub.edges)[a % len(sub.edges)]
             apply_edits(sub, [PruneEdge(edge)], round_index)
@@ -587,5 +588,20 @@ def test_adding_nodes_hashes_no_triple_while_nothing_is_pruned():
 def test_edits_refuse_a_radius_below_one(radius):
     with pytest.raises(ValueError):
         ExpandSeed(0, radius)
-    with pytest.raises(ValueError):
-        SwapSeed(0, 1, radius)
+
+
+def test_edits_carry_only_what_their_diagnostic_names(chain_graph):
+    # VERIFY names a triple and DISAMBIGUATE two entities: no multiplier
+    # (a refute multiplier of -1 would divide a cost by zero) and no radius
+    assert [f.name for f in fields(ConfirmTriple)] == ["triple"]
+    assert [f.name for f in fields(RefuteTriple)] == ["triple"]
+    assert [f.name for f in fields(SwapSeed)] == ["old_entity", "new_entity"]
+    e = Triple(0, 0, 1)
+    with pytest.raises(TypeError):
+        RefuteTriple(e, multiplier=-1.0)
+    with pytest.raises(TypeError):
+        SwapSeed(0, 2, radius=2)
+    sub = Subgraph(graph=chain_graph)
+    sub.add_nodes([0], 0)
+    apply_edits(sub, [SwapSeed(0, 1)], 1)  # b and one hop: c, not d
+    assert sub.nodes == {1: 1, 2: 1}

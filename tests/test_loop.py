@@ -22,6 +22,7 @@ from kgpaths.embeddings import HashEmbeddings, ServiceEmbeddings
 from kgpaths.errors import ServiceError
 from kgpaths.evaluation import BenchmarkRecord, run_benchmark
 from kgpaths.graph import (
+    REFUTE_MULTIPLIER,
     ConfirmTriple,
     ExpandSeed,
     PruneEdge,
@@ -29,6 +30,7 @@ from kgpaths.graph import (
     SeedCandidate,
     SwapSeed,
     Triple,
+    apply_edits,
 )
 from kgpaths.loop import (
     DiagnosticMessage,
@@ -48,7 +50,7 @@ from kgpaths.scoring import LinearScorer, LinearVerifier, ScoredCandidate
 from kgpaths.synthetic import ARGO_QUESTION, argo_fixture
 from kgpaths.weights import effective_cost, path_score, semantic_match
 
-from conftest import build_graph, random_graph
+from conftest import build_graph, full_subgraph, random_graph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
 
@@ -150,18 +152,25 @@ def test_prune_names_the_selected_path_the_reasoner_saw(chain_graph,
 
 
 def test_soft_mask_values():
-    cands = [ScoredCandidate(Path([Triple(0, 0, 1), Triple(1, 0, 2)]))]
+    # the edge mask covers the candidates' edges only and has no relevance
+    # term; a path holding a confirmed or refuted edge gets one from
+    # path_mask
+    p = Path([Triple(0, 0, 1), Triple(1, 0, 2)])
+    q, r = Path([Triple(5, 0, 6)]), Path([Triple(3, 0, 4)])
+    cands = [ScoredCandidate(p), ScoredCandidate(q), ScoredCandidate(r)]
+    assert soft_mask(0.0, cands[:2]) == {
+        Triple(0, 0, 1): 0.5, Triple(1, 0, 2): 0.5, Triple(5, 0, 6): 0.5}
     edits = [ConfirmTriple(Triple(0, 0, 1)), RefuteTriple(Triple(5, 0, 6))]
-    deltas = soft_mask(0.0, cands, edits, gain=4.0)
+    deltas = path_mask(0.0, cands, edits, gain=4.0)
     sig = lambda x: 1 / (1 + math.exp(-x))
-    assert deltas[Triple(0, 0, 1)] == pytest.approx(sig(4.0))
-    assert deltas[Triple(5, 0, 6)] == pytest.approx(sig(-4.0))
-    assert deltas[Triple(1, 0, 2)] == pytest.approx(0.5)
+    assert deltas[p.key()] == pytest.approx(sig(4.0))
+    assert deltas[q.key()] == pytest.approx(sig(-4.0))
+    assert deltas[r.key()] == pytest.approx(0.5)
 
 
 def test_soft_mask_uncertainty_term():
     cands = [ScoredCandidate(Path([Triple(0, 0, 1)]))]
-    deltas = soft_mask(1.0, cands, [], gain=4.0, uncertainty_gain=2.0)
+    deltas = soft_mask(1.0, cands, uncertainty_gain=2.0)
     assert deltas[Triple(0, 0, 1)] == pytest.approx(1 / (1 + math.exp(-2.0)))
 
 
@@ -173,15 +182,104 @@ def test_path_mask_refutation_dominates():
 
 
 def test_masks_share_one_relevance_rule():
-    # an edge that is both confirmed and refuted counts as refuted, as a
-    # path holding a refuted edge does
-    p = Path([Triple(0, 0, 1)])
-    edits = [ConfirmTriple(Triple(0, 0, 1)), RefuteTriple(Triple(0, 0, 1))]
+    # an edge that is both confirmed and refuted counts as refuted: a path
+    # holding it is masked as refuted, and the edge itself, after its
+    # uncertainty-only mask value, ends with the refute multiplier
+    e = Triple(0, 0, 1)
+    p = Path([e])
+    edits = [ConfirmTriple(e), RefuteTriple(e)]
     cands = [ScoredCandidate(p)]
-    edge = soft_mask(0.3, cands, edits, gain=4.0, uncertainty_gain=1.5)
     path = path_mask(0.3, cands, edits, gain=4.0, uncertainty_gain=1.5)
-    assert edge[Triple(0, 0, 1)] == path[p.key()] \
-        == pytest.approx(1 / (1 + math.exp(4.0 - 0.45)))
+    assert path[p.key()] == pytest.approx(1 / (1 + math.exp(4.0 - 0.45)))
+    sub = full_subgraph(build_graph([("a", "r", "b")]))
+    sub.soft.update(soft_mask(0.3, cands, uncertainty_gain=1.5))
+    assert sub.soft == {e: pytest.approx(1 / (1 + math.exp(-0.45)))}
+    apply_edits(sub, edits)
+    assert sub.soft == {e: REFUTE_MULTIPLIER} and sub.refuted == {e}
+
+
+def _relevance_edge_mask(uncertainty, candidates, edits, gain,
+                         uncertainty_gain):
+    """The edge mask as it was before edits lost their multipliers: the
+    candidates' edges and the round's confirmed and refuted triples, each
+    its own item, valued sigmoid(gain * relevance + uncertainty_gain *
+    uncertainty), relevance -1 if refuted, else +1 if confirmed, else 0."""
+    confirmed = {e.triple for e in edits if isinstance(e, ConfirmTriple)}
+    refuted = {e.triple for e in edits if isinstance(e, RefuteTriple)}
+    edges = confirmed | refuted
+    for c in candidates:
+        edges.update(c.path.edges)
+    out = {}
+    for e in edges:
+        relevance = -1.0 if e in refuted else 1.0 if e in confirmed else 0.0
+        x = gain * relevance + uncertainty_gain * uncertainty
+        out[e] = 1.0 / (1.0 + math.exp(-x))
+    return out
+
+
+def _random_path(g, rng, max_edges):
+    """A simple chain of one to ``max_edges`` base triples."""
+    edges = [rng.choice(sorted(g.triples))]
+    seen = {edges[0].head, edges[0].tail}
+    while len(edges) < max_edges:
+        out = [e for e in g.out_adj[edges[-1].tail] if e.tail not in seen]
+        if not out:
+            break
+        edges.append(rng.choice(out))
+        seen.add(edges[-1].tail)
+    return Path(edges)
+
+
+@st.composite
+def _mask_gains(draw):
+    """(mask_gain, mask_uncertainty_gain) within RunConfig's bound."""
+    gain = draw(st.floats(-36.0, 36.0))
+    rest = 36.0 - abs(gain)
+    return gain, draw(st.floats(-rest, rest))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(0, 6),
+       st.integers(0, 6), st.integers(0, 3), _mask_gains(),
+       st.floats(0.0, 1.0))
+def test_edge_mask_and_edits_set_the_multipliers_the_relevance_rule_did(
+        graph_seed, num_candidates, num_edits, num_prior, gains, uncertainty):
+    """A round's update, the uncertainty-only edge mask on the kept paths
+    and then the edits, leaves the same multipliers and refutations, by
+    ``==``, as the relevance-based edge mask that also covered the edits'
+    triples did, for confirmed and refuted triples on the candidates and off
+    them (absent from the graph too), over multipliers set in earlier
+    rounds."""
+    gain, uncertainty_gain = gains
+    rng = random.Random(graph_seed)
+    g = random_graph(rng)
+    if not g.triples:  # every drawn pair was a loop
+        num_candidates = num_edits = num_prior = 0
+    cands = [ScoredCandidate(_random_path(g, rng, 3))
+             for _ in range(num_candidates)]
+    on_paths = sorted({e for c in cands for e in c.path.edges})
+    edits = []
+    for _ in range(num_edits):
+        if on_paths and rng.random() < 0.5:
+            triple = rng.choice(on_paths)
+        else:
+            triple = Triple(rng.randrange(g.num_entities),
+                            rng.randrange(g.num_relations),
+                            rng.randrange(g.num_entities))
+        edits.append(rng.choice([ConfirmTriple, RefuteTriple])(triple))
+    prior = {rng.choice(sorted(g.triples)): rng.random()
+             for _ in range(num_prior)}
+
+    new, old = full_subgraph(g), full_subgraph(g)
+    for sub, mask in ((new, soft_mask(uncertainty, cands,
+                                      uncertainty_gain=uncertainty_gain)),
+                      (old, _relevance_edge_mask(uncertainty, cands, edits,
+                                                 gain, uncertainty_gain))):
+        sub.soft.update(prior)
+        sub.soft.update(mask)
+        apply_edits(sub, edits, round_index=1)
+    assert new.soft == old.soft
+    assert new.refuted == old.refuted
 
 
 def test_spearman_average_ranks_on_ties():
@@ -322,8 +420,13 @@ def test_mask_values_at_the_config_bound_stay_inside_the_unit_interval(
     # confirmed edge then reaches +-36 at full uncertainty, short of the
     # sigmoid rounding to 1.0 or 0.0
     e, f = Triple(0, 0, 1), Triple(1, 0, 2)
-    deltas = soft_mask(1.0, [], [ConfirmTriple(e), RefuteTriple(f)],
+    p, q = Path([e]), Path([f])
+    cands = [ScoredCandidate(p), ScoredCandidate(q)]
+    deltas = path_mask(1.0, cands, [ConfirmTriple(e), RefuteTriple(f)],
                        gain=gain, uncertainty_gain=uncertainty_gain)
+    assert all(0.0 < d < 1.0 for d in deltas.values())
+    assert discretize_topk(deltas, k=10) == sorted([p.key(), q.key()])
+    deltas = soft_mask(1.0, cands, uncertainty_gain=uncertainty_gain)
     assert all(0.0 < d < 1.0 for d in deltas.values())
     assert discretize_topk(deltas, k=10) == [e, f]
 
@@ -488,8 +591,13 @@ _GOOD_REPLY = '{"answer": "b", "confidence": 0.9, "logprob": -0.1}'
     '{"answer": "b", "confidence": 0.9, "logprob": "high"}',
     '{"confidence": 0.9}',  # no answer
     '["b", 0.9]',  # not an object
+    '{"answer": "b", "confidence": 0.9, "tokens": -5}',
+    '{"answer": "b", "confidence": 0.9, "tokens": 2.7}',
+    '{"answer": "b", "confidence": 0.9, "tokens": true}',
+    '{"answer": "b", "confidence": 0.9, "tokens": "7"}',
 ], ids=["not-json", "no-confidence", "attention-rows", "attention-ragged",
-        "logprob-nan", "logprob-text", "no-answer", "not-object"])
+        "logprob-nan", "logprob-text", "no-answer", "not-object",
+        "tokens-negative", "tokens-fraction", "tokens-bool", "tokens-text"])
 def test_external_reasoner_malformed_reply_fails_one_row(body):
     g = build_graph([("a", "r", "b")])
     session = _CannedSession({"bad": body, "good": _GOOD_REPLY})

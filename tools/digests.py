@@ -18,7 +18,9 @@ the workloads come from its ``perfbench/workloads.py``. The matrix:
   and the ``run_benchmark`` report. The suite's ``ScriptedReasoner`` only
   ever asks to VERIFY, so the ``cycled_edits`` variant swaps in
   ``CyclingReasoner``, which asks for every edit kind; ``K=2`` makes
-  k-shortest fill K, so beam expansion and random walks run. Workloads are
+  k-shortest fill K, so beam expansion and random walks run; the
+  ``mask_gain=-8,mask_uncertainty_gain=1.5`` variant gives the kept
+  paths' edges mask values other than 0.5. Workloads are
   ``fixtures`` (which
   ignores the seed), ``pair_island`` and a small ``hub_dialogue`` (3,000
   entities, 6,000 background triples, hub degree 300), seeds 1 and 2;
@@ -82,6 +84,11 @@ VARIANTS = {
     # every round on fixtures and hub_dialogue, and in the pair_island
     # rounds whose seeds are joined (K=8 fills it in none of them)
     "K=2": {"K": 2},
+    # every other variant keeps mask_uncertainty_gain at 0, where each kept
+    # path's edges get the mask value 0.5; a negative gain also flips which
+    # paths the relevance rule favours
+    "mask_gain=-8,mask_uncertainty_gain=1.5": {
+        "mask_gain": -8.0, "mask_uncertainty_gain": 1.5},
 }
 SEEDS = {"fixtures": (1,), "pair_island": (1, 2), "hub_dialogue": (1, 2)}
 
