@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .graph import open_text
+from .graph import read_lines
 from .pathenum import EnumerationBudget
 from .scoring import GumbelConfig
 from .weights import WeightCoefficients
@@ -137,13 +137,11 @@ def _coerce(raw: dict) -> dict:
 def load_config(source) -> RunConfig:
     """Parse a flat ``key = value`` text file into a RunConfig."""
     raw: dict[str, str] = {}
-    with open_text(source) as lines:
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+    for lineno, line in read_lines(source):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        raw[key.strip()] = value.strip()
     return RunConfig(**_coerce(raw))

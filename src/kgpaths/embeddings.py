@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParseError, ServiceError, UnknownItemError, ZeroVectorError
-from .graph import open_text
+from .graph import read_tsv
 
 EMBED_URL_ENV = "KGPATHS_EMBED_URL"
 EMBED_TOKEN_ENV = "KGPATHS_EMBED_TOKEN"
@@ -142,29 +142,23 @@ class FileEmbeddings:
         self._vectors = {}
         for label, vec in vectors.items():
             arr = np.asarray(vec, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite embedding for {label!r}")
             arr.setflags(write=False)
             self._vectors[label] = arr
+        finite = np.isfinite(np.stack(list(self._vectors.values()))).all(axis=1)
+        if not finite.all():
+            label = list(self._vectors)[int(finite.argmin())]
+            raise ValueError(f"non-finite embedding for {label!r}")
 
     @classmethod
     def load(cls, source) -> "FileEmbeddings":
         vectors: dict[str, np.ndarray] = {}
-        with open_text(source) as lines:
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ParseError("expected label<TAB>v1,v2,...", lineno)
-                label, values = fields
-                try:
-                    vectors[label] = np.array(
-                        [float(x) for x in values.split(",")], dtype=float
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
+        for lineno, (label, values) in read_tsv(source, "label", "v1,v2,..."):
+            try:
+                vectors[label] = np.array(
+                    [float(x) for x in values.split(",")], dtype=float
+                )
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
         return cls(vectors)
 
     def embed(self, label: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 from .config import RunConfig
 from .errors import KgError, ParseError
-from .graph import KnowledgeGraph, SeedCandidate, open_text
+from .graph import KnowledgeGraph, SeedCandidate, read_lines
 from .loop import EpisodeResult, run_loop
 
 
@@ -50,28 +50,24 @@ def load_benchmark(source) -> list[BenchmarkRecord]:
     ``seeds`` ([{"entity", "confidence"?}]), ``answers``, and optionally
     ``gold_paths`` ([{"nodes", "relations"}]) and ``hops``."""
     records = []
-    with open_text(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(BenchmarkRecord(
-                    question=obj["question"],
-                    seeds=tuple(
-                        (s["entity"], float(s.get("confidence", 1.0)))
-                        for s in obj["seeds"]
-                    ),
-                    answers=frozenset(obj["answers"]),
-                    gold_paths=tuple(
-                        (tuple(p["nodes"]), tuple(p["relations"]))
-                        for p in obj.get("gold_paths", [])
-                    ),
-                    hops=obj.get("hops"),
-                ))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ParseError(str(exc), lineno) from None
+    for lineno, line in read_lines(source):
+        try:
+            obj = json.loads(line)
+            records.append(BenchmarkRecord(
+                question=obj["question"],
+                seeds=tuple(
+                    (s["entity"], float(s.get("confidence", 1.0)))
+                    for s in obj["seeds"]
+                ),
+                answers=frozenset(obj["answers"]),
+                gold_paths=tuple(
+                    (tuple(p["nodes"]), tuple(p["relations"]))
+                    for p in obj.get("gold_paths", [])
+                ),
+                hops=obj.get("hops"),
+            ))
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            raise ParseError(str(exc), lineno) from None
     return records
 
 

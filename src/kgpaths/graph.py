@@ -227,13 +227,38 @@ class KnowledgeGraph:
 @contextmanager
 def open_text(source):
     """Open ``source`` for a ``with`` block: a path (``str``, ``bytes`` or
-    path-like) is opened as UTF-8 text and closed on exit; an open handle or
-    any other iterable of lines is passed through and left open."""
+    path-like) is opened as UTF-8 text, less a leading byte-order mark, and
+    closed on exit; an open handle or any other iterable of lines is passed
+    through and left open."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             yield fh
     else:
         yield source
+
+
+def read_lines(source) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of ``source`` (see :func:`open_text`) with its
+    1-based line number, stripped of surrounding whitespace: the one way
+    the line-oriented loaders read their input."""
+    with open_text(source) as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
+
+
+def read_tsv(source, *names: str) -> Iterator[tuple[int, list[str]]]:
+    """Each line of :func:`read_lines` split on tabs into the fields
+    ``names``, each field stripped. A line with another number of fields,
+    or with an empty field, raises ``ParseError`` naming the line."""
+    for lineno, line in read_lines(source):
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != len(names) or not all(fields):
+            raise ParseError(f"expected {'<TAB>'.join(names)}, got "
+                             f"{len(fields)} fields, {fields.count('')} empty",
+                             lineno)
+        yield lineno, fields
 
 
 def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
@@ -244,40 +269,23 @@ def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
     ``add_inverse``, every triple also materializes ``tail r⁻¹ head``.
     """
     graph = KnowledgeGraph()
-    with open_text(source) as lines:
-        _load_lines(graph, lines, add_inverse)
+    for _, (head, relation, tail) in read_tsv(source, "head", "relation",
+                                              "tail"):
+        graph.add_triple(head, relation, tail)
+        if add_inverse:
+            graph.add_triple(tail, relation + "⁻¹", head)
     graph.finalize()
     return graph
 
 
-def _load_lines(graph: KnowledgeGraph, lines: Iterable[str], add_inverse: bool) -> None:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", lineno
-            )
-        head, relation, tail = fields
-        graph.add_triple(head, relation, tail)
-        if add_inverse:
-            graph.add_triple(tail, relation + "⁻¹", head)
-
-
 def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
     """Apply a relation-prior override TSV: ``relation<TAB>prior_cost``."""
-    with open_text(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError("expected relation<TAB>prior_cost", lineno)
-            label, cost = fields
-            graph.set_prior_cost(graph.relation_id(label), float(cost))
+    for lineno, (label, cost) in read_tsv(source, "relation", "prior_cost"):
+        relation = graph.relation_id(label)
+        try:
+            graph.set_prior_cost(relation, float(cost))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
 
 
 class EdgeView(Mapping):

@@ -29,7 +29,6 @@ class PathLatent:
 @dataclass(frozen=True)
 class ContextMixture:
     z_ctx: np.ndarray
-    components: tuple[tuple[int, float], ...]  # (path_id, coefficient)
     key_index: dict[int, tuple[int, ...]]  # path_id -> key column positions
 
 
@@ -88,9 +87,8 @@ def context_mixture(selected: list[tuple[PathLatent, float]]) -> ContextMixture:
     z = np.zeros_like(selected[0][0].vector, dtype=float)
     for latent, coeff in selected:
         z = z + coeff * latent.vector
-    components = tuple((latent.path_id, coeff) for latent, coeff in selected)
     key_index = {latent.path_id: (i,) for i, (latent, _) in enumerate(selected)}
-    return ContextMixture(z_ctx=z, components=components, key_index=key_index)
+    return ContextMixture(z_ctx=z, key_index=key_index)
 
 
 def cross_attention(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig
 from .embeddings import JsonService, query_embedding
-from .errors import EmptySelectionError, KgError, ServiceError
+from .errors import EmptySelectionError, KgError
 from .graph import (
     ConfirmTriple,
     ExpandSeed,
@@ -235,7 +235,6 @@ class ReasonerReply:
     diagnostic: str = NONE
     attention: AttentionMatrix | None = None
     tokens: int = 0
-    logprob: float | None = None
 
 
 class ScriptedReasoner:
@@ -315,7 +314,6 @@ class ScriptedReasoner:
         return ReasonerReply(
             answer=answer, confidence=confidence, diagnostic=diagnostic,
             attention=attention, tokens=tokens,
-            logprob=self.log_prob(question, selected, answer),
         )
 
 
@@ -323,12 +321,12 @@ class ExternalReasoner:
     """HTTP reasoner client.
 
     POST ``{"question", "paths": [{"text", "weight", "verifier"}],
-    "mixture": [...]}`` and expect ``{"answer", "confidence", "diagnostic",
-    "attention"?, "tokens"?, "logprob"?}``; confidence must be a scalar in
-    [0, 1], tokens, when given, an integer >= 0 (not a bool) and logprob,
-    when given, a finite number. A reply that is not JSON or breaks this
-    shape raises ``ServiceError``, which fails the episode and leaves the
-    rest of a benchmark run going.
+    "mixture": [...]}`` and expect ``{"answer", "confidence", "diagnostic"?,
+    "attention"?, "tokens"?}``: answer a string; confidence a number in
+    [0, 1] (not a bool); diagnostic, when given and not null, a string;
+    tokens, when given, an integer >= 0 (not a bool). A reply that is not
+    JSON or breaks this shape raises ``ServiceError``, which fails the
+    episode and leaves the rest of a benchmark run going.
     """
 
     def __init__(self, graph: KnowledgeGraph, url: str | None = None,
@@ -355,9 +353,18 @@ class ExternalReasoner:
         }
 
         def parse(body) -> ReasonerReply:
-            confidence = float(body["confidence"])
-            if not 0.0 <= confidence <= 1.0:
-                raise ServiceError(f"confidence {confidence} outside [0, 1]")
+            answer = body["answer"]
+            if not isinstance(answer, str):
+                raise ValueError(f"answer {answer!r} is not a string")
+            confidence = body["confidence"]
+            if type(confidence) not in (int, float) or not 0 <= confidence <= 1:
+                raise ValueError(f"confidence {confidence!r} is not a number "
+                                 "or is outside [0, 1]")
+            diagnostic = body.get("diagnostic")
+            if diagnostic is None:
+                diagnostic = NONE
+            elif not isinstance(diagnostic, str):
+                raise ValueError(f"diagnostic {diagnostic!r} is not a string")
             attention = None
             if body.get("attention") is not None:
                 attention = AttentionMatrix(
@@ -366,15 +373,9 @@ class ExternalReasoner:
                 len(p["text"].split()) for p in payload["paths"]))
             if type(tokens) is not int or tokens < 0:
                 raise ValueError(f"tokens {tokens!r} is not an integer >= 0")
-            logprob = body.get("logprob")
-            if logprob is not None:
-                logprob = float(logprob)
-                if not math.isfinite(logprob):
-                    raise ValueError(f"logprob {logprob} is not finite")
             return ReasonerReply(
-                answer=str(body["answer"]), confidence=confidence,
-                diagnostic=str(body.get("diagnostic", NONE)),
-                attention=attention, tokens=tokens, logprob=logprob)
+                answer=answer, confidence=float(confidence),
+                diagnostic=diagnostic, attention=attention, tokens=tokens)
 
         return self._service.post(payload, parse)
 
@@ -508,12 +509,14 @@ def run_loop(
     is built.
 
     Terminates when the reasoner's confidence exceeds the threshold or the
-    round budget is exhausted. A ``ServiceError`` inside a round, from the
-    reasoner or from the embedding provider (while paths are enumerated,
-    scored, verified or encoded), marks the episode failed: the finished
-    rounds are kept and the failed round is traced with no answer. One
-    raised before the first round, while the neighborhood (its ``knn``
-    part) or the question is embedded, fails the episode with no rounds.
+    round budget is exhausted. Any ``KgError`` inside a round, up to the
+    reasoner's reply (a ``ServiceError`` from the reasoner or the embedding
+    provider, an ``UnknownItemError`` or ``ZeroVectorError`` from the
+    embeddings, a scorer or verifier plugin's error), marks the episode
+    failed: the finished rounds, with their reasoner calls and tokens, are
+    kept and the failed round is traced with no answer. One raised before
+    the first round, while the neighborhood (its ``knn`` part) or the
+    question is embedded, fails the episode with no rounds.
 
     An empty candidate set forces an EXPAND edit on the highest-confidence
     seed. ``config.edit_budget`` never refuses a forced EXPAND, but each one
@@ -529,7 +532,7 @@ def run_loop(
         subgraph = expand_neighborhood(
             graph, seeds, config.radius, config.knn, embeddings)
         qvec = query_embedding(embeddings, question, graph)
-    except ServiceError as exc:
+    except KgError as exc:
         return EpisodeResult(failed=True, failure=str(exc))
     seed_ids = [s.entity for s in seeds]
     seed_conf = {s.entity: s.confidence for s in seeds}
@@ -566,8 +569,8 @@ def run_loop(
     for t in range(config.rounds):
         table.new_round()
         candidates: list[ScoredCandidate] = []
-        # everything up to the reasoner's reply reads the embedding or the
-        # reasoner service; a ServiceError there ends the episode as failed
+        # a KgError anywhere up to the reasoner's reply ends the episode as
+        # failed; an empty selection forces an EXPAND instead
         try:
             paths = enumerate_paths(
                 table, seed_ids, budget,
@@ -600,7 +603,7 @@ def run_loop(
                 for lat, c in zip(latents, selected)
             ])
             reply = reasoner.reason(question, selected, mixture=mixture)
-        except ServiceError as exc:
+        except KgError as exc:
             episode.failed = True
             episode.failure = str(exc)
             emit(t, num_candidates=len(candidates))

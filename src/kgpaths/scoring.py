@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelectionError, KgError, ParseError
-from .graph import Triple, open_text
+from .graph import Triple, read_tsv
 from .paths import Path
 from .weights import DEFAULT_TAU, ScoreTable
 from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
@@ -58,15 +58,11 @@ def _path_features(path: Path, table: ScoreTable) -> dict[str, float]:
 
 def _load_weight_tsv(source) -> dict[str, float]:
     weights: dict[str, float] = {}
-    with open_text(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError("expected feature<TAB>weight", lineno)
-            weights[fields[0]] = float(fields[1])
+    for lineno, (name, weight) in read_tsv(source, "feature", "weight"):
+        try:
+            weights[name] = float(weight)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return weights
 
 

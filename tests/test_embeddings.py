@@ -133,6 +133,10 @@ def test_file_embeddings_load_and_errors(tmp_path):
         FileEmbeddings.load(io.StringIO("a\t1.0,oops\n"))
     with pytest.raises(ValueError):
         FileEmbeddings({"a": [1.0], "b": [1.0, 2.0]})
+    # one check covers the table; its error names the first bad label
+    with pytest.raises(ValueError, match="non-finite embedding for 'b'"):
+        FileEmbeddings({"a": [1.0, 0.0], "b": [1.0, np.inf],
+                        "c": [np.nan, 0.0]})
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import os
 import random
+import tempfile
 from collections import deque
 from dataclasses import fields
 from functools import partial
@@ -12,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import FileEmbeddings, HashEmbeddings, cosine
+from kgpaths.evaluation import load_benchmark
+from kgpaths.config import load_config
 from kgpaths.errors import (
+    ConfigError,
     EditError,
     ParseError,
     UnknownEntityError,
@@ -33,6 +38,7 @@ from kgpaths.graph import (
     load_triples,
     open_text,
 )
+from kgpaths.scoring import LinearScorer
 
 from conftest import (
     build_graph,
@@ -82,8 +88,8 @@ def test_prior_overrides(tmp_path):
 
 def test_open_text_closes_only_the_files_it_opens(tmp_path):
     p = tmp_path / "triples.tsv"
-    p.write_text("a\tr\tb\n", encoding="utf-8")
-    for source in (p, str(p)):
+    p.write_text("\ufeffa\tr\tb\n", encoding="utf-8")
+    for source in (p, str(p)):  # a path's byte-order mark is not read
         with open_text(source) as fh:
             assert list(fh) == ["a\tr\tb\n"]
         assert fh.closed
@@ -94,6 +100,69 @@ def test_open_text_closes_only_the_files_it_opens(tmp_path):
     lines = ["a\tr\tb\n"]
     with open_text(lines) as fh:
         assert fh is lines
+
+
+# a label with no tab, no line break, no surrounding whitespace and no
+# U+FEFF, which a path read at the start of a file drops as its BOM
+_label = st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                 min_size=1).filter(
+    lambda s: s == s.strip() and "\ufeff" not in s)
+_padding = st.text(" \t", max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=st.lists(st.tuples(_label, _label, _label), min_size=1,
+                        max_size=6),
+       data=st.data())
+def test_load_triples_reads_messy_copies_as_the_clean_file(triples, data):
+    def read(graph):
+        return graph.entity_labels, graph.relation_labels, graph.triples
+
+    lines = ["\t".join(t) for t in triples]
+    clean = read(load_triples(io.StringIO("".join(f"{s}\n" for s in lines))))
+    crlf = "".join(f"{s}\r\n" for s in lines)
+    padded = "".join(f"{data.draw(_padding)}{s}{data.draw(_padding)}\n"
+                     for s in lines)
+    blanks = "".join(
+        "".join(f"{b}\n" for b in data.draw(st.lists(_padding, max_size=2)))
+        + f"{s}\n" for s in lines)
+    for text in (crlf, padded, blanks):
+        assert read(load_triples(io.StringIO(text))) == clean, repr(text)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "triples.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\ufeff" + crlf)
+        assert read(load_triples(path)) == clean
+
+
+def _load_priors(source):
+    load_prior_overrides(load_triples(io.StringIO("a\tr\tb\n")), source)
+
+
+# each line-oriented loader: a good line, then lines that are malformed
+_LOADERS = {
+    "triples": (load_triples, "a\tr\tb",
+                ["a\tr", "a\t \tb", "a\tr\tb\tc"]),
+    "priors": (_load_priors, "r\t0.5", ["r", "r\t0.5\t1", "r\tcheap"]),
+    "embeddings": (FileEmbeddings.load, "a\t1.0,0.0",
+                   ["a", " \t1.0,0.0", "a\t1.0,oops"]),
+    "weights": (LinearScorer.load, "bias\t1.0",
+                ["bias", "bias\t1.0\t2.0", "bias\theavy"]),
+    "config": (load_config, "rounds = 2", ["rounds"]),
+    "benchmark": (load_benchmark, json.dumps(
+        {"question": "q", "seeds": [{"entity": "a"}], "answers": ["b"]}),
+        ["{bad json", '{"question": "q"}']),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADERS))
+def test_each_loader_skips_blank_lines_and_names_a_malformed_line(name):
+    load, good, malformed = _LOADERS[name]
+    load(io.StringIO(f"{good}\n \t \n{good}\n"))
+    error = ConfigError if name == "config" else ParseError
+    for line in malformed:
+        with pytest.raises(error, match=r"^line 3: "):
+            load(io.StringIO(f"{good}\n \n{line}\n"))
 
 
 def test_unknown_lookups_raise():

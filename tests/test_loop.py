@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,7 @@ import kgpaths.paths
 import kgpaths.weights
 from kgpaths.config import RunConfig
 from kgpaths.embeddings import HashEmbeddings, ServiceEmbeddings
-from kgpaths.errors import ServiceError
+from kgpaths.errors import ServiceError, UnknownItemError, ZeroVectorError
 from kgpaths.evaluation import BenchmarkRecord, run_benchmark
 from kgpaths.graph import (
     REFUTE_MULTIPLIER,
@@ -579,7 +580,7 @@ class _CannedSession:
         return _CannedResponse(self.bodies[json["question"]])
 
 
-_GOOD_REPLY = '{"answer": "b", "confidence": 0.9, "logprob": -0.1}'
+_GOOD_REPLY = '{"answer": "b", "confidence": 0.9}'
 
 
 @pytest.mark.parametrize("body", [
@@ -587,16 +588,20 @@ _GOOD_REPLY = '{"answer": "b", "confidence": 0.9, "logprob": -0.1}'
     '{"answer": "b"}',  # no confidence: KeyError
     '{"answer": "b", "confidence": 0.9, "attention": [[0.5, 0.2]]}',
     '{"answer": "b", "confidence": 0.9, "attention": [[1.0], [0.5, 0.5]]}',
-    '{"answer": "b", "confidence": 0.9, "logprob": NaN}',
-    '{"answer": "b", "confidence": 0.9, "logprob": "high"}',
     '{"confidence": 0.9}',  # no answer
+    '{"answer": null, "confidence": 0.9}',
+    '{"answer": 5, "confidence": 0.9}',
+    '{"answer": "b", "confidence": true}',
+    '{"answer": "b", "confidence": "0.9"}',
+    '{"answer": "b", "confidence": 0.9, "diagnostic": 5}',
     '["b", 0.9]',  # not an object
     '{"answer": "b", "confidence": 0.9, "tokens": -5}',
     '{"answer": "b", "confidence": 0.9, "tokens": 2.7}',
     '{"answer": "b", "confidence": 0.9, "tokens": true}',
     '{"answer": "b", "confidence": 0.9, "tokens": "7"}',
 ], ids=["not-json", "no-confidence", "attention-rows", "attention-ragged",
-        "logprob-nan", "logprob-text", "no-answer", "not-object",
+        "no-answer", "answer-null", "answer-number", "confidence-bool",
+        "confidence-text", "diagnostic-number", "not-object",
         "tokens-negative", "tokens-fraction", "tokens-bool", "tokens-text"])
 def test_external_reasoner_malformed_reply_fails_one_row(body):
     g = build_graph([("a", "r", "b")])
@@ -614,6 +619,19 @@ def test_external_reasoner_malformed_reply_fails_one_row(body):
     rows = report["per_question"]
     assert [r["failed"] for r in rows] == [1, 0]
     assert rows[1]["answer"] == "b" and rows[1]["hit_at_1"] == 1.0
+
+
+def test_external_reasoner_reads_a_null_or_absent_diagnostic_as_none():
+    g = build_graph([("a", "r", "b")])
+    session = _CannedSession({
+        "null": '{"answer": "b", "confidence": 0.9, "diagnostic": null}',
+        "absent": _GOOD_REPLY})
+    reasoner = ExternalReasoner(g, url="http://reasoner.invalid",
+                                session=session)
+    for question in ("null", "absent"):
+        reply = reasoner.reason(question, _cands(g, [
+            ([Triple(0, 0, 1)], 1.0, 1.0)]))
+        assert reply.diagnostic == "NONE"
 
 
 class _TableSession:
@@ -972,19 +990,25 @@ def test_linear_plugins_read_the_round_table(monkeypatch):
 
 
 class _FlakyEmbeddings(_CountingEmbeddings):
-    """Embedding provider whose ``fail_at``-th ``embed`` call raises a
-    ``ServiceError``, as a brief outage would; every other call answers."""
+    """Embedding provider whose ``fail_at``-th ``embed`` call raises
+    ``error``: a ``ServiceError`` as a brief outage would, the
+    ``UnknownItemError`` of a file table that lacks the label, or a
+    ``ZeroVectorError``; every other call answers."""
 
-    def __init__(self, inner, fail_at):
+    def __init__(self, inner, fail_at, error=ServiceError):
         super().__init__(inner)
         self.fail_at = fail_at
+        self.error = error
 
     def embed(self, label):
         if self.calls + 1 == self.fail_at:
             self.calls += 1
-            raise ServiceError("embedding service unavailable",
-                               retryable=True, status=503)
+            raise self.error("embedding unavailable")
         return super().embed(label)
+
+
+# every KgError up to the reasoner's reply fails the episode the same way
+_EMBEDDING_ERRORS = (ServiceError, UnknownItemError, ZeroVectorError)
 
 
 class _ExpandFirst(ScriptedReasoner):
@@ -1027,10 +1051,12 @@ def test_run_loop_embedding_failure_keeps_earlier_rounds():
     # fail each embedding lookup of the second round in turn: enumeration,
     # scoring, the verifier and encoding all read the service there for
     # what the expansion brought in
-    for fail_at in range(first_round.calls + 1, whole.calls + 1):
-        result = _argo_episode(_FlakyEmbeddings(fx.embeddings, fail_at),
-                               reasoner_type=_ExpandFirst, rounds=2)
-        assert result.failed, fail_at
+    for error, fail_at in itertools.product(
+            _EMBEDDING_ERRORS, range(first_round.calls + 1, whole.calls + 1)):
+        result = _argo_episode(
+            _FlakyEmbeddings(fx.embeddings, fail_at, error),
+            reasoner_type=_ExpandFirst, rounds=2)
+        assert result.failed, (error, fail_at)
         assert "unavailable" in result.failure
         assert len(result.rounds) == 2
         assert result.rounds[0].to_record() == good.rounds[0].to_record()
@@ -1045,17 +1071,21 @@ def test_embedding_failure_fails_one_row_and_the_run_continues():
     fx = argo_fixture()
     first_round = _CountingEmbeddings(fx.embeddings)
     _argo_episode(first_round, rounds=1)
-    flaky = _FlakyEmbeddings(fx.embeddings, first_round.calls + 1)
-    # the first question's first reply expands, so its second round reads
-    # the service; the second question runs the fixture's own dialogue
-    report = run_benchmark(fx.records * 2, fx.graph, fx.config,
-                           _ExpandFirst(fx.graph, conf_threshold=0.4,
-                                        probes=fx.probes), flaky)
-    rows = report["per_question"]
-    assert [r["failed"] for r in rows] == [1, 0]
-    assert rows[0]["rounds"] == 2 and rows[0]["answer"] == "Boston"
-    assert rows[1]["answer"] == "New_York_City"
-    assert report["overall"]["failures"] == 1
+    for error in _EMBEDDING_ERRORS:
+        flaky = _FlakyEmbeddings(fx.embeddings, first_round.calls + 1, error)
+        # the first question's first reply expands, so its second round
+        # reads the embeddings; the second question runs the fixture's own
+        # dialogue
+        report = run_benchmark(fx.records * 2, fx.graph, fx.config,
+                               _ExpandFirst(fx.graph, conf_threshold=0.4,
+                                            probes=fx.probes), flaky)
+        rows = report["per_question"]
+        assert [r["failed"] for r in rows] == [1, 0], error
+        # the finished round's reasoner call and tokens are counted
+        assert rows[0]["rounds"] == 2 and rows[0]["answer"] == "Boston"
+        assert rows[0]["reasoner_calls"] == 1 and rows[0]["tokens"] > 0
+        assert rows[1]["answer"] == "New_York_City"
+        assert report["overall"]["failures"] == 1
 
 
 # --- embedding service failures before the first round ------------------------------
@@ -1069,12 +1099,14 @@ def test_failure_before_first_round_fails_one_row_and_the_run_continues(knn):
     config = fx.config.with_overrides(knn=knn)
     reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
     seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
-    trace = io.StringIO()
-    result = run_loop(ARGO_QUESTION, seeds, fx.graph, config, reasoner,
-                      _FlakyEmbeddings(fx.embeddings, 1), trace_file=trace)
-    assert result.failed and "unavailable" in result.failure
-    assert result.rounds == [] and trace.getvalue() == ""
-    assert result.answer is None and result.reasoner_calls == 0
+    for error in _EMBEDDING_ERRORS:
+        trace = io.StringIO()
+        result = run_loop(ARGO_QUESTION, seeds, fx.graph, config, reasoner,
+                          _FlakyEmbeddings(fx.embeddings, 1, error),
+                          trace_file=trace)
+        assert result.failed and "unavailable" in result.failure, error
+        assert result.rounds == [] and trace.getvalue() == ""
+        assert result.answer is None and result.reasoner_calls == 0
 
     report = run_benchmark(fx.records * 2, fx.graph, config, reasoner,
                            _FlakyEmbeddings(fx.embeddings, 1))
