@@ -135,13 +135,19 @@ def _coerce(raw: dict) -> dict:
 
 
 def load_config(source) -> RunConfig:
-    """Parse a flat ``key = value`` text file into a RunConfig."""
+    """Parse a flat ``key = value`` text file into a RunConfig; a key set
+    on two lines is a ``ConfigError`` naming both."""
     raw: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in read_lines(source):
         if line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        earlier = first.setdefault(key, lineno)
+        if earlier != lineno:
+            raise ConfigError(f"line {lineno}: {key} repeats line {earlier}")
+        raw[key] = value.strip()
     return RunConfig(**_coerce(raw))

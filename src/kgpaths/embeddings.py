@@ -1,6 +1,7 @@
 """Embedding providers and similarity primitives.
 
-Three provider modes share the ``embed(label) -> vector`` interface:
+A provider is any object with ``embed(label) -> vector``, which raises
+``UnknownItemError`` for a label it has no vector for. Three ship:
 
 * hash-deterministic — seeded pseudorandom unit vectors derived from the
   label text; zero-dependency default, stable across runs and platforms.
@@ -21,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParseError, ServiceError, UnknownItemError, ZeroVectorError
-from .graph import read_tsv
+from .graph import read_keyed
 
 EMBED_URL_ENV = "KGPATHS_EMBED_URL"
 EMBED_TOKEN_ENV = "KGPATHS_EMBED_TOKEN"
@@ -125,12 +126,17 @@ class HashEmbeddings:
             self._cache[label] = vec
         return vec
 
-    def has(self, label: str) -> bool:
-        return True
-
 
 class FileEmbeddings:
-    """Vectors loaded from TSV ``label<TAB>v1,v2,...`` or a mapping."""
+    """Vectors loaded from TSV ``label<TAB>v1,v2,...`` or a mapping.
+
+    Each vector is kept as a read-only view, so the caller's own arrays
+    stay writeable and are not copied. Every value must be finite; the
+    check stacks ``CHECK_ROWS`` vectors at a time and names the first
+    label that fails it.
+    """
+
+    CHECK_ROWS = 4096
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -141,18 +147,24 @@ class FileEmbeddings:
         self.dimension = dims.pop()
         self._vectors = {}
         for label, vec in vectors.items():
-            arr = np.asarray(vec, dtype=float)
+            arr = np.asarray(vec, dtype=float).view()
             arr.setflags(write=False)
             self._vectors[label] = arr
-        finite = np.isfinite(np.stack(list(self._vectors.values()))).all(axis=1)
-        if not finite.all():
-            label = list(self._vectors)[int(finite.argmin())]
-            raise ValueError(f"non-finite embedding for {label!r}")
+        rows = list(self._vectors.values())
+        for start in range(0, len(rows), self.CHECK_ROWS):
+            finite = np.isfinite(
+                np.stack(rows[start:start + self.CHECK_ROWS])).all(axis=1)
+            if not finite.all():
+                label = list(self._vectors)[start + int(finite.argmin())]
+                raise ValueError(f"non-finite embedding for {label!r}")
 
     @classmethod
     def load(cls, source) -> "FileEmbeddings":
+        """Read ``label<TAB>v1,v2,...`` lines; a label given on two lines
+        raises ``ParseError`` naming both."""
         vectors: dict[str, np.ndarray] = {}
-        for lineno, (label, values) in read_tsv(source, "label", "v1,v2,..."):
+        for lineno, (label, values) in read_keyed(source, "label",
+                                                  "v1,v2,..."):
             try:
                 vectors[label] = np.array(
                     [float(x) for x in values.split(",")], dtype=float
@@ -166,9 +178,6 @@ class FileEmbeddings:
             return self._vectors[label]
         except KeyError:
             raise UnknownItemError(f"no embedding for {label!r}") from None
-
-    def has(self, label: str) -> bool:
-        return label in self._vectors
 
 
 class ServiceEmbeddings:
@@ -216,9 +225,6 @@ class ServiceEmbeddings:
                 arr.setflags(write=False)
                 self._cache[label] = arr
         return [self._cache[l] for l in labels]
-
-    def has(self, label: str) -> bool:
-        return True
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
@@ -297,30 +303,28 @@ class JsonService:
 
 
 def query_embedding(provider, question: str, graph) -> np.ndarray:
-    """Embed a question.
+    """Embed a question: the provider's vector for the whole question text.
 
-    If the provider knows the full question string (file mode fixtures),
-    use that directly. Otherwise average the embeddings of entity/relation
-    labels overlapped by whitespace tokens of the question, L2-normalized;
-    with no overlap at all, fall back to embedding the raw question text.
+    When the provider raises ``UnknownItemError`` for it (a file table
+    without the question), average the embeddings of the entity and
+    relation labels that the question's whitespace tokens match,
+    L2-normalized; when no token matches, that error is raised again.
     """
-    if provider.has(question):
+    try:
         return provider.embed(question)
-
-    lookup: dict[str, str] = {}
-    for label in list(graph.entity_labels) + list(graph.relation_labels):
-        lookup.setdefault(label.lower(), label)
-        for part in label.replace("_", " ").split():
-            lookup.setdefault(part.lower(), label)
-
-    matched: list[str] = []
-    for token in question.split():
-        token = token.strip(".,;:?!\"'()").lower()
-        if token in lookup:
-            matched.append(lookup[token])
-
-    if not matched:
-        return provider.embed(question)
+    except UnknownItemError:
+        lookup: dict[str, str] = {}
+        for label in list(graph.entity_labels) + list(graph.relation_labels):
+            lookup.setdefault(label.lower(), label)
+            for part in label.replace("_", " ").split():
+                lookup.setdefault(part.lower(), label)
+        matched: list[str] = []
+        for token in question.split():
+            token = token.strip(".,;:?!\"'()").lower()
+            if token in lookup:
+                matched.append(lookup[token])
+        if not matched:
+            raise
     mean = np.add.reduce([provider.embed(label) for label in matched],
                          axis=0) / len(matched)
     norm = math.sqrt(row_dot(mean, mean))

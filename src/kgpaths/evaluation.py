@@ -43,23 +43,33 @@ class BenchmarkRecord:
                 raise ValueError(f"seed confidence {confidence} outside [0, 1]")
         if self.hops is not None and self.hops < 1:
             raise ValueError("hops must be >= 1 when present")
+        for nodes, relations in self.gold_paths:
+            if len(nodes) != len(relations) + 1:
+                raise ValueError(f"gold path of {len(nodes)} nodes and "
+                                 f"{len(relations)} relations")
 
 
 def load_benchmark(source) -> list[BenchmarkRecord]:
     """Load benchmark JSONL: one object per line with ``question``,
     ``seeds`` ([{"entity", "confidence"?}]), ``answers``, and optionally
-    ``gold_paths`` ([{"nodes", "relations"}]) and ``hops``."""
+    ``gold_paths`` ([{"nodes", "relations"}], one more node than
+    relations) and ``hops``. ``answers`` is a list of strings."""
     records = []
     for lineno, line in read_lines(source):
         try:
             obj = json.loads(line)
+            answers = obj["answers"]
+            if not (isinstance(answers, list)
+                    and all(isinstance(a, str) for a in answers)):
+                raise ValueError(f"answers {answers!r} is not a list of "
+                                 "strings")
             records.append(BenchmarkRecord(
                 question=obj["question"],
                 seeds=tuple(
                     (s["entity"], float(s.get("confidence", 1.0)))
                     for s in obj["seeds"]
                 ),
-                answers=frozenset(obj["answers"]),
+                answers=frozenset(answers),
                 gold_paths=tuple(
                     (tuple(p["nodes"]), tuple(p["relations"]))
                     for p in obj.get("gold_paths", [])

@@ -261,6 +261,18 @@ def read_tsv(source, *names: str) -> Iterator[tuple[int, list[str]]]:
         yield lineno, fields
 
 
+def read_keyed(source, *names: str) -> Iterator[tuple[int, list[str]]]:
+    """Each line of :func:`read_tsv` whose first field no earlier line
+    gave: a repeated key raises ``ParseError`` naming both lines."""
+    first: dict[str, int] = {}
+    for lineno, fields in read_tsv(source, *names):
+        earlier = first.setdefault(fields[0], lineno)
+        if earlier != lineno:
+            raise ParseError(f"{names[0]} {fields[0]!r} repeats line "
+                             f"{earlier}", lineno)
+        yield lineno, fields
+
+
 def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
     """Load a TSV triple stream: one ``head<TAB>relation<TAB>tail`` per line.
 
@@ -279,8 +291,9 @@ def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:
 
 
 def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
-    """Apply a relation-prior override TSV: ``relation<TAB>prior_cost``."""
-    for lineno, (label, cost) in read_tsv(source, "relation", "prior_cost"):
+    """Apply a relation-prior override TSV: ``relation<TAB>prior_cost``,
+    one line per relation."""
+    for lineno, (label, cost) in read_keyed(source, "relation", "prior_cost"):
         relation = graph.relation_id(label)
         try:
             graph.set_prior_cost(relation, float(cost))

@@ -140,8 +140,9 @@ def alignment_loss(alphas: dict[int, float], masses: dict[int, float]) -> float:
 
 def causal_effect(reasoner, question: str, selected, path) -> float:
     """Answer log-probability drop when one path is ablated from the
-    selection; requires a reasoner with the log-prob capability."""
-    if "log_probs" not in getattr(reasoner, "capabilities", set()):
+    selection, by the reasoner's ``answer_for`` and ``log_prob``; a
+    reasoner without ``log_prob`` raises ``CapabilityError``."""
+    if not hasattr(reasoner, "log_prob"):
         raise CapabilityError("reasoner does not expose log-probabilities")
     answer = reasoner.answer_for(question, selected)
     full = reasoner.log_prob(question, selected, answer)

@@ -252,8 +252,6 @@ class ScriptedReasoner:
     it terminates no path.
     """
 
-    capabilities = frozenset({"answers", "log_probs", "attention"})
-
     def __init__(self, graph: KnowledgeGraph, conf_threshold: float = 0.7,
                  probes: dict[str, tuple[str, str]] | None = None,
                  epsilon: float = 0.01):
@@ -335,7 +333,6 @@ class ExternalReasoner:
         self.graph = graph
         self._service = JsonService("reasoner", url, REASONER_URL_ENV, token,
                                     REASONER_TOKEN_ENV, timeout, session)
-        self.capabilities = frozenset({"answers"})
 
     def reason(self, question: str, selected: list[ScoredCandidate],
                mixture=None) -> ReasonerReply:
@@ -552,13 +549,14 @@ def run_loop(
         if trace_file is not None:
             trace_file.write(json.dumps(state.to_record(), sort_keys=True) + "\n")
 
-    def forced_expand(t: int):
+    def forced_expand(t: int, num_candidates: int = 0):
         top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))
         edit = ExpandSeed(top_seed.entity, radius=1)
         apply_edits(subgraph, [edit], round_index=t + 1)
         episode.edits_applied += 1
         emit(t, diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
-             edits=[_edit_repr(edit, graph)], forced_expand=True)
+             edits=[_edit_repr(edit, graph)], forced_expand=True,
+             num_candidates=num_candidates)
 
     # every weight, pooled vector and semantic match of the episode, each
     # computed once; costs and scores, which the soft multipliers set, are
@@ -593,7 +591,7 @@ def run_loop(
                     threshold=config.select_threshold,
                     seed_confidence=seed_conf, rho=config.rho)
             except EmptySelectionError:
-                forced_expand(t)
+                forced_expand(t, len(candidates))
                 continue
 
             latents = [encode_path(c.path, table, i)

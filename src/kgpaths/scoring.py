@@ -9,6 +9,7 @@ earlier round is not matched again. Both are pluggable, with file-loadable
 linear models as the trained option. A plugin is called as
 ``scorer(path, table)`` or ``verifier(path, table)`` with that same table,
 so its edge costs and semantic match are the ones already computed.
+Whatever it raises, or a value that is not finite, fails the episode.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelectionError, KgError, ParseError
-from .graph import Triple, read_tsv
+from .graph import Triple, read_keyed
 from .paths import Path
 from .weights import DEFAULT_TAU, ScoreTable
 from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
@@ -58,11 +59,13 @@ def _path_features(path: Path, table: ScoreTable) -> dict[str, float]:
 
 def _load_weight_tsv(source) -> dict[str, float]:
     weights: dict[str, float] = {}
-    for lineno, (name, weight) in read_tsv(source, "feature", "weight"):
+    for lineno, (name, weight) in read_keyed(source, "feature", "weight"):
         try:
             weights[name] = float(weight)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        if not math.isfinite(weights[name]):
+            raise ParseError(f"non-finite weight {weight!r}", lineno)
     return weights
 
 
@@ -85,7 +88,23 @@ class LinearVerifier(LinearScorer):
     """v = sigmoid(w . features(path)); same TSV format as LinearScorer."""
 
     def __call__(self, path: Path, table: ScoreTable) -> float:
-        return 1.0 / (1.0 + math.exp(-super().__call__(path, table)))
+        x = super().__call__(path, table)
+        try:
+            return 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:  # x below about -709.78: v rounds to 0
+            return 0.0
+
+
+def _call_plugin(kind: str, plugin, path: Path, table: ScoreTable) -> float:
+    """``plugin(path, table)`` as a float; whatever it raises, and a value
+    that is not finite, is a ``KgError`` naming ``kind`` and the path."""
+    try:
+        value = float(plugin(path, table))
+    except Exception as exc:
+        raise KgError(f"{kind} failed on {path!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise KgError(f"{kind} returned non-finite {value} for {path!r}")
+    return value
 
 
 def score_candidates(
@@ -98,13 +117,8 @@ def score_candidates(
         raise ValueError("paths must be nonempty")
     out = []
     for path in paths:
-        if scorer is None:
-            u = table.score(path)
-        else:
-            try:
-                u = float(scorer(path, table))
-            except Exception as exc:
-                raise KgError(f"scorer failed on {path!r}: {exc}") from exc
+        u = (table.score(path) if scorer is None
+             else _call_plugin("scorer", scorer, path, table))
         if not math.isfinite(u):
             raise KgError(f"scorer produced non-finite u for {path!r}")
         out.append(ScoredCandidate(path=path, u=u))
@@ -156,8 +170,8 @@ def verify(
                     or path.terminal in {t.head for t in refuted}):
         return 0.0
     if verifier is not None:
-        v = float(verifier(path, table))
-        return min(max(v, 0.0), 1.0)
+        return min(max(_call_plugin("verifier", verifier, path, table), 0.0),
+                   1.0)
     return min(max((table.sem(path) + 1.0) / 2.0, 0.0), 1.0)
 
 

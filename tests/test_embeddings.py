@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -126,7 +128,7 @@ def test_file_embeddings_load_and_errors(tmp_path):
     emb = FileEmbeddings.load(p)
     assert emb.dimension == 2
     assert np.allclose(emb.embed("b"), [0.0, 2.0])
-    assert emb.has("a") and not emb.has("zzz")
+    assert np.allclose(emb.embed("a"), [1.0, 0.0])
     with pytest.raises(UnknownItemError):
         emb.embed("zzz")
     with pytest.raises(ParseError, match="line 1"):
@@ -137,6 +139,39 @@ def test_file_embeddings_load_and_errors(tmp_path):
     with pytest.raises(ValueError, match="non-finite embedding for 'b'"):
         FileEmbeddings({"a": [1.0, 0.0], "b": [1.0, np.inf],
                         "c": [np.nan, 0.0]})
+
+
+def test_file_embeddings_keep_the_callers_arrays():
+    rows = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
+    emb = FileEmbeddings(rows)
+    assert rows["a"].flags.writeable and rows["b"].flags.writeable
+    # a read-only view of the caller's array, not a copy
+    vec = emb.embed("a")
+    assert np.shares_memory(vec, rows["a"]) and not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 9.0
+
+
+def test_file_embeddings_name_a_non_finite_row_past_the_first_chunk():
+    matrix = np.ones((2 * FileEmbeddings.CHECK_ROWS + 5, 3))
+    matrix[FileEmbeddings.CHECK_ROWS + 7, 2] = np.nan
+    matrix[-1, 0] = np.inf
+    labels = [f"e{i}" for i in range(len(matrix))]
+    with pytest.raises(ValueError, match=(
+            f"non-finite embedding for 'e{FileEmbeddings.CHECK_ROWS + 7}'")):
+        FileEmbeddings(dict(zip(labels, matrix)))
+
+
+def test_file_embeddings_check_holds_no_copy_of_the_table():
+    matrix = np.random.default_rng(0).standard_normal((40_000, 64))
+    vectors = dict(zip((f"e{i}" for i in range(len(matrix))), matrix))
+    tracemalloc.start()
+    try:
+        FileEmbeddings(vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 2
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -251,6 +286,21 @@ def test_query_embedding_mean_equals_numpy_formula_bit_for_bit(
     vec = query_embedding(FileEmbeddings(vectors), " ".join(labels) + "?", g)
     mean = np.mean([vectors[label] for label in labels], axis=0)
     assert np.array_equal(vec, mean / einsum_norm(mean))
+
+
+def test_query_embedding_without_a_match_raises_the_question_miss():
+    g = build_graph([("a", "r", "b")])
+    table = FileEmbeddings({"a": np.array([1.0, 0.0])})
+    looked_up = []
+
+    def embed(label):
+        looked_up.append(label)
+        return table.embed(label)
+
+    # a provider is ``embed`` alone; the question is looked up once
+    with pytest.raises(UnknownItemError, match="'nothing here'"):
+        query_embedding(SimpleNamespace(embed=embed), "nothing here", g)
+    assert looked_up == ["nothing here"]
 
 
 def test_query_embedding_hash_fallback(hash_embeddings):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from collections import deque
 from dataclasses import fields
@@ -38,7 +39,7 @@ from kgpaths.graph import (
     load_triples,
     open_text,
 )
-from kgpaths.scoring import LinearScorer
+from kgpaths.scoring import LinearScorer, LinearVerifier
 
 from conftest import (
     build_graph,
@@ -136,33 +137,74 @@ def test_load_triples_reads_messy_copies_as_the_clean_file(triples, data):
 
 
 def _load_priors(source):
-    load_prior_overrides(load_triples(io.StringIO("a\tr\tb\n")), source)
+    load_prior_overrides(load_triples(io.StringIO("a\tr\tb\na\ts\tb\n")),
+                         source)
 
 
-# each line-oriented loader: a good line, then lines that are malformed
+# each line-oriented loader: two good lines, then lines that are malformed
 _LOADERS = {
-    "triples": (load_triples, "a\tr\tb",
+    "triples": (load_triples, ("a\tr\tb", "a\tr\tb"),
                 ["a\tr", "a\t \tb", "a\tr\tb\tc"]),
-    "priors": (_load_priors, "r\t0.5", ["r", "r\t0.5\t1", "r\tcheap"]),
-    "embeddings": (FileEmbeddings.load, "a\t1.0,0.0",
-                   ["a", " \t1.0,0.0", "a\t1.0,oops"]),
-    "weights": (LinearScorer.load, "bias\t1.0",
-                ["bias", "bias\t1.0\t2.0", "bias\theavy"]),
-    "config": (load_config, "rounds = 2", ["rounds"]),
-    "benchmark": (load_benchmark, json.dumps(
-        {"question": "q", "seeds": [{"entity": "a"}], "answers": ["b"]}),
+    "priors": (_load_priors, ("r\t0.5", "s\t0.5"),
+               ["s", "s\t0.5\t1", "s\tcheap"]),
+    "embeddings": (FileEmbeddings.load, ("a\t1.0,0.0", "b\t0.0,1.0"),
+                   ["a", " \t1.0,0.0", "b\t1.0,oops"]),
+    "weights": (LinearScorer.load, ("bias\t1.0", "cost\t1.0"),
+                ["bias", "cost\t1.0\t2.0", "cost\theavy"]),
+    "config": (load_config, ("rounds = 2", "radius = 2"), ["rounds"]),
+    "benchmark": (load_benchmark, (json.dumps(
+        {"question": "q", "seeds": [{"entity": "a"}], "answers": ["b"]}),) * 2,
         ["{bad json", '{"question": "q"}']),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_LOADERS))
 def test_each_loader_skips_blank_lines_and_names_a_malformed_line(name):
-    load, good, malformed = _LOADERS[name]
-    load(io.StringIO(f"{good}\n \t \n{good}\n"))
+    load, (good, other), malformed = _LOADERS[name]
+    load(io.StringIO(f"{good}\n \t \n{other}\n"))
     error = ConfigError if name == "config" else ParseError
     for line in malformed:
         with pytest.raises(error, match=r"^line 3: "):
             load(io.StringIO(f"{good}\n \n{line}\n"))
+
+
+def _benchmark_line(**fields):
+    return json.dumps({"question": "q", "seeds": [{"entity": "a"}],
+                       "answers": ["b"], **fields}) + "\n"
+
+
+# input each loader refuses, with the start of its error: a key given on
+# two lines, a weight that is not finite, answers that are not a list of
+# strings, a gold path whose nodes and relations cannot chain
+_REFUSED = {
+    "embeddings_repeat": (FileEmbeddings.load, "a\t1,0\na\t0,1\n",
+                          "line 2: label 'a' repeats line 1"),
+    "config_repeat": (load_config, "rounds = 2\n# c\nrounds = 3\n",
+                      "line 3: rounds repeats line 1"),
+    "priors_repeat": (_load_priors, "r\t0.2\nr\t0.7\n",
+                      "line 2: relation 'r' repeats line 1"),
+    "weights_repeat": (LinearScorer.load, "bias\t1\ncost\t2\nbias\t3\n",
+                       "line 3: feature 'bias' repeats line 1"),
+    "weights_nan": (LinearScorer.load, "bias\t1\nsem\tnan\n",
+                    "line 2: non-finite weight 'nan'"),
+    "weights_inf": (LinearVerifier.load, "cost\t-inf\n",
+                    "line 1: non-finite weight '-inf'"),
+    "answers_string": (load_benchmark, _benchmark_line(answers="NYC"),
+                       "line 1: answers 'NYC' is not a list of strings"),
+    "answers_number": (load_benchmark, _benchmark_line(answers=[1]),
+                       "line 1: answers [1] is not a list of strings"),
+    "gold_path": (load_benchmark, _benchmark_line(gold_paths=[
+        {"nodes": ["a", "m", "b"], "relations": ["r"]}]),
+        "line 1: gold path of 3 nodes and 1 relations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_each_loader_refuses_what_it_would_keep_silently(case):
+    load, text, message = _REFUSED[case]
+    error = ConfigError if load is load_config else ParseError
+    with pytest.raises(error, match="^" + re.escape(message)):
+        load(io.StringIO(text))
 
 
 def test_unknown_lookups_raise():

@@ -795,9 +795,6 @@ class _CountingEmbeddings:
         self.calls += 1
         return self.inner.embed(label)
 
-    def has(self, label):
-        return self.inner.has(label)
-
 
 def _count_poolings_and_weightings(monkeypatch):
     """Counters of the path keys pooled and the edges weighted from now on,
@@ -986,6 +983,51 @@ def test_linear_plugins_read_the_round_table(monkeypatch):
             0.5 * 1.0 - 0.25 * len(path) - 1.0 * cost + 0.7 * sem)
 
 
+def test_a_provider_is_embed_alone():
+    fx = argo_fixture()
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    embed_only = _CountingEmbeddings(fx.embeddings)
+    reports = [json.dumps(run_benchmark(fx.records * 2, fx.graph, fx.config,
+                                        reasoner, embeddings), sort_keys=True)
+               for embeddings in (fx.embeddings, embed_only)]
+    assert reports[0] == reports[1] and embed_only.calls > 0
+
+
+# --- plugin failures ----------------------------------------------------------------
+
+
+def _raising_plugin(path, table):
+    return 1 / 0
+
+
+def _nan_plugin(path, table):
+    return math.nan
+
+
+@pytest.mark.parametrize("kind", ["scorer", "verifier"])
+@pytest.mark.parametrize("plugin", [_raising_plugin, _nan_plugin])
+def test_plugin_failure_fails_one_row_and_the_run_finishes(kind, plugin):
+    fx = argo_fixture()
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    episode = _argo_episode(fx.embeddings, **{kind: plugin})
+    assert episode.failed and episode.reasoner_calls == 0
+    assert episode.failure.startswith(f"{kind} ")
+    assert "non-finite" in episode.failure or "division" in episode.failure
+    report = run_benchmark(fx.records * 2, fx.graph, fx.config, reasoner,
+                           fx.embeddings, **{kind: plugin})
+    assert [r["failed"] for r in report["per_question"]] == [1, 1]
+    assert report["overall"]["failures"] == 2
+
+
+def test_linear_verifier_far_below_zero_gives_zero_and_no_failure():
+    fx = argo_fixture()
+    verifier = LinearVerifier({"bias": -1000.0})
+    episode = _argo_episode(fx.embeddings, verifier=verifier)
+    assert not episode.failed and episode.reasoner_calls > 0
+    assert all(c["verifier"] == 0.0
+               for r in episode.rounds for c in r.selected)
+
+
 # --- embedding service failures inside a round ------------------------------------
 
 
@@ -1100,10 +1142,14 @@ def test_failure_before_first_round_fails_one_row_and_the_run_continues(knn):
     reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
     seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
     for error in _EMBEDDING_ERRORS:
+        flaky = _FlakyEmbeddings(fx.embeddings, 1, error)
+        if knn == 0 and error is UnknownItemError:
+            # a question the table lacks falls back to its tokens: the
+            # first token lookup fails too
+            flaky = _FlakyEmbeddings(flaky, 2, error)
         trace = io.StringIO()
         result = run_loop(ARGO_QUESTION, seeds, fx.graph, config, reasoner,
-                          _FlakyEmbeddings(fx.embeddings, 1, error),
-                          trace_file=trace)
+                          flaky, trace_file=trace)
         assert result.failed and "unavailable" in result.failure, error
         assert result.rounds == [] and trace.getvalue() == ""
         assert result.answer is None and result.reasoner_calls == 0
@@ -1148,3 +1194,18 @@ def test_forced_expand_is_never_refused_by_the_edit_budget(chain_graph):
     assert [r.to_record()["counters"]["edits"]
             for r in result.rounds] == [1, 2, 3]
     assert result.edits_applied == 3 and result.reasoner_calls == 0
+
+
+def test_empty_selection_forces_expand_and_records_the_candidates():
+    # a threshold no soft weight times verifier value reaches: every round
+    # has candidates, selects none and forces an EXPAND
+    fx = argo_fixture()
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    result = run_loop(ARGO_QUESTION, [SeedCandidate(fx.graph.entity_id("Argo"),
+                                                    1.0)],
+                      fx.graph, fx.config.with_overrides(select_threshold=0.99),
+                      reasoner, fx.embeddings)
+    assert [r.forced_expand for r in result.rounds] == [True] * 3
+    assert all(r.num_candidates > 0 for r in result.rounds)
+    assert result.reasoner_calls == 0 and result.edits_applied == 3
+    assert result.answer is None and not result.failed
