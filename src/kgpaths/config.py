@@ -43,7 +43,6 @@ class RunConfig:
     # soft-to-discrete updates
     mask_gain: float = 4.0
     mask_uncertainty_gain: float = 0.0
-    discretize_tau: float = 0.2
     # execution
     seed: int = 0
     deterministic: bool = True
@@ -52,7 +51,6 @@ class RunConfig:
     embed_dim: int = 64
     # ablations
     no_verifier: bool = False
-    no_align_diagnostics: bool = False
 
     def __post_init__(self):
         """Check every value once, so an invalid config cannot be built
@@ -79,8 +77,6 @@ class RunConfig:
             # discretize_topk refuses) or overflows math.exp
             (abs(self.mask_gain) + abs(self.mask_uncertainty_gain) <= 36,
              "|mask_gain| + |mask_uncertainty_gain| must be <= 36"),
-            (0 < self.discretize_tau < math.inf,
-             "discretize_tau must be finite and > 0"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
         ]
         for ok, message in checks:

@@ -41,8 +41,10 @@ class BenchmarkRecord:
             # made here, a bad record fails its load, with its line number
             if not 0.0 <= confidence <= 1.0:
                 raise ValueError(f"seed confidence {confidence} outside [0, 1]")
-        if self.hops is not None and self.hops < 1:
-            raise ValueError("hops must be >= 1 when present")
+        # type(...) is int, as a bool (JSON true) is an int too
+        if self.hops is not None and not (type(self.hops) is int
+                                          and self.hops >= 1):
+            raise ValueError(f"hops must be an integer >= 1, got {self.hops!r}")
         for nodes, relations in self.gold_paths:
             if len(nodes) != len(relations) + 1:
                 raise ValueError(f"gold path of {len(nodes)} nodes and "

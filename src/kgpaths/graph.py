@@ -168,9 +168,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownRelationError(f"unknown relation: {label!r}") from None
 
-    def has_relation(self, label: str) -> bool:
-        return label in self._relation_ids
-
     def prior_cost(self, relation: int) -> float:
         return self._prior_cost[relation]
 
@@ -365,9 +362,10 @@ class Subgraph:
     is an edge exactly when both its ends are nodes and it is not pruned
     (``has_edge``), so an edge entered at the later of its two ends'
     rounds; ``edges`` is a view derived from that rule when read.
-    ``add_nodes`` and ``remove_node`` are the only ways in and out, so a
-    subgraph is built empty. Also holds soft edge multipliers and the
-    episode's refuted and pruned triples. Mutated only by its owning query
+    ``add_nodes`` and ``remove_node`` are the only ways in and out. Also
+    holds soft edge multipliers, the episode's refuted and pruned triples
+    and its edit warnings, which only the edits set. So a subgraph is built
+    empty, ``graph`` its only argument. Mutated only by its owning query
     loop. Nothing reads ``nodes`` in insertion order.
 
     The ``hops_to`` tables, the ``out_edges`` lists (see :class:`OutEdges`)
@@ -377,10 +375,10 @@ class Subgraph:
 
     graph: KnowledgeGraph
     nodes: dict[int, int] = field(default_factory=dict, init=False)
-    soft: dict[Triple, float] = field(default_factory=dict)
-    refuted: set[Triple] = field(default_factory=set)
-    pruned: set[Triple] = field(default_factory=set)
-    warnings: list[str] = field(default_factory=list)
+    soft: dict[Triple, float] = field(default_factory=dict, init=False)
+    refuted: set[Triple] = field(default_factory=set, init=False)
+    pruned: set[Triple] = field(default_factory=set, init=False)
+    warnings: list[str] = field(default_factory=list, init=False)
     # (target, max_hops) -> hops_to table, valid for the current node set
     _hops: dict[tuple[int, int], dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)

@@ -52,10 +52,6 @@ class AttentionMatrix:
     def num_tokens(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def num_keys(self) -> int:
-        return self.rows.shape[1]
-
 
 def load_attention_json(source) -> AttentionMatrix:
     """Ingest ``{"tokens": T, "keys": M, "rows": [[...]]}``."""

@@ -200,14 +200,12 @@ def discretize_topk(
     k: int,
     rng_seed: int = 0,
     deterministic: bool = False,
-    tau: float = 0.2,
 ) -> list:
     """Noisy top-k over mask values: keep the K' items with the largest
-    (log delta + g) / tau, g ~ Gumbel(0,1) (zero when deterministic).
+    log delta + g, g ~ Gumbel(0,1) (zero when deterministic). There is no
+    temperature: dividing every key by one tau > 0 keeps their order.
     Ties break on item id; fewer than K' items selects everything.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
     for key, d in deltas.items():
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta for {key!r} must lie in (0, 1), got {d}")
@@ -220,7 +218,7 @@ def discretize_topk(
     for key, d in items:
         g = 0.0 if deterministic else -math.log(-math.log(
             min(max(rng.random(), 1e-300), 1.0 - 1e-16)))
-        scored.append(((math.log(d) + g) / tau, key))
+        scored.append((math.log(d) + g, key))
     scored.sort(key=lambda sk: (-sk[0], sk[1]))
     return [key for _, key in scored[:k_prime]]
 
@@ -237,6 +235,10 @@ class ReasonerReply:
     tokens: int = 0
 
 
+# the additive smoothing of ScriptedReasoner's log-probability rule
+SCRIPTED_EPSILON = 0.01
+
+
 class ScriptedReasoner:
     """Deterministic test double bound to a graph.
 
@@ -248,17 +250,15 @@ class ScriptedReasoner:
     Log-probability rule (published so tests can evaluate it independently):
     mass(a) = sum of adjusted_injection * verifier over selected paths
     terminating at entity a; P(a) = (mass(a) + eps) / (sum_mass + eps * N)
-    where N counts the distinct terminal entities plus the queried answer if
-    it terminates no path.
+    where eps is ``SCRIPTED_EPSILON`` and N counts the distinct terminal
+    entities plus the queried answer if it terminates no path.
     """
 
     def __init__(self, graph: KnowledgeGraph, conf_threshold: float = 0.7,
-                 probes: dict[str, tuple[str, str]] | None = None,
-                 epsilon: float = 0.01):
+                 probes: dict[str, tuple[str, str]] | None = None):
         self.graph = graph
         self.conf_threshold = conf_threshold
         self.probes = dict(probes or {})
-        self.epsilon = epsilon
 
     def _top(self, selected: list[ScoredCandidate]) -> ScoredCandidate:
         return max(
@@ -279,8 +279,8 @@ class ScriptedReasoner:
             mass[label] = mass.get(label, 0.0) + c.adjusted_injection * c.verifier
         space = set(mass) | {answer}
         total = sum(mass.values())
-        p = (mass.get(answer, 0.0) + self.epsilon) / (
-            total + self.epsilon * len(space)
+        p = (mass.get(answer, 0.0) + SCRIPTED_EPSILON) / (
+            total + SCRIPTED_EPSILON * len(space)
         )
         return math.log(p)
 
@@ -611,7 +611,7 @@ def run_loop(
         episode.tokens += reply.tokens
 
         align = spearman = None
-        if reply.attention is not None and not config.no_align_diagnostics:
+        if reply.attention is not None:
             key_index = mixture.key_index
             alphas = {c_i: selected[c_i].adjusted_injection
                       for c_i in range(len(selected))}
@@ -652,8 +652,7 @@ def run_loop(
             kept = set(discretize_topk(
                 per_path, k=len(candidates),
                 rng_seed=config.seed + 104729 * (t + 1),
-                deterministic=config.deterministic,
-                tau=config.discretize_tau))
+                deterministic=config.deterministic))
             # the kept paths' edges take their mask values; the confirmed
             # and refuted triples then take their edits' multipliers
             subgraph.soft.update(soft_mask(

@@ -64,8 +64,9 @@ def test_bad_set_value_exits_2(argo_files, capsys):
     assert main(query_argv(argo_files, "--set", "alpha=nan")) == 2
     assert main(query_argv(argo_files, "--set", "nonsense")) == 2
     assert main(query_argv(argo_files, "--set", "jobs=2")) == 2
-    assert main(query_argv(argo_files,
-                           "--set", "no_soft_injection=true")) == 2
+    for removed in ["no_soft_injection=true", "discretize_tau=0.2",
+                    "no_align_diagnostics=true"]:
+        assert main(query_argv(argo_files, "--set", removed)) == 2
 
 
 # flags that would alias a RunConfig field: fields are set only through
@@ -195,3 +196,6 @@ def test_sweep_malformed_grid_exits_2(metrics_files, capsys):
     argv = ["sweep", metrics_files["triples.tsv"],
             metrics_files["bench.jsonl"], "--grid", "tau"]
     assert main(argv) == 2
+    for removed in ["discretize_tau=0.1,0.2", "no_align_diagnostics=true"]:
+        argv[-1] = removed
+        assert main(argv) == 2

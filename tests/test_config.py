@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from kgpaths.synthetic import FIXTURES
     ("restart", 0.0), ("restart", 1.0), ("tau", 0.0), ("select_top_k", 0),
     ("rho", -1.0), ("rounds", 0), ("conf_threshold", 0.0),
     ("conf_threshold", 1.5), ("edit_budget", -1), ("radius", 0), ("knn", -1),
-    ("discretize_tau", 0.0), ("embed_dim", 0), ("mask_gain", 800.0),
+    ("embed_dim", 0), ("mask_gain", 800.0),
     ("mask_uncertainty_gain", 33.0),
     # non-finite values, each of which used to fail every episode or
     # force an EXPAND in every round without an error
@@ -22,7 +24,7 @@ from kgpaths.synthetic import FIXTURES
     ("gamma", math.inf), ("lambda_sem", math.nan), ("lambda_sem", math.inf),
     ("tau", math.nan), ("tau", math.inf), ("select_threshold", math.nan),
     ("select_threshold", -math.inf), ("select_threshold", math.inf),
-    ("rho", math.inf), ("discretize_tau", math.inf),
+    ("rho", math.inf),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
     # construction, dataclasses.replace (the sweep path) and the string
@@ -55,3 +57,19 @@ def test_load_config_rejects_removed_key(tmp_path):
                     "no_soft_injection = False\n\n")
     with pytest.raises(ConfigError, match=r"\bno_soft_injection\b"):
         load_config(path)
+    for line in ["discretize_tau = 0.2", "no_align_diagnostics = False"]:
+        key = line.split()[0]
+        path.write_text(f"rounds = 2\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            load_config(path)
+
+
+def test_readme_set_lines_build_a_run_config():
+    # each `--set KEY=VALUE` the README gives names a field and a valid value
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    found = set(re.findall(r"--set (\w+)=([^\s`]+)",
+                           readme.read_text(encoding="utf-8")))
+    found.discard(("KEY", "VALUE"))  # the syntax, not an example
+    assert len(found) >= 9
+    for key, value in found:
+        RunConfig().with_overrides(**{key: value})

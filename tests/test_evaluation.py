@@ -71,6 +71,19 @@ def test_load_benchmark_rejects_seed_confidence_outside_unit_interval(
         BenchmarkRecord("q", (("s", float(confidence)),), frozenset({"a"}))
 
 
+@pytest.mark.parametrize("hops", ["NaN", "2.5", "true", '"2"'])
+def test_load_benchmark_rejects_hops_that_are_not_positive_integers(hops):
+    good = json.dumps({"question": "q", "seeds": [{"entity": "s"}],
+                       "answers": ["a"], "hops": 2})
+    bad = ('{"question": "q", "seeds": [{"entity": "s"}], "answers": ["a"], '
+           '"hops": %s}' % hops)
+    with pytest.raises(ParseError, match=r"line 2: hops must be an integer"):
+        load_benchmark(io.StringIO(good + "\n" + bad + "\n"))
+    with pytest.raises(ValueError, match="hops must be an integer"):
+        BenchmarkRecord("q", (("s", 1.0),), frozenset({"a"}),
+                        hops=json.loads(hops))
+
+
 def test_answer_metrics():
     assert answer_metrics(["a"], {"a"}) == (1.0, 1.0)
     assert answer_metrics(["a", "b"], {"a"}) == (1.0, pytest.approx(2 / 3))

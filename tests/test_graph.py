@@ -73,7 +73,6 @@ def test_duplicate_triples_stored_once_but_counted():
 
 def test_add_inverse_materializes_reverse_edges():
     g = load_triples(io.StringIO("a\tr\tb\n"), add_inverse=True)
-    assert g.has_relation("r⁻¹")
     assert Triple(g.entity_id("b"), g.relation_id("r⁻¹"), g.entity_id("a")) in g.triples
 
 
@@ -647,6 +646,13 @@ def test_subgraph_cannot_be_built_holding_nodes():
         Subgraph(graph=g, edges={Triple(0, 0, 1): 0})
     with pytest.raises(TypeError):
         Subgraph(graph=g, num_edges=1)
+    # the edit state is set only by the edits, so it is no argument either
+    for name, value in [("soft", {Triple(0, 0, 1): 1.0}),
+                        ("refuted", {Triple(0, 0, 1)}),
+                        ("pruned", {Triple(0, 0, 1)}),
+                        ("warnings", ["w"])]:
+        with pytest.raises(TypeError):
+            Subgraph(graph=g, **{name: value})
 
 
 def test_edges_are_a_read_only_view(chain_graph):

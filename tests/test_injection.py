@@ -73,7 +73,7 @@ def test_row_sum_check_matches_allclose(sums):
 def test_load_attention_json_shape_check():
     ok = json.dumps({"tokens": 1, "keys": 2, "rows": [[0.25, 0.75]]})
     att = load_attention_json(io.StringIO(ok))
-    assert att.num_tokens == 1 and att.num_keys == 2
+    assert att.num_tokens == 1 and att.rows.shape == (1, 2)
     bad = json.dumps({"tokens": 2, "keys": 2, "rows": [[0.25, 0.75]]})
     with pytest.raises(KgError, match="disagrees"):
         load_attention_json(io.StringIO(bad))
@@ -146,8 +146,6 @@ def test_alignment_loss_zero_iff_equal():
 
 
 class _FakeReasoner:
-    capabilities = {"answers", "log_probs"}
-
     def answer_for(self, question, selected):
         return "a"
 
@@ -158,7 +156,7 @@ class _FakeReasoner:
 
 def test_causal_effect_requires_capability():
     class NoLogProbs:
-        capabilities = {"answers"}
+        pass
 
     with pytest.raises(CapabilityError):
         causal_effect(NoLogProbs(), "q", [], None)

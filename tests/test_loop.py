@@ -34,6 +34,7 @@ from kgpaths.graph import (
     apply_edits,
 )
 from kgpaths.loop import (
+    SCRIPTED_EPSILON,
     DiagnosticMessage,
     ExternalReasoner,
     ScriptedReasoner,
@@ -403,6 +404,33 @@ def test_discretize_topk_deterministic_equals_truncation():
     assert discretize_topk({0: 0.5}, k=200, deterministic=True) == [0]
 
 
+def noisy_topk_oracle(deltas, k, rng_seed):
+    """The noisy top-k rule replayed: one Gumbel draw per item from
+    random.Random(rng_seed) in item order, then the K' items with the
+    largest log delta + g, ties on item id."""
+    keys = sorted(deltas)
+    k_prime = min(math.ceil(0.2 * k), 20)
+    if len(keys) <= k_prime:
+        return keys
+    rng = random.Random(rng_seed)
+    noise = [-math.log(-math.log(min(max(rng.random(), 1e-300), 1 - 1e-16)))
+             for _ in keys]
+    value = {key: math.log(deltas[key]) + g for key, g in zip(keys, noise)}
+    return sorted(keys, key=lambda key: (-value[key], key))[:k_prime]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+           st.integers(0, 500),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           | st.sampled_from([0.5, 0.982]),  # ties on delta
+           max_size=60),
+       st.integers(1, 250), st.integers(0, 2**32))
+def test_discretize_topk_noise_matches_the_oracle(deltas, k, rng_seed):
+    assert discretize_topk(deltas, k=k, rng_seed=rng_seed) == \
+        noisy_topk_oracle(deltas, k, rng_seed)
+
+
 def test_discretize_topk_noise_reproducible():
     deltas = {i: 0.3 + 0.001 * i for i in range(30)}
     a = discretize_topk(deltas, k=30, rng_seed=5)
@@ -435,8 +463,6 @@ def test_mask_values_at_the_config_bound_stay_inside_the_unit_interval(
 def test_discretize_topk_validation():
     with pytest.raises(ValueError):
         discretize_topk({0: 1.0}, k=10)
-    with pytest.raises(ValueError):
-        discretize_topk({0: 0.5}, k=10, tau=0.0)
 
 
 # --- scripted reasoner ----------------------------------------------------------
@@ -483,15 +509,16 @@ def test_scripted_reasoner_configured_probe(chain_graph):
 
 
 def test_scripted_reasoner_log_prob_rule(chain_graph):
-    r = ScriptedReasoner(chain_graph, epsilon=0.01)
+    r = ScriptedReasoner(chain_graph)
+    eps = SCRIPTED_EPSILON
     cands = _cands(chain_graph, [
         ([Triple(0, 0, 1)], 0.6, 1.0),   # terminal b, mass 0.6
         ([Triple(0, 2, 2)], 0.4, 0.5),   # terminal c, mass 0.2
     ])
-    expected = math.log((0.6 + 0.01) / (0.8 + 0.01 * 2))
+    expected = math.log((0.6 + eps) / (0.8 + eps * 2))
     assert r.log_prob("q", cands, "b") == pytest.approx(expected)
     # unseen answer only contributes epsilon
-    expected_d = math.log(0.01 / (0.8 + 0.01 * 3))
+    expected_d = math.log(eps / (0.8 + eps * 3))
     assert r.log_prob("q", cands, "d") == pytest.approx(expected_d)
 
 
