@@ -49,6 +49,50 @@ row_dots = partial(_einsum, "ij,ij->i")
 row_dot = partial(_einsum, "i,i->")
 
 
+def add_reduce(values) -> float:
+    """``np.add.reduce`` of the float64 array of ``values``, in plain
+    Python: the sum of a handful of values, without numpy's per-call cost.
+
+    It repeats numpy's summation order, so the bits are numpy's: below 8
+    values, one running sum from +0.0; from 8 to 128, eight running sums
+    of every eighth value, added as a tree, then the values left over
+    after the last full eight, in order; above 128, the two halves (the
+    first a multiple of 8) summed so, and added. Builtin ``sum`` is not
+    used: from Python 3.12 on it compensates float rounding.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _pairwise_sum(values, 0, n)
+
+
+def _pairwise_sum(values, lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``values[lo:lo + n]``, ``n >= 8``."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return (_pairwise_sum(values, lo, half)
+                + _pairwise_sum(values, lo + half, n - half))
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
+    end = lo + n - n % 8
+    for i in range(lo + 8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, lo + n):
+        total += values[i]
+    return total
+
+
 def _mismatch(a: tuple, b: tuple) -> ValueError:
     return ValueError(f"dimension mismatch: {a} vs {b}")
 

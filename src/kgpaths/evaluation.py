@@ -15,7 +15,12 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from .config import RunConfig
-from .errors import KgError, ParseError
+from .errors import (
+    KgError,
+    ParseError,
+    UnknownEntityError,
+    UnknownRelationError,
+)
 from .graph import KnowledgeGraph, SeedCandidate, read_lines
 from .loop import EpisodeResult, run_loop
 
@@ -194,12 +199,29 @@ class EpisodeMetrics:
         return row
 
 
+def _gold_keys(gold_paths, graph: KnowledgeGraph) -> list:
+    """Gold paths of labels as (node ids, relation ids), the form of
+    ``EpisodeResult.retrieved_keys``. A path naming a label the graph
+    lacks stays as labels: it still counts as relevant, and no id path
+    equals it."""
+    keys = []
+    for nodes, relations in gold_paths:
+        try:
+            keys.append((tuple(graph.entity_id(n) for n in nodes),
+                         tuple(graph.relation_id(r) for r in relations)))
+        except (UnknownEntityError, UnknownRelationError):
+            keys.append((nodes, relations))
+    return keys
+
+
 def evaluate_episode(record: BenchmarkRecord, result: EpisodeResult,
                      latency: float = 0.0) -> EpisodeMetrics:
     predicted = [result.answer] if result.answer else []
     hit1, f1 = answer_metrics(predicted, record.answers)
     gold_paths = list(record.gold_paths)
-    retrieved = result.retrieved_paths
+    retrieved = result.retrieved_keys
+    if gold_paths and retrieved:
+        gold_paths = _gold_keys(gold_paths, result.subgraph.graph)
     if gold_paths:
         path_mrr, path_map, path_hit10 = rank_metrics(retrieved, gold_paths, 10)
     else:

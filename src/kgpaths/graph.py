@@ -508,7 +508,9 @@ class Subgraph:
 def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
              round_index: int) -> None:
     """Add at ``round_index`` every node within ``radius`` out-hops of each
-    of ``starts``, in one batch, ordered by start and then breadth-first."""
+    of ``starts``, in one batch, ordered by start and then breadth-first.
+    A start's search ends once a hop finds no new node, so a radius beyond
+    the graph's size costs no more than the size."""
     out_tails = subgraph.graph.out_tails
     found = []
     for start in starts:
@@ -516,6 +518,8 @@ def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
         found.append(start)
         frontier = [start]
         for _ in range(radius):
+            if not frontier:
+                break
             nxt = []
             for node in frontier:
                 for t in out_tails[node]:

@@ -4,6 +4,11 @@ injection-utilization diagnostics.
 Keys/values are one row per selected path with identity projections; the
 diagnostics also accept attention matrices ingested from a JSON file for
 offline analysis of external model runs.
+
+The attention matrix's checks, the per-path attention masses and the
+alignment loss are plain Python on a handful of values, with the bits of
+the numpy formulas they replaced: every sum is ``embeddings.add_reduce``,
+numpy's summation order.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import add_reduce
 from .errors import CapabilityError, KgError
 from .graph import open_text
 from .paths import Path
@@ -37,14 +43,17 @@ class AttentionMatrix:
 
     def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] == 0:
+        if rows.ndim != 2 or 0 in rows.shape:
             raise ValueError("attention must be a nonempty 2-D matrix")
-        sums = rows.sum(axis=1)
-        # np.allclose(sums, 1.0, atol=1e-6) without its wrappers: within
-        # atol + rtol * |1.0| (rtol its default), false for NaN and +-inf
-        if not (np.abs(sums - 1.0) <= 1e-6 + 1e-5 * 1.0).all():
+        table = rows.tolist()
+        # np.allclose(rows.sum(axis=1), 1.0, atol=1e-6) in scalar
+        # arithmetic: each row's sum within atol + rtol * |1.0| (rtol its
+        # default), false for NaN and +-inf
+        if not all(abs(add_reduce(row) - 1.0) <= 1e-6 + 1e-5 * 1.0
+                   for row in table):
             raise ValueError("attention rows must sum to 1")
-        if rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12:
+        # a NaN or an infinity already failed its row's sum
+        if not all(-1e-12 <= v <= 1.0 + 1e-12 for row in table for v in row):
             raise ValueError("attention entries must lie in [0, 1]")
         self.rows = rows
 
@@ -118,20 +127,34 @@ def attention_mass(
     """Mean attention output tokens place on the keys owned by one path."""
     if path_id not in key_index:
         raise KeyError(f"unknown path_id {path_id}")
-    cols = list(key_index[path_id])
-    return float(attention.rows[:, cols].sum() / attention.num_tokens)
+    return attention_masses(attention, {path_id: key_index[path_id]})[path_id]
+
+
+def attention_masses(
+    attention: AttentionMatrix,
+    key_index: dict[int, tuple[int, ...]],
+) -> dict[int, float]:
+    """``attention_mass`` of every path in ``key_index``, in one pass over
+    the columns: the bits of ``rows[:, cols].sum() / num_tokens``. numpy
+    lays ``rows[:, cols]`` out column by column and sums it in that order,
+    so each path's entries are summed so, by ``add_reduce``. A column
+    outside the matrix raises ``IndexError``."""
+    columns = attention.rows.T.tolist()
+    n_tok = attention.num_tokens
+    return {p: add_reduce([v for c in cols for v in columns[c]]) / n_tok
+            for p, cols in key_index.items()}
 
 
 def alignment_loss(alphas: dict[int, float], masses: dict[int, float]) -> float:
     """Mean squared difference between injection coefficients and attention
-    masses over the selected path set."""
+    masses over the selected path set: ``np.mean`` of the squares, as
+    ``add_reduce`` over the count."""
     if set(alphas) != set(masses):
         raise ValueError("alpha and mass path sets differ")
     if not alphas:
         raise ValueError("empty path set")
-    return float(
-        np.mean([(alphas[p] - masses[p]) ** 2 for p in alphas])
-    )
+    squares = [(alphas[p] - masses[p]) ** 2 for p in alphas]
+    return add_reduce(squares) / len(squares)
 
 
 def causal_effect(reasoner, question: str, selected, path) -> float:

@@ -10,6 +10,13 @@ mask values (``path_mask``, with a relevance term for confirmed and
 refuted triples) picks the paths whose edges take the uncertainty term
 (``soft_mask``); then the edits give each confirmed or refuted triple
 its fixed multiplier.
+
+An episode keeps the candidates of its last answered round as id paths
+(``EpisodeResult.retrieved_keys``), which evaluation compares with the
+record's gold paths in id space; their labels are built only when
+``EpisodeResult.retrieved_paths`` is read. ``ScriptedReasoner``'s
+attention rows and the round's attention masses are plain Python sums in
+numpy's order (``embeddings.add_reduce``).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .config import RunConfig
-from .embeddings import JsonService, query_embedding
+from .embeddings import JsonService, add_reduce, query_embedding
 from .errors import EmptySelectionError, KgError
 from .graph import (
     ConfirmTriple,
@@ -40,7 +47,14 @@ from .graph import (
     apply_edits,
     expand_neighborhood,
 )
-from .injection import AttentionMatrix, attention_mass, alignment_loss, context_mixture, encode_path
+from .injection import (
+    AttentionMatrix,
+    alignment_loss,
+    attention_masses,
+    context_mixture,
+    encode_path,
+)
+from .injection import attention_mass  # noqa: F401  perfbench/tracing.py wraps it here
 from .pathenum import enumerate_paths
 from .scoring import (
     GumbelConfig,
@@ -302,13 +316,14 @@ class ScriptedReasoner:
         tokens = sum(
             len(c.path.verbalize(self.graph).split()) for c in selected
         )
-        alphas = np.array([c.adjusted_injection for c in selected], dtype=float)
-        if alphas.sum() <= 0:
-            alphas = np.full(len(selected), 1.0 / len(selected))
+        alphas = [c.adjusted_injection for c in selected]
+        total = add_reduce(alphas)
+        if total <= 0:
+            alphas = [1.0 / len(selected)] * len(selected)
         else:
-            alphas = alphas / alphas.sum()
+            alphas = [a / total for a in alphas]
         n_tok = max(1, len(answer.split()))
-        attention = AttentionMatrix(np.tile(alphas, (n_tok, 1)))
+        attention = AttentionMatrix(np.array([alphas] * n_tok))
         return ReasonerReply(
             answer=answer, confidence=confidence, diagnostic=diagnostic,
             attention=attention, tokens=tokens,
@@ -413,11 +428,20 @@ class RoundState:
 
 @dataclass
 class EpisodeResult:
+    """One episode's answer, rounds and counters.
+
+    ``retrieved_keys`` holds every candidate of the last round the
+    reasoner answered as (node ids, relation ids), which is what
+    evaluation compares with the gold paths. ``retrieved_paths`` gives the
+    same paths as (node labels, relation labels), read from
+    ``subgraph.graph`` and built anew on each read.
+    """
+
     answer: str | None = None
     confidence: float | None = None
     rounds: list[RoundState] = field(default_factory=list)
     ranked_answers: list[str] = field(default_factory=list)
-    retrieved_paths: list[tuple[tuple[str, ...], tuple[str, ...]]] = field(
+    retrieved_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(
         default_factory=list)
     reasoner_calls: int = 0
     tokens: int = 0
@@ -425,6 +449,16 @@ class EpisodeResult:
     failed: bool = False
     failure: str | None = None
     subgraph: Subgraph | None = field(default=None, repr=False)
+
+    @property
+    def retrieved_paths(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        if not self.retrieved_keys:
+            return []
+        entities = self.subgraph.graph.entity_labels
+        relations = self.subgraph.graph.relation_labels
+        return [(tuple(entities[n] for n in nodes),
+                 tuple(relations[r] for r in rels))
+                for nodes, rels in self.retrieved_keys]
 
     def trace_jsonl(self) -> str:
         return "\n".join(
@@ -616,8 +650,7 @@ def run_loop(
             alphas = {c_i: selected[c_i].adjusted_injection
                       for c_i in range(len(selected))}
             try:
-                masses = {p: attention_mass(reply.attention, key_index, p)
-                          for p in key_index}
+                masses = attention_masses(reply.attention, key_index)
                 align = alignment_loss(alphas, masses)
                 spearman = _spearman([alphas[p] for p in sorted(alphas)],
                                      [masses[p] for p in sorted(alphas)])
@@ -682,9 +715,5 @@ def run_loop(
         if done:
             break
 
-    episode.retrieved_paths = [
-        (tuple(graph.entity_labels[n] for n in c.path.nodes),
-         tuple(graph.relation_labels[r] for r in c.path.relations))
-        for c in answered
-    ]
+    episode.retrieved_keys = [c.path.key() for c in answered]
     return episode

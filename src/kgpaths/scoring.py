@@ -10,6 +10,13 @@ linear models as the trained option. A plugin is called as
 ``scorer(path, table)`` or ``verifier(path, table)`` with that same table,
 so its edge costs and semantic match are the ones already computed.
 Whatever it raises, or a value that is not finite, fails the episode.
+
+The soft weights and injection coefficients are plain Python on the few
+values a round has, with the bits of the numpy formulas they replaced:
+every sum is ``embeddings.add_reduce``, numpy's summation order. The
+Gumbel noise's logarithms and the softmax's exponentials stay numpy's
+array calls, as ``math.log`` and ``math.exp`` round some values
+differently.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import add_reduce
 from .errors import EmptySelectionError, KgError, ParseError
 from .graph import Triple, read_keyed
 from .paths import Path
@@ -135,21 +143,20 @@ def gumbel_soft_weights(
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    u = np.array([c.u for c in candidates], dtype=float)
     if config.deterministic:
-        g = np.zeros_like(u)
+        g = [0.0] * len(candidates)
     else:
         rng = random.Random(config.rng_seed)
-        uniforms = np.array([rng.random() for _ in candidates])
         # avoid log(0) at the open-interval ends
-        uniforms = np.clip(uniforms, 1e-300, 1.0 - 1e-16)
-        g = -np.log(-np.log(uniforms))
-    z = (u + g) / config.temperature
-    z -= z.max()  # shift invariance keeps the exp stable
-    w = np.exp(z)
-    w /= w.sum()
+        uniforms = [min(max(rng.random(), 1e-300), 1.0 - 1e-16)
+                    for _ in candidates]
+        g = (-np.log(-np.log(np.array(uniforms)))).tolist()
+    z = [(c.u + gi) / config.temperature for c, gi in zip(candidates, g)]
+    peak = max(z)  # shift invariance keeps the exp stable
+    w = np.exp(np.array([zi - peak for zi in z])).tolist()
+    total = add_reduce(w)
     for c, weight in zip(candidates, w):
-        c.soft_weight = float(weight)
+        c.soft_weight = weight / total
     return candidates
 
 
@@ -196,26 +203,28 @@ def select_and_inject(
     gated = [(c.soft_weight * c.verifier, c) for c in candidates]
     passing = [(g, c) for g, c in gated if g >= threshold]
     passing.sort(key=lambda gc: (-gc[0], gc[1].path.nodes, gc[1].path.relations))
-    selected = [c for _, c in passing[:top_k]]
-    if not selected:
+    kept = passing[:top_k]
+    if not kept:
         raise EmptySelectionError("no candidate passed the selection gate")
 
-    raw = np.array([c.soft_weight * c.verifier for c in selected], dtype=float)
-    total = raw.sum()
-    alphas = raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
+    selected = [c for _, c in kept]
+    raw = [g for g, _ in kept]
+    n = len(selected)
+    total = add_reduce(raw)
+    alphas = [r / total for r in raw] if total > 0 else [1.0 / n] * n
 
     conf = seed_confidence or {}
-    adjusted = np.array([
-        a * math.prod(conf.get(n, 1.0) ** rho for n in c.path.nodes)
+    adjusted = [
+        a * math.prod(conf.get(node, 1.0) ** rho for node in c.path.nodes)
         for a, c in zip(alphas, selected)
-    ])
-    total_adj = adjusted.sum()
+    ]
+    total_adj = add_reduce(adjusted)
     if total_adj > 0:
-        adjusted /= total_adj
+        adjusted = [a / total_adj for a in adjusted]
     else:
-        adjusted = np.full(len(selected), 1.0 / len(selected))
+        adjusted = [1.0 / n] * n
 
     for c, a, aa in zip(selected, alphas, adjusted):
-        c.injection = float(a)
-        c.adjusted_injection = float(aa)
+        c.injection = a
+        c.adjusted_injection = aa
     return selected

@@ -16,6 +16,7 @@ from kgpaths.evaluation import (
     answer_metrics,
     average_precision,
     coverage,
+    evaluate_episode,
     expand_grid,
     load_benchmark,
     median_mad,
@@ -27,7 +28,8 @@ from kgpaths.evaluation import (
     write_report_json,
     write_sweep_csv,
 )
-from kgpaths.loop import ScriptedReasoner
+from kgpaths.graph import Subgraph
+from kgpaths.loop import EpisodeResult, ScriptedReasoner
 from kgpaths.synthetic import FIXTURES, metrics_fixture
 
 from conftest import build_graph, cosine_oracle, pool_vectors_oracle
@@ -274,3 +276,29 @@ def test_sweep_single_point_matches_run_benchmark(tmp_path):
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, out)
     assert out.read_text().startswith("coverage,")
+
+
+def test_evaluate_episode_compares_id_paths_with_the_gold_paths(chain_graph):
+    """The retrieved paths stay ids; the gold paths are interned. A gold
+    path naming a label the graph lacks still counts as relevant and never
+    matches, so the metrics are those of comparing label paths."""
+    result = EpisodeResult(
+        answer="c", subgraph=Subgraph(chain_graph),
+        retrieved_keys=[((0, 1), (0,)), ((0, 2), (2,)), ((0, 1, 2), (0, 1))])
+    assert result.retrieved_paths == [
+        (("a", "b"), ("r1",)), (("a", "c"), ("r3",)),
+        (("a", "b", "c"), ("r1", "r2"))]
+    record = BenchmarkRecord("q", (("a", 1.0),), frozenset({"c"}), gold_paths=(
+        (("a", "b", "c"), ("r1", "r2")),
+        (("a", "zz"), ("r1",)),  # no entity zz
+        (("a", "c"), ("r9",)),  # no relation r9
+    ))
+    gold = list(record.gold_paths)
+    m = evaluate_episode(record, result)
+    assert (m.path_mrr, m.path_map, m.path_hit10) == rank_metrics(
+        result.retrieved_paths, gold, 10) == (1 / 3, 1 / 9, 1.0)
+    assert m.covered == coverage(result.retrieved_paths, gold) == 1.0
+    # nothing retrieved: no match, every gold path still relevant
+    m = evaluate_episode(record, EpisodeResult(answer="c"))
+    assert (m.covered, m.path_mrr, m.path_map, m.path_hit10) == (
+        0.0, 0.0, 0.0, 0.0)

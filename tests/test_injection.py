@@ -40,6 +40,8 @@ def test_attention_matrix_validation():
         AttentionMatrix(np.array([[1.5, -0.5]]))
     with pytest.raises(ValueError):
         AttentionMatrix(np.zeros((2, 0)))
+    with pytest.raises(ValueError):  # no token rows
+        AttentionMatrix(np.zeros((0, 2)))
 
 
 _TOL = 1e-6 + 1e-5  # np.allclose's atol as passed, plus its default rtol
@@ -54,20 +56,39 @@ _ROW_SUMS = st.one_of(
 )
 
 
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2e-12, 1.0 + 2e-12),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-12, 1.0 + 1e-12,
+        math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0),
+        -0.5, 1.5,
+    ]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ROW_SUMS, min_size=1, max_size=4))
-def test_row_sum_check_matches_allclose(sums):
-    """Rows ``[s/2, s/2]`` sum to ``s`` (exactly, but for subnormals);
-    entries of any accepted sum lie in [0, 1], so the matrix is accepted
-    exactly when numpy's own ``allclose`` accepts the sums, NaN and
-    infinities included."""
-    rows = np.array([[s / 2, s / 2] for s in sums])
+@given(st.integers(1, 12).flatmap(lambda width: st.lists(st.one_of(
+    _ROW_SUMS.map(lambda s: [s / width] * width),
+    st.lists(_ENTRIES, min_size=width, max_size=width),
+), min_size=1, max_size=4)))
+def test_row_sum_check_matches_allclose(rows):
+    """Rows of ``width`` equal entries sum to about ``s``; other rows hold
+    any entries, NaN, infinities and negatives among them. Up to 12
+    columns, numpy's eight-accumulator sum runs. The matrix is accepted
+    exactly when numpy's own ``allclose`` accepts the row sums and the
+    entries' minimum and maximum pass numpy's range check."""
+    rows = np.array(rows)
     try:
         AttentionMatrix(rows)
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
+    with np.errstate(all="ignore"):
+        expected = (np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
+                    and not rows.min() < -1e-12
+                    and not rows.max() > 1.0 + 1e-12)
+    assert accepted == expected
 
 
 def test_load_attention_json_shape_check():

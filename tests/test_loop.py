@@ -32,6 +32,7 @@ from kgpaths.graph import (
     SwapSeed,
     Triple,
     apply_edits,
+    expand_neighborhood,
 )
 from kgpaths.loop import (
     SCRIPTED_EPSILON,
@@ -104,6 +105,24 @@ def test_map_diagnostic_expand_below_radius_one_yields_no_edits(chain_graph,
                                                                 radius):
     assert map_diagnostic(parse_diagnostic(f"EXPAND(b, {radius})"),
                           chain_graph) == []
+
+
+def test_expand_radius_past_the_graph_stops_with_the_frontier(chain_graph):
+    """A radius of 10**12 finds what a radius of ``num_entities`` finds,
+    at once, whether the edit is built or parsed from a reply: the
+    search stops when a hop adds no node."""
+    def nodes_after(edits):
+        sub = expand_neighborhood(chain_graph, [SeedCandidate(1)], 1)
+        apply_edits(sub, edits, round_index=1)
+        return dict(sub.nodes)
+
+    expected = nodes_after([ExpandSeed(1, chain_graph.num_entities)])
+    assert expected == {1: 0, 2: 0, 3: 1}  # b, c at start; d two hops out
+    assert nodes_after([ExpandSeed(1, 10**12)]) == expected
+    edits = map_diagnostic(parse_diagnostic(f"EXPAND(b, {10**12})"),
+                           chain_graph)
+    assert edits == [ExpandSeed(1, 10**12)]
+    assert nodes_after(edits) == expected
 
 
 def test_map_diagnostic_failures_yield_no_edits(chain_graph):
