@@ -21,7 +21,6 @@ class RunConfig:
     beta: float = 0.4
     gamma: float = 0.2
     lambda_sem: float = 0.70
-    struct_mode: str = "uniform"
     # enumeration budget
     L: int = 4
     K: int = 200
@@ -88,7 +87,7 @@ class RunConfig:
     def coefficients(self) -> WeightCoefficients:
         return WeightCoefficients(
             alpha=self.alpha, beta=self.beta, gamma=self.gamma,
-            lambda_sem=self.lambda_sem, struct_mode=self.struct_mode,
+            lambda_sem=self.lambda_sem,
         )
 
     def budget(self) -> EnumerationBudget:

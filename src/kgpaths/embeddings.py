@@ -8,6 +8,9 @@ A provider is any object with ``embed(label) -> vector``, which raises
 * file — vectors loaded from a TSV (``label<TAB>v1,v2,...``).
 * external service — HTTP POST JSON ``{"items": [...]}`` returning
   ``{"vectors": [[...]]}``.
+
+The module also holds every numeric kernel: dot products, cosines, pooled
+means and float sums, so one module knows numpy's summation order.
 """
 
 from __future__ import annotations
@@ -54,19 +57,23 @@ def add_reduce(values) -> float:
     Python: the sum of a handful of values, without numpy's per-call cost.
 
     It repeats numpy's summation order, so the bits are numpy's: below 8
-    values, one running sum from +0.0; from 8 to 128, eight running sums
+    values, ``running_sum``; from 8 to 128, eight running sums
     of every eighth value, added as a tree, then the values left over
     after the last full eight, in order; above 128, the two halves (the
-    first a multiple of 8) summed so, and added. Builtin ``sum`` is not
-    used: from Python 3.12 on it compensates float rounding.
+    first a multiple of 8) summed so, and added.
     """
     n = len(values)
     if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
+        return running_sum(values)
     return 0.0 + _pairwise_sum(values, 0, n)
+
+
+def running_sum(values) -> float:
+    """Sum left to right from +0.0: builtin ``sum``'s bits before 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _pairwise_sum(values, lo: int, n: int) -> float:
@@ -137,6 +144,44 @@ def normed_cosines(rows: np.ndarray, b: np.ndarray, row_norms: np.ndarray,
         raise ZeroVectorError("cosine of a zero vector is undefined")
     c = row_dots(rows, b[None]) / (row_norms * nb)  # b broadcast to each row
     return np.clip(c, -1.0, 1.0)
+
+
+def pool_vectors(vectors: list[np.ndarray], owner) -> np.ndarray:
+    """The normalized mean of ``vectors``, which belong to ``owner`` (named
+    in the error when the mean is zero).
+
+    Order-insensitive by construction. The mean is ``np.mean(vectors,
+    axis=0)``: ``np.add.reduce(axis=0)`` divided by the count, without
+    numpy's per-call Python wrappers. The norm is ``sqrt(row_dot(mean,
+    mean))``.
+    """
+    mean = np.add.reduce(vectors, axis=0) / len(vectors)
+    norm = math.sqrt(row_dot(mean, mean))
+    if norm == 0.0:
+        raise ZeroVectorError(f"pooled vector is zero for {owner!r}")
+    return mean / norm
+
+
+def pool_vector_stack(stack: np.ndarray, owners) -> np.ndarray:
+    """``pool_vectors(stack[i], owners[i])`` for each i, as rows of one
+    array: ``stack`` is an (n, m, d) array of n owners' m >= 2 vectors
+    each, with d > 1.
+
+    It sums each owner's vectors in their order, as ``np.add.reduce(axis=0)``
+    does for d > 1, so the bits are those of ``pool_vectors``. (For d = 1,
+    numpy sums 8 or more values pairwise, so a d = 1 batch would not
+    match.) The norms are one ``row_dots`` call. A zero mean raises
+    ``ZeroVectorError`` naming the first owner that has one.
+    """
+    total = stack[:, 0] + stack[:, 1]
+    for i in range(2, stack.shape[1]):
+        total += stack[:, i]
+    mean = total / stack.shape[1]
+    norms = np.sqrt(row_dots(mean, mean))
+    if not norms.all():
+        raise ZeroVectorError(
+            f"pooled vector is zero for {owners[int(np.argmin(norms))]!r}")
+    return mean / norms[:, None]
 
 
 class HashEmbeddings:
@@ -351,8 +396,8 @@ def query_embedding(provider, question: str, graph) -> np.ndarray:
 
     When the provider raises ``UnknownItemError`` for it (a file table
     without the question), average the embeddings of the entity and
-    relation labels that the question's whitespace tokens match,
-    L2-normalized; when no token matches, that error is raised again.
+    relation labels that the question's whitespace tokens match
+    (``pool_vectors``); when no token matches, that error is raised again.
     """
     try:
         return provider.embed(question)
@@ -369,9 +414,5 @@ def query_embedding(provider, question: str, graph) -> np.ndarray:
                 matched.append(lookup[token])
         if not matched:
             raise
-    mean = np.add.reduce([provider.embed(label) for label in matched],
-                         axis=0) / len(matched)
-    norm = math.sqrt(row_dot(mean, mean))
-    if norm == 0.0:
-        raise ZeroVectorError("query token embeddings cancel to zero")
-    return mean / norm
+    return pool_vectors([provider.embed(label) for label in matched],
+                        question)

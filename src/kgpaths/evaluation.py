@@ -15,13 +15,14 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from .config import RunConfig
+from .embeddings import running_sum
 from .errors import (
     KgError,
     ParseError,
     UnknownEntityError,
     UnknownRelationError,
 )
-from .graph import KnowledgeGraph, SeedCandidate, read_lines
+from .graph import KnowledgeGraph, SeedCandidate, json_value, read_lines
 from .loop import EpisodeResult, run_loop
 
 
@@ -57,33 +58,34 @@ class BenchmarkRecord:
 
 
 def load_benchmark(source) -> list[BenchmarkRecord]:
-    """Load benchmark JSONL: one object per line with ``question``,
-    ``seeds`` ([{"entity", "confidence"?}]), ``answers``, and optionally
-    ``gold_paths`` ([{"nodes", "relations"}], one more node than
-    relations) and ``hops``. ``answers`` is a list of strings."""
+    """Load benchmark JSONL: one object per line with ``question`` (a
+    string), ``seeds`` ([{"entity": string, "confidence"?: number}]),
+    ``answers`` (a list of strings), and optionally ``gold_paths``
+    ([{"nodes", "relations"}], lists of strings, one more node than
+    relations) and ``hops`` (an integer >= 1). A line that breaks this
+    shape raises ``ParseError`` naming the line."""
     records = []
     for lineno, line in read_lines(source):
         try:
             obj = json.loads(line)
-            answers = obj["answers"]
-            if not (isinstance(answers, list)
-                    and all(isinstance(a, str) for a in answers)):
-                raise ValueError(f"answers {answers!r} is not a list of "
-                                 "strings")
             records.append(BenchmarkRecord(
-                question=obj["question"],
+                question=json_value(obj["question"], str, "question"),
                 seeds=tuple(
-                    (s["entity"], float(s.get("confidence", 1.0)))
+                    (json_value(s["entity"], str, "seed entity"),
+                     float(json_value(s.get("confidence", 1.0), float,
+                                      "seed confidence")))
                     for s in obj["seeds"]
                 ),
-                answers=frozenset(answers),
+                answers=frozenset(json_value(obj["answers"], list, "answers")),
                 gold_paths=tuple(
-                    (tuple(p["nodes"]), tuple(p["relations"]))
+                    (tuple(json_value(p["nodes"], list, "gold path nodes")),
+                     tuple(json_value(p["relations"], list,
+                                      "gold path relations")))
                     for p in obj.get("gold_paths", [])
                 ),
                 hops=obj.get("hops"),
             ))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(str(exc), lineno) from None
     return records
 
@@ -249,7 +251,7 @@ def evaluate_episode(record: BenchmarkRecord, result: EpisodeResult,
 
 def _mean(values) -> float | None:
     values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
+    return running_sum(values) / len(values) if values else None
 
 
 def _aggregate(metrics: list[EpisodeMetrics]) -> dict:
@@ -342,14 +344,18 @@ def write_report_json(report: dict, path) -> None:
         fh.write("\n")
 
 
-def write_report_csv(report: dict, path) -> None:
-    rows = report["per_question"]
-    fieldnames = list(rows[0]) if rows else [
-        f.name for f in fields(EpisodeMetrics) if f.name != "latency"]
+def _write_csv(rows: list[dict], fieldnames: list[str], path) -> None:
+    """Write ``rows`` as UTF-8 CSV with a ``fieldnames`` header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_report_csv(report: dict, path) -> None:
+    rows = report["per_question"]
+    _write_csv(rows, list(rows[0]) if rows else [
+        f.name for f in fields(EpisodeMetrics) if f.name != "latency"], path)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -417,8 +423,4 @@ def sweep(
 def write_sweep_csv(rows: list[dict], path) -> None:
     if not rows:
         raise ValueError("no sweep rows to write")
-    fieldnames = sorted({k for row in rows for k in row})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(rows, sorted({k for row in rows for k in row}), path)

@@ -34,11 +34,20 @@ import numpy as np
 
 from .errors import EditError, ParseError, UnknownEntityError, UnknownRelationError
 
-# sigmoid(+/-4): the soft multipliers of confirmed / refuted triples.
-# Confirmation roughly halves effective traversal cost; refutation leaves the
-# cost nearly unchanged and relies on the verifier hard gate instead.
-CONFIRM_MULTIPLIER = 1.0 / (1.0 + math.exp(-4.0))
-REFUTE_MULTIPLIER = 1.0 / (1.0 + math.exp(4.0))
+
+def sigmoid(x: float) -> float:
+    """``1 / (1 + exp(-x))``; 0.0 where ``exp(-x)`` overflows (x < -709.78)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+# the soft multipliers of confirmed / refuted triples. Confirmation roughly
+# halves effective traversal cost; refutation leaves the cost nearly
+# unchanged and relies on the verifier hard gate instead.
+CONFIRM_MULTIPLIER = sigmoid(4.0)
+REFUTE_MULTIPLIER = sigmoid(-4.0)
 
 
 class Triple(NamedTuple):
@@ -268,6 +277,22 @@ def read_keyed(source, *names: str) -> Iterator[tuple[int, list[str]]]:
             raise ParseError(f"{names[0]} {fields[0]!r} repeats line "
                              f"{earlier}", lineno)
         yield lineno, fields
+
+
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a number",
+               list: "a list of strings"}
+
+
+def json_value(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind`` (``float``: any number, not a
+    bool; ``list``: of strings), else ``ValueError`` naming ``name``."""
+    if kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = type(value) in ((int, float) if kind is float else (kind,))
+    if not ok:
+        raise ValueError(f"{name} {value!r} is not {_JSON_KINDS[kind]}")
+    return value
 
 
 def load_triples(source, add_inverse: bool = False) -> KnowledgeGraph:

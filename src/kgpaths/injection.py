@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import add_reduce
-from .errors import CapabilityError, KgError
-from .graph import open_text
+from .embeddings import add_reduce, running_sum
+from .errors import CapabilityError, ParseError
+from .graph import json_value, open_text
 from .paths import Path
 from .weights import ScoreTable
 
@@ -63,16 +63,22 @@ class AttentionMatrix:
 
 
 def load_attention_json(source) -> AttentionMatrix:
-    """Ingest ``{"tokens": T, "keys": M, "rows": [[...]]}``."""
-    with open_text(source) as fh:
-        payload = json.load(fh)
-    rows = np.asarray(payload["rows"], dtype=float)
-    if rows.shape != (payload["tokens"], payload["keys"]):
-        raise KgError(
-            f"attention shape {rows.shape} disagrees with declared "
-            f"({payload['tokens']}, {payload['keys']})"
-        )
-    return AttentionMatrix(rows)
+    """Ingest ``{"tokens": T, "keys": M, "rows": [[...]]}``: T and M
+    integers, ``rows`` a T x M matrix that ``AttentionMatrix`` accepts.
+    Any other file raises ``ParseError``."""
+    with open_text(source) as lines:
+        text = "".join(lines)
+    try:
+        payload = json.loads(text)
+        shape = tuple(json_value(payload[k], int, k)
+                      for k in ("tokens", "keys"))
+        rows = np.asarray(payload["rows"], dtype=float)
+        if rows.shape != shape:
+            raise ValueError(f"shape {rows.shape} disagrees with declared "
+                             f"{shape}")
+        return AttentionMatrix(rows)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"attention: {type(exc).__name__}: {exc}") from None
 
 
 def encode_path(path: Path, table: ScoreTable, path_id: int = 0) -> PathLatent:
@@ -86,7 +92,7 @@ def context_mixture(selected: list[tuple[PathLatent, float]]) -> ContextMixture:
     """Coefficient-weighted mixture of path latents (coefficients sum to 1)."""
     if not selected:
         raise ValueError("cannot mix an empty selection")
-    total = sum(coeff for _, coeff in selected)
+    total = running_sum(coeff for _, coeff in selected)
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise ValueError(f"mixture coefficients sum to {total}, expected 1")
     z = np.zeros_like(selected[0][0].vector, dtype=float)
@@ -158,11 +164,16 @@ def alignment_loss(alphas: dict[int, float], masses: dict[int, float]) -> float:
 
 
 def causal_effect(reasoner, question: str, selected, path) -> float:
-    """Answer log-probability drop when one path is ablated from the
-    selection, by the reasoner's ``answer_for`` and ``log_prob``; a
-    reasoner without ``log_prob`` raises ``CapabilityError``."""
+    """Answer log-probability drop when ``path``, one of the ``selected``
+    candidates (by identity), is ablated from the selection, by the
+    reasoner's ``answer_for`` and ``log_prob``. A reasoner without
+    ``log_prob`` raises ``CapabilityError``, and a ``path`` that is not
+    one of ``selected`` ``ValueError``."""
     if not hasattr(reasoner, "log_prob"):
         raise CapabilityError("reasoner does not expose log-probabilities")
+    if not any(c is path for c in selected):
+        raise ValueError(f"path {path!r} is not one of the selected "
+                         "candidates")
     answer = reasoner.answer_for(question, selected)
     full = reasoner.log_prob(question, selected, answer)
     reduced = [c for c in selected if c is not path]

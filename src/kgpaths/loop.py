@@ -15,8 +15,8 @@ An episode keeps the candidates of its last answered round as id paths
 (``EpisodeResult.retrieved_keys``), which evaluation compares with the
 record's gold paths in id space; their labels are built only when
 ``EpisodeResult.retrieved_paths`` is read. ``ScriptedReasoner``'s
-attention rows and the round's attention masses are plain Python sums in
-numpy's order (``embeddings.add_reduce``).
+attention rows are ``scoring.normalise``, and the round's attention
+masses plain Python sums in numpy's order (``embeddings.add_reduce``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .config import RunConfig
-from .embeddings import JsonService, add_reduce, query_embedding
+from .embeddings import JsonService, query_embedding, running_sum
 from .errors import EmptySelectionError, KgError
 from .graph import (
     ConfirmTriple,
@@ -46,6 +46,8 @@ from .graph import (
     Triple,
     apply_edits,
     expand_neighborhood,
+    json_value,
+    sigmoid,
 )
 from .injection import (
     AttentionMatrix,
@@ -60,6 +62,8 @@ from .scoring import (
     GumbelConfig,
     ScoredCandidate,
     gumbel_soft_weights,
+    gumbel_uniforms,
+    normalise,
     score_candidates,
     select_and_inject,
     verify,
@@ -159,10 +163,6 @@ def map_diagnostic(
     return []
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
-
-
 def soft_mask(
     uncertainty: float,
     candidates: list[ScoredCandidate],
@@ -175,7 +175,7 @@ def soft_mask(
     triples take their edits' multipliers in ``apply_edits``, which runs
     after this mask and overwrites any value it gave them.
     """
-    delta = _sigmoid(uncertainty_gain * uncertainty)
+    delta = sigmoid(uncertainty_gain * uncertainty)
     return {e: delta for c in candidates for e in c.path.edges}
 
 
@@ -199,8 +199,8 @@ def path_mask(
         edges = c.path.edges
         relevance = (-1.0 if any(e in refuted for e in edges)
                      else 1.0 if any(e in confirmed for e in edges) else 0.0)
-        out[c.path.key()] = _sigmoid(gain * relevance
-                                     + uncertainty_gain * uncertainty)
+        out[c.path.key()] = sigmoid(gain * relevance
+                                    + uncertainty_gain * uncertainty)
     return out
 
 
@@ -227,12 +227,12 @@ def discretize_topk(
     items = sorted(deltas.items())
     if len(items) <= k_prime:
         return [key for key, _ in items]
-    rng = random.Random(rng_seed)
-    scored = []
-    for key, d in items:
-        g = 0.0 if deterministic else -math.log(-math.log(
-            min(max(rng.random(), 1e-300), 1.0 - 1e-16)))
-        scored.append((math.log(d) + g, key))
+    if deterministic:
+        g = [0.0] * len(items)
+    else:
+        g = [-math.log(-math.log(u)) for u in gumbel_uniforms(
+            random.Random(rng_seed), len(items))]
+    scored = [(math.log(d) + gi, key) for (key, d), gi in zip(items, g)]
     scored.sort(key=lambda sk: (-sk[0], sk[1]))
     return [key for _, key in scored[:k_prime]]
 
@@ -247,6 +247,11 @@ class ReasonerReply:
     diagnostic: str = NONE
     attention: AttentionMatrix | None = None
     tokens: int = 0
+
+
+def count_tokens(texts) -> int:
+    """The reasoners' token count of ``texts``: their whitespace words."""
+    return sum(len(text.split()) for text in texts)
 
 
 # the additive smoothing of ScriptedReasoner's log-probability rule
@@ -292,7 +297,7 @@ class ScriptedReasoner:
             label = self.graph.entity_labels[c.path.terminal]
             mass[label] = mass.get(label, 0.0) + c.adjusted_injection * c.verifier
         space = set(mass) | {answer}
-        total = sum(mass.values())
+        total = running_sum(mass.values())
         p = (mass.get(answer, 0.0) + SCRIPTED_EPSILON) / (
             total + SCRIPTED_EPSILON * len(space)
         )
@@ -306,22 +311,13 @@ class ScriptedReasoner:
 
         if confidence > self.conf_threshold:
             diagnostic = NONE
-        elif question in self.probes:
-            rel, obj = self.probes[question]
-            diagnostic = f"{VERIFY}({answer}, {rel}, {obj})"
         else:
-            h, r, t = self.graph.triple_labels(top.path.edges[-1])
-            diagnostic = f"{VERIFY}({h}, {r}, {t})"
+            args = ((answer, *self.probes[question]) if question in self.probes
+                    else self.graph.triple_labels(top.path.edges[-1]))
+            diagnostic = DiagnosticMessage(VERIFY, args).canonical()
 
-        tokens = sum(
-            len(c.path.verbalize(self.graph).split()) for c in selected
-        )
-        alphas = [c.adjusted_injection for c in selected]
-        total = add_reduce(alphas)
-        if total <= 0:
-            alphas = [1.0 / len(selected)] * len(selected)
-        else:
-            alphas = [a / total for a in alphas]
+        tokens = count_tokens(c.path.verbalize(self.graph) for c in selected)
+        alphas = normalise([c.adjusted_injection for c in selected])
         n_tok = max(1, len(answer.split()))
         attention = AttentionMatrix(np.array([alphas] * n_tok))
         return ReasonerReply(
@@ -365,29 +361,23 @@ class ExternalReasoner:
         }
 
         def parse(body) -> ReasonerReply:
-            answer = body["answer"]
-            if not isinstance(answer, str):
-                raise ValueError(f"answer {answer!r} is not a string")
-            confidence = body["confidence"]
-            if type(confidence) not in (int, float) or not 0 <= confidence <= 1:
-                raise ValueError(f"confidence {confidence!r} is not a number "
-                                 "or is outside [0, 1]")
+            answer = json_value(body["answer"], str, "answer")
+            confidence = json_value(body["confidence"], float, "confidence")
+            if not 0 <= confidence <= 1:
+                raise ValueError(f"confidence {confidence!r} outside [0, 1]")
             diagnostic = body.get("diagnostic")
-            if diagnostic is None:
-                diagnostic = NONE
-            elif not isinstance(diagnostic, str):
-                raise ValueError(f"diagnostic {diagnostic!r} is not a string")
-            attention = None
-            if body.get("attention") is not None:
-                attention = AttentionMatrix(
-                    np.asarray(body["attention"], dtype=float))
-            tokens = body.get("tokens", sum(
-                len(p["text"].split()) for p in payload["paths"]))
-            if type(tokens) is not int or tokens < 0:
-                raise ValueError(f"tokens {tokens!r} is not an integer >= 0")
+            attention = body.get("attention")
+            tokens = json_value(body.get("tokens", count_tokens(
+                p["text"] for p in payload["paths"])), int, "tokens")
+            if tokens < 0:
+                raise ValueError(f"tokens {tokens!r} is negative")
             return ReasonerReply(
                 answer=answer, confidence=float(confidence),
-                diagnostic=diagnostic, attention=attention, tokens=tokens)
+                diagnostic=(NONE if diagnostic is None
+                            else json_value(diagnostic, str, "diagnostic")),
+                attention=(None if attention is None else AttentionMatrix(
+                    np.asarray(attention, dtype=float))),
+                tokens=tokens)
 
         return self._service.post(payload, parse)
 
@@ -425,6 +415,10 @@ class RoundState:
                               for f in fields(self) if "counter" in f.metadata}
         return record
 
+    def to_json(self) -> str:
+        """The trace line of this round: ``to_record`` as sorted-key JSON."""
+        return json.dumps(self.to_record(), sort_keys=True)
+
 
 @dataclass
 class EpisodeResult:
@@ -461,9 +455,7 @@ class EpisodeResult:
                 for nodes, rels in self.retrieved_keys]
 
     def trace_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(r.to_record(), sort_keys=True) for r in self.rounds
-        )
+        return "\n".join(r.to_json() for r in self.rounds)
 
 
 def _edit_repr(edit: GraphEdit, graph: KnowledgeGraph) -> str:
@@ -581,14 +573,17 @@ def run_loop(
             edits_applied=episode.edits_applied, **round_fields)
         episode.rounds.append(state)
         if trace_file is not None:
-            trace_file.write(json.dumps(state.to_record(), sort_keys=True) + "\n")
+            trace_file.write(state.to_json() + "\n")
 
     def forced_expand(t: int, num_candidates: int = 0):
         top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))
         edit = ExpandSeed(top_seed.entity, radius=1)
         apply_edits(subgraph, [edit], round_index=t + 1)
         episode.edits_applied += 1
-        emit(t, diagnostic=f"{EXPAND}({graph.entity_labels[top_seed.entity]}, 1)",
+        diagnostic = DiagnosticMessage(
+            EXPAND, (graph.entity_labels[top_seed.entity], str(edit.radius))
+        ).canonical()
+        emit(t, diagnostic=diagnostic,
              edits=[_edit_repr(edit, graph)], forced_expand=True,
              num_candidates=num_candidates)
 

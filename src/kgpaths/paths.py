@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .embeddings import row_dot, row_dots
-from .errors import EmptyPathError, ZeroVectorError
+from .embeddings import pool_vectors
+from .errors import EmptyPathError
 from .graph import KnowledgeGraph, Triple
 
 
@@ -81,40 +79,3 @@ def pool_path_vector(path: Path, embeddings, graph: KnowledgeGraph) -> np.ndarra
     labels += [graph.relation_labels[r] for r in path.relations]
     return pool_vectors([embeddings.embed(label) for label in labels], path)
 
-
-def pool_vectors(vectors: list[np.ndarray], path) -> np.ndarray:
-    """The normalized mean of ``vectors``, which belong to ``path`` (named
-    in the error when the mean is zero).
-
-    Order-insensitive by construction. The mean is ``np.mean(vectors,
-    axis=0)``: ``np.add.reduce(axis=0)`` divided by the count, without
-    numpy's per-call Python wrappers. The norm is ``sqrt(row_dot(mean,
-    mean))``.
-    """
-    mean = np.add.reduce(vectors, axis=0) / len(vectors)
-    norm = math.sqrt(row_dot(mean, mean))
-    if norm == 0.0:
-        raise ZeroVectorError(f"pooled vector is zero for {path!r}")
-    return mean / norm
-
-
-def pool_vector_stack(stack: np.ndarray, paths) -> np.ndarray:
-    """``pool_vectors(stack[i], paths[i])`` for each path, as rows of one
-    array: ``stack`` is an (n, m, d) array of n paths' m >= 2 vectors each,
-    with d > 1.
-
-    It sums each path's vectors in their order, as ``np.add.reduce(axis=0)``
-    does for d > 1, so the bits are those of ``pool_vectors``. (For d = 1,
-    numpy sums 8 or more values pairwise, so a d = 1 batch would not
-    match.) The norms are one ``row_dots`` call. A zero mean raises
-    ``ZeroVectorError`` naming the first path that has one.
-    """
-    total = stack[:, 0] + stack[:, 1]
-    for i in range(2, stack.shape[1]):
-        total += stack[:, i]
-    mean = total / stack.shape[1]
-    norms = np.sqrt(row_dots(mean, mean))
-    if not norms.all():
-        raise ZeroVectorError(
-            f"pooled vector is zero for {paths[int(np.argmin(norms))]!r}")
-    return mean / norms[:, None]

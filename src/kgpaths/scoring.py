@@ -13,10 +13,10 @@ Whatever it raises, or a value that is not finite, fails the episode.
 
 The soft weights and injection coefficients are plain Python on the few
 values a round has, with the bits of the numpy formulas they replaced:
-every sum is ``embeddings.add_reduce``, numpy's summation order. The
-Gumbel noise's logarithms and the softmax's exponentials stay numpy's
-array calls, as ``math.log`` and ``math.exp`` round some values
-differently.
+every sum is ``embeddings.add_reduce``, numpy's summation order, and
+every sum-to-one is ``normalise``. The Gumbel noise's logarithms and the
+softmax's exponentials stay numpy's array calls, as ``math.log`` and
+``math.exp`` round some values differently.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import add_reduce
+from .embeddings import add_reduce, running_sum
 from .errors import EmptySelectionError, KgError, ParseError
-from .graph import Triple, read_keyed
+from .graph import Triple, read_keyed, sigmoid
 from .paths import Path
 from .weights import DEFAULT_TAU, ScoreTable
 from .weights import path_score  # noqa: F401  perfbench/tracing.py wraps it here
@@ -60,7 +60,7 @@ def _path_features(path: Path, table: ScoreTable) -> dict[str, float]:
     return {
         "bias": 1.0,
         "length": float(len(path)),
-        "cost": sum(table[e] for e in path.edges),
+        "cost": running_sum(table[e] for e in path.edges),
         "sem": table.sem(path),
     }
 
@@ -89,18 +89,15 @@ class LinearScorer:
 
     def __call__(self, path: Path, table: ScoreTable) -> float:
         feats = _path_features(path, table)
-        return sum(w * feats.get(name, 0.0) for name, w in self.weights.items())
+        return running_sum(w * feats.get(name, 0.0)
+                           for name, w in self.weights.items())
 
 
 class LinearVerifier(LinearScorer):
     """v = sigmoid(w . features(path)); same TSV format as LinearScorer."""
 
     def __call__(self, path: Path, table: ScoreTable) -> float:
-        x = super().__call__(path, table)
-        try:
-            return 1.0 / (1.0 + math.exp(-x))
-        except OverflowError:  # x below about -709.78: v rounds to 0
-            return 0.0
+        return sigmoid(super().__call__(path, table))
 
 
 def _call_plugin(kind: str, plugin, path: Path, table: ScoreTable) -> float:
@@ -133,6 +130,19 @@ def score_candidates(
     return out
 
 
+def gumbel_uniforms(rng: random.Random, n: int) -> list[float]:
+    """``n`` draws of ``rng``, clamped so that ``log(-log(u))`` is finite."""
+    return [min(max(rng.random(), 1e-300), 1.0 - 1e-16) for _ in range(n)]
+
+
+def normalise(values: list[float]) -> list[float]:
+    """Divide by the ``add_reduce`` total; all equal when it is not > 0."""
+    total = add_reduce(values)
+    if total > 0:
+        return [v / total for v in values]
+    return [1.0 / len(values)] * len(values)
+
+
 def gumbel_soft_weights(
     candidates: list[ScoredCandidate], config: GumbelConfig
 ) -> list[ScoredCandidate]:
@@ -146,10 +156,8 @@ def gumbel_soft_weights(
     if config.deterministic:
         g = [0.0] * len(candidates)
     else:
-        rng = random.Random(config.rng_seed)
-        # avoid log(0) at the open-interval ends
-        uniforms = [min(max(rng.random(), 1e-300), 1.0 - 1e-16)
-                    for _ in candidates]
+        uniforms = gumbel_uniforms(random.Random(config.rng_seed),
+                                   len(candidates))
         g = (-np.log(-np.log(np.array(uniforms)))).tolist()
     z = [(c.u + gi) / config.temperature for c, gi in zip(candidates, g)]
     peak = max(z)  # shift invariance keeps the exp stable
@@ -208,22 +216,12 @@ def select_and_inject(
         raise EmptySelectionError("no candidate passed the selection gate")
 
     selected = [c for _, c in kept]
-    raw = [g for g, _ in kept]
-    n = len(selected)
-    total = add_reduce(raw)
-    alphas = [r / total for r in raw] if total > 0 else [1.0 / n] * n
-
+    alphas = normalise([g for g, _ in kept])
     conf = seed_confidence or {}
-    adjusted = [
+    adjusted = normalise([
         a * math.prod(conf.get(node, 1.0) ** rho for node in c.path.nodes)
         for a, c in zip(alphas, selected)
-    ]
-    total_adj = add_reduce(adjusted)
-    if total_adj > 0:
-        adjusted = [a / total_adj for a in adjusted]
-    else:
-        adjusted = [1.0 / n] * n
-
+    ])
     for c, a, aa in zip(selected, alphas, adjusted):
         c.injection = a
         c.adjusted_injection = aa

@@ -30,10 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine, normed_cosine, normed_cosines, row_dot, row_dots
+from .embeddings import (
+    cosine,
+    normed_cosine,
+    normed_cosines,
+    pool_vector_stack,
+    pool_vectors,
+    row_dot,
+    row_dots,
+)
 from .errors import EmptyPathError, KgError
 from .graph import KnowledgeGraph, Subgraph, Triple
-from .paths import Path, pool_path_vector, pool_vector_stack, pool_vectors
+from .paths import Path, pool_path_vector
 
 DEFAULT_LAMBDA_SEM = 0.70
 DEFAULT_TAU = 0.2
@@ -49,14 +57,11 @@ class WeightCoefficients:
     beta: float = 0.4
     gamma: float = 0.2
     lambda_sem: float = DEFAULT_LAMBDA_SEM
-    struct_mode: str = "uniform"  # "uniform" | "degree"
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "lambda_sem"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.struct_mode not in ("uniform", "degree"):
-            raise ValueError(f"unknown struct_mode: {self.struct_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +79,9 @@ def edge_terms(
     cos: float,
 ) -> tuple[float, float, float, float]:
     """(structural, semantic_gap, relation_prior, total) of ``edge``, whose
-    endpoint embeddings have cosine ``cos``: the weight formula's one home."""
-    if coeffs.struct_mode == "degree":
-        structural = math.log1p(graph.out_degree(edge.head))
-    else:
-        structural = 1.0
+    endpoint embeddings have cosine ``cos``: the weight formula's one home.
+    The structural cost is 1.0 for every edge."""
+    structural = 1.0
     semantic_gap = 1.0 - cos
     relation_prior = graph.prior_cost(edge.relation)
     total = (

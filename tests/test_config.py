@@ -12,7 +12,7 @@ from kgpaths.synthetic import FIXTURES
 
 @pytest.mark.parametrize("key, value", [
     ("alpha", -0.1), ("beta", -1.0), ("gamma", -0.5), ("lambda_sem", -0.7),
-    ("struct_mode", "bogus"), ("L", 0), ("K", 0), ("beam", 0), ("walks", -1),
+    ("L", 0), ("K", 0), ("beam", 0), ("walks", -1),
     ("restart", 0.0), ("restart", 1.0), ("tau", 0.0), ("select_top_k", 0),
     ("rho", -1.0), ("rounds", 0), ("conf_threshold", 0.0),
     ("conf_threshold", 1.5), ("edit_budget", -1), ("radius", 0), ("knn", -1),
@@ -35,6 +35,15 @@ def test_validate_rejects_each_bad_value_as_config_error(key, value):
         replace(RunConfig(), **{key: value})
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         RunConfig().with_overrides(**{key: value})
+
+
+def test_struct_mode_is_an_unknown_key():
+    # the structural edge cost is always 1.0; the option that chose the
+    # out-degree cost instead is gone, and naming it is an error
+    with pytest.raises(ConfigError, match="unknown config key: 'struct_mode'"):
+        RunConfig().with_overrides(struct_mode="uniform")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(["struct_mode = uniform\n"])
 
 
 def test_validate_accepts_defaults_and_edges():

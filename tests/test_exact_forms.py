@@ -10,13 +10,19 @@ the CI matrix installs, the pyproject floor included.
 
 import math
 import random
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgpaths.embeddings import add_reduce
-from kgpaths.graph import Triple
+from kgpaths.embeddings import add_reduce, running_sum
+from kgpaths.graph import (
+    CONFIRM_MULTIPLIER,
+    REFUTE_MULTIPLIER,
+    Triple,
+    sigmoid,
+)
 from kgpaths.injection import (
     AttentionMatrix,
     alignment_loss,
@@ -29,6 +35,8 @@ from kgpaths.scoring import (
     GumbelConfig,
     ScoredCandidate,
     gumbel_soft_weights,
+    gumbel_uniforms,
+    normalise,
     select_and_inject,
 )
 
@@ -252,3 +260,89 @@ def test_alignment_loss_matches_the_numpy_formula(drawn):
     with np.errstate(all="ignore"):
         expected = alignment_oracle(alphas, masses)
     assert same_bits(alignment_loss(alphas, masses), expected)
+
+
+# --- the one-implementation helpers against the inline forms they replaced --
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LENGTH.flatmap(lambda n: st.lists(_VALUE, min_size=n, max_size=n)))
+def test_running_sum_is_a_left_to_right_loop(values):
+    total = 0.0
+    for v in values:
+        total += v
+    assert same_bits(running_sum(values), total)
+    assert same_bits(running_sum(iter(values)), total)
+    if len(values) < 8:
+        assert same_bits(running_sum(values), add_reduce(values))
+    if sys.version_info < (3, 12) and values:
+        # from 3.12 on, builtin ``sum`` compensates float rounding
+        assert same_bits(running_sum(values), sum(values))
+
+
+def test_running_sum_of_nothing_or_negative_zeros_is_positive_zero():
+    for n in (0, 1, 9):
+        assert same_bits(running_sum([-0.0] * n), 0.0)
+
+
+def select_alphas_oracle(raw):
+    """The inline sum-to-one that ``select_and_inject`` wrote twice."""
+    n = len(raw)
+    total = add_reduce(raw)
+    return [r / total for r in raw] if total > 0 else [1.0 / n] * n
+
+
+def scripted_alphas_oracle(alphas):
+    """The inline sum-to-one of ``ScriptedReasoner.reason``."""
+    total = add_reduce(alphas)
+    if total <= 0:
+        return [1.0 / len(alphas)] * len(alphas)
+    return [a / total for a in alphas]
+
+
+_FINITE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.one_of(
+    st.lists(_FINITE, min_size=n, max_size=n),  # any sign of sum
+    st.lists(_FINITE, min_size=n // 2, max_size=n // 2).map(  # a zero sum
+        lambda vs: [x for v in vs for x in (v, -v)] + [0.0] * (n % 2)),
+    _FINITE.map(lambda v: [v] * n))))  # all equal
+def test_normalise_equals_both_old_formulas(values):
+    got = normalise(values)
+    assert all_same_bits(got, select_alphas_oracle(values))
+    assert all_same_bits(got, scripted_alphas_oracle(values))
+
+
+def test_normalise_makes_a_sum_that_is_not_positive_uniform():
+    for values in ([0.0, 0.0], [1.0, -1.0], [-0.5, 0.2, 0.1]):
+        assert normalise(values) == [1.0 / len(values)] * len(values)
+    assert normalise([1.0, 3.0]) == [0.25, 0.75]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(-700.0, 700.0))
+def test_sigmoid_equals_the_inline_formula(x):
+    assert same_bits(sigmoid(x), 1.0 / (1.0 + math.exp(-x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.floats(max_value=-709.79, allow_nan=False),
+                 st.sampled_from([-709.79, -1e300, -math.inf])))
+def test_sigmoid_is_zero_where_the_exponential_overflows(x):
+    assert sigmoid(x) == 0.0
+
+
+def test_edit_multipliers_are_the_sigmoid_of_four():
+    assert same_bits(CONFIRM_MULTIPLIER, 1.0 / (1.0 + math.exp(-4.0)))
+    assert same_bits(REFUTE_MULTIPLIER, 1.0 / (1.0 + math.exp(4.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 50))
+def test_gumbel_uniforms_equal_the_old_draws(seed, n):
+    rng = random.Random(seed)
+    expected = [min(max(rng.random(), 1e-300), 1.0 - 1e-16)
+                for _ in range(n)]
+    assert gumbel_uniforms(random.Random(seed), n) == expected

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import HashEmbeddings
-from kgpaths.errors import CapabilityError, KgError
+from kgpaths.errors import CapabilityError, KgError, ParseError
 from kgpaths.graph import Triple
 from kgpaths.injection import (
     AttentionMatrix,
@@ -20,7 +20,9 @@ from kgpaths.injection import (
     encode_path,
     load_attention_json,
 )
+from kgpaths.loop import ScriptedReasoner
 from kgpaths.paths import Path, pool_path_vector
+from kgpaths.scoring import ScoredCandidate
 from kgpaths.weights import ScoreTable, WeightCoefficients
 
 from conftest import build_graph, full_subgraph
@@ -98,6 +100,24 @@ def test_load_attention_json_shape_check():
     bad = json.dumps({"tokens": 2, "keys": 2, "rows": [[0.25, 0.75]]})
     with pytest.raises(KgError, match="disagrees"):
         load_attention_json(io.StringIO(bad))
+
+
+@pytest.mark.parametrize("text", [
+    "nope",  # not JSON
+    "[1, 2]",  # not an object
+    '{"tokens": 1}',  # no keys or rows
+    '{"tokens": 1, "keys": 2, "rows": [[0.5, 0.4]]}',  # a row sums to 0.9
+    '{"tokens": 1, "keys": 2, "rows": [[1.5, -0.5]]}',  # outside [0, 1]
+    '{"tokens": 1, "keys": 2, "rows": [[0.5, "x"]]}',  # not a number
+    '{"tokens": 2, "keys": 2, "rows": [[1.0], [0.5, 0.5]]}',  # ragged
+    '{"tokens": 2, "keys": 2, "rows": [[0.25, 0.75]]}',  # shape disagrees
+    '{"tokens": 1, "keys": 2, "rows": 0.5}',  # shape disagrees
+    '{"tokens": true, "keys": 2, "rows": [[0.25, 0.75]]}',  # not an integer
+])
+def test_load_attention_json_raises_parse_error_for_every_malformed_file(
+        text):
+    with pytest.raises(ParseError, match="^attention: "):
+        load_attention_json(io.StringIO(text))
 
 
 def test_encode_path_matches_pooling(chain_graph):
@@ -181,6 +201,21 @@ def test_causal_effect_requires_capability():
 
     with pytest.raises(CapabilityError):
         causal_effect(NoLogProbs(), "q", [], None)
+
+
+def test_causal_effect_refuses_a_path_not_among_selected(chain_graph):
+    """``path`` is one of the ``selected`` candidates, by identity: their
+    ``Path``, or an equal candidate, would ablate nothing."""
+    reasoner = ScriptedReasoner(chain_graph)
+    ab, bc = Triple(0, 0, 1), Triple(1, 1, 2)
+    selected = [ScoredCandidate(Path([ab]), adjusted_injection=0.75,
+                                verifier=1.0),
+                ScoredCandidate(Path([ab, bc]), adjusted_injection=0.25,
+                                verifier=1.0)]
+    assert causal_effect(reasoner, "q", selected, selected[0]) > 0.0
+    for path in (selected[0].path, ScoredCandidate(selected[0].path)):
+        with pytest.raises(ValueError, match="path"):
+            causal_effect(reasoner, "q", selected, path)
 
 
 def test_causal_effect_is_logprob_drop():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgpaths.embeddings
 import kgpaths.loop
-import kgpaths.paths
 import kgpaths.weights
 from kgpaths.config import RunConfig
 from kgpaths.embeddings import HashEmbeddings, ServiceEmbeddings
@@ -73,6 +73,40 @@ def test_parse_diagnostic_roundtrip():
         assert msg is not None
         assert msg.kind == kind and msg.args == args
         assert parse_diagnostic(msg.canonical()).args == args
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 11), st.booleans())
+def test_every_emitted_diagnostic_round_trips(graph_seed, seed_index, probe):
+    """Each diagnostic that ``ScriptedReasoner`` (never confident, so it
+    always asks to VERIFY, with a probe or not) and the forced EXPAND put
+    in a trace is its own ``parse_diagnostic`` then ``canonical``."""
+    g = random_graph(random.Random(graph_seed))
+    seed = SeedCandidate(seed_index % g.num_entities, 1.0)
+    probes = {"q": ("r1", "n0")} if probe else {}
+    config = RunConfig(rounds=3, radius=1, L=2, K=8, walks=5, seed=graph_seed)
+    result = run_loop("q", [seed], g, config,
+                      ScriptedReasoner(g, conf_threshold=1.0, probes=probes),
+                      EMB)
+    assert not result.failed
+    for r in result.rounds:
+        assert parse_diagnostic(r.diagnostic).canonical() == r.diagnostic
+
+
+def test_emitted_diagnostics_of_each_kind_round_trip(chain_graph):
+    fx = argo_fixture()
+    reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
+    probed = run_loop(ARGO_QUESTION, [SeedCandidate(
+        fx.graph.entity_id("Argo"), 1.0)], fx.graph, fx.config, reasoner,
+        fx.embeddings)
+    forced = run_loop("q", [SeedCandidate(chain_graph.entity_id("d"), 1.0)],
+                      chain_graph, RunConfig(rounds=1, radius=1),
+                      ScriptedReasoner(chain_graph), EMB)
+    texts = [r.diagnostic for r in probed.rounds + forced.rounds]
+    assert texts == ["VERIFY(Boston, host_event, 1976_Summer_Olympics)",
+                     "NONE", "EXPAND(d, 1)"]
+    for text in texts:
+        assert parse_diagnostic(text).canonical() == text
 
 
 def test_parse_diagnostic_rejects_garbage():
@@ -848,8 +882,8 @@ def _count_poolings_and_weightings(monkeypatch):
     kernels, ``pool_vectors``, ``pool_vector_stack`` and ``edge_terms``, to:
     a batch of paths pooled in one call counts each of its paths."""
     pooled, weighted = Counter(), Counter()
-    pool_ref = kgpaths.paths.pool_vectors
-    stack_ref = kgpaths.paths.pool_vector_stack
+    pool_ref = kgpaths.embeddings.pool_vectors
+    stack_ref = kgpaths.embeddings.pool_vector_stack
     weight_ref = kgpaths.weights.edge_terms
 
     def pool(vectors, path):
@@ -1020,9 +1054,10 @@ def test_linear_plugins_read_the_round_table(monkeypatch):
 
     monkeypatch.undo()
     for path, table in scored:
-        cost = sum(effective_cost(e, table.coeffs, table.embeddings,
-                                  table.graph, table.subgraph)
-                   for e in path.edges)
+        cost = 0.0  # left to right, as builtin sum did before Python 3.12
+        for e in path.edges:
+            cost += effective_cost(e, table.coeffs, table.embeddings,
+                                   table.graph, table.subgraph)
         sem = semantic_match(path, table.query_embedding, table.embeddings,
                              table.graph)
         assert linear(path, table) == (

@@ -63,7 +63,11 @@ def test_k_shortest_simple_chain(chain_graph):
     paths = k_shortest_weighted(costs, 0, 100, budget)
     # simple paths from a: a-b, a-b-c, a-b-c-d, a-c, a-c-d
     assert len(paths) == 5
-    totals = [sum(costs[e] for e in p.edges) for p in paths]
+    totals = []
+    for p in paths:  # left to right, as the search adds costs
+        totals.append(0.0)
+        for e in p.edges:
+            totals[-1] += costs[e]
     assert totals == sorted(totals)
 
 

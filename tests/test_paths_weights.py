@@ -1,5 +1,4 @@
 import gc
-import math
 import random
 import weakref
 from collections import Counter
@@ -121,15 +120,6 @@ def test_edge_weight_components():
     assert bd.total == pytest.approx(0.4 + 0.4 + 0.05)
 
 
-def test_edge_weight_degree_mode():
-    g = build_graph([("a", "r", "b"), ("a", "s", "c")])
-    emb = FileEmbeddings({l: np.array([1.0, 0.0]) for l in ("a", "b", "c")})
-    coeffs = WeightCoefficients(alpha=1.0, beta=0.0, gamma=0.0,
-                                struct_mode="degree")
-    bd = edge_weight(Triple(0, 0, 1), coeffs, emb, g)
-    assert bd.structural == pytest.approx(math.log1p(2))
-
-
 def test_effective_cost_soft_multiplier():
     g = build_graph([("a", "r", "b")])
     emb = FileEmbeddings({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])})
@@ -154,18 +144,16 @@ def test_path_score_formula():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
-       st.sampled_from(["uniform", "degree"]),
        st.floats(min_value=0.0, max_value=2.0),
        st.sampled_from([1, 2, 8, 64]))
-def test_score_table_matches_reference(graph_seed, struct_mode, lambda_sem,
-                                       dimension):
+def test_score_table_matches_reference(graph_seed, lambda_sem, dimension):
     rng = random.Random(graph_seed)
     g = random_graph(rng)
     sub = full_subgraph(g)
     for e in sorted(sub.edges)[::3]:  # soft multipliers change costs
         sub.soft[e] = rng.random()
     emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
-    coeffs = WeightCoefficients(struct_mode=struct_mode, lambda_sem=lambda_sem)
+    coeffs = WeightCoefficients(lambda_sem=lambda_sem)
     q = emb.embed("q")
     table = ScoreTable(sub, coeffs, emb, q)
     paths = [Path(edges) for edges in _simple_edge_paths(sub, 3)]
@@ -201,10 +189,8 @@ def _count_batch_rows(mp):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
-       st.sampled_from(["uniform", "degree"]),
        st.sampled_from([1, 2, 3, 8, 64]), st.sampled_from([1, 3, None]))
-def test_batched_fills_match_reference(graph_seed, struct_mode, dimension,
-                                       cutoff):
+def test_batched_fills_match_reference(graph_seed, dimension, cutoff):
     """``weigh`` on every node's out-edges and ``match`` on the simple
     paths of up to 4 edges (the first 600) fill the values that the
     reference functions give, by ``==``, with the cut-off at 1 (every
@@ -217,7 +203,7 @@ def test_batched_fills_match_reference(graph_seed, struct_mode, dimension,
     for e in sorted(sub.edges)[::3]:  # soft multipliers change costs
         sub.soft[e] = rng.random()
     emb = HashEmbeddings(dimension=dimension, seed=graph_seed)
-    coeffs = WeightCoefficients(struct_mode=struct_mode)
+    coeffs = WeightCoefficients()
     q = emb.embed("q")
     table = ScoreTable(sub, coeffs, emb, q)
     paths = [Path(edges) for edges in _simple_edge_paths(sub, 4)[:600]]
@@ -429,8 +415,6 @@ def _simple_edge_paths(sub, max_length):
 def test_coefficients_validation():
     with pytest.raises(ValueError):
         WeightCoefficients(alpha=-0.1)
-    with pytest.raises(ValueError):
-        WeightCoefficients(struct_mode="bogus")
 
 
 def test_score_table_is_freed_without_the_cycle_collector(chain_graph):
