@@ -9,6 +9,7 @@ failure, 2 config/usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -34,18 +35,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override any config tunable by its canonical name "
              "(see kgpaths.config.RunConfig)")
-    parser.add_argument("--embeddings", metavar="TSV",
+    # each pair names one source two ways: argparse refuses both at once
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--embeddings", metavar="TSV",
                         help="file embeddings (label<TAB>v1,v2,...); "
                              "default: hash-deterministic")
-    parser.add_argument("--embed-service", metavar="URL",
+    source.add_argument("--embed-service", metavar="URL",
                         help="HTTP embedding service endpoint")
     parser.add_argument("--priors", metavar="TSV",
                         help="relation prior overrides (relation<TAB>cost)")
-    parser.add_argument("--probes", metavar="JSON",
-                        help="scripted-reasoner verification probes: "
-                             "{question: [relation, object]}")
-    parser.add_argument("--reasoner-url", metavar="URL",
-                        help="external reasoner endpoint (default: scripted)")
+    reasoning = parser.add_mutually_exclusive_group()
+    reasoning.add_argument("--probes", metavar="JSON",
+                           help="scripted-reasoner verification probes: "
+                                "{question: [relation, object]}")
+    reasoning.add_argument("--reasoner-url", metavar="URL",
+                           help="external reasoner endpoint "
+                                "(default: scripted)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,13 +156,11 @@ def cmd_query(args) -> int:
     config = _build_config(args)
     graph, embeddings, reasoner = _load_world(args, config)
     seeds = [_parse_seed_entity(s, graph) for s in args.seed_entity]
-    trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
-        result = run_loop(args.question, seeds, graph, config, reasoner,
-                          embeddings, trace_file=trace_file)
-    finally:
-        if trace_file:
-            trace_file.close()
+    result = run_loop(args.question, seeds, graph, config, reasoner,
+                      embeddings)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as trace:
+            trace.writelines(r.to_json() + "\n" for r in result.rounds)
     print(f"answer: {result.answer}")
     print(f"confidence: {result.confidence}")
     print(f"rounds: {len(result.rounds)}")
@@ -181,40 +184,48 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _parse_grid(specs: list[str]) -> dict[str, list]:
-    grid: dict[str, list] = {}
+def _grid_values(name: str, values: str) -> list[dict]:
+    """The override dicts one ``--grid NAME=...`` spec lists."""
+    if name != "alpha,beta,gamma":
+        return [_coerce({name: v}) for v in values.split(",") if v != ""]
+    try:
+        if values.startswith("simplex:"):
+            triples = simplex_grid(float(values[len("simplex:"):]))
+        else:
+            triples = []
+            for point in values.split(";"):
+                parts = point.split(":")
+                if len(parts) != 3:
+                    raise ConfigError(
+                        f"coefficient point must be a:b:c, got {point!r}")
+                triples.append(tuple(map(float, parts)))
+    except ValueError as exc:
+        raise ConfigError(f"bad coefficient grid {values!r}: {exc}") from None
+    return [dict(zip(("alpha", "beta", "gamma"), t)) for t in triples]
+
+
+def _parse_grid(specs: list[str]) -> list[dict]:
+    """The sweep points of ``--grid`` specs, as override dicts: the product
+    over the names in sorted order (a later spec of a name replaces an
+    earlier one), so ``alpha,beta,gamma`` overrides a swept ``alpha``."""
+    grid: dict[str, list[dict]] = {}
     for spec in specs:
         if "=" not in spec:
             raise ConfigError(f"--grid expects NAME=V1,V2,..., got {spec!r}")
-        name, _, values = spec.partition("=")
-        name = name.strip()
-        values = values.strip()
-        if name == "alpha,beta,gamma":
-            if values.startswith("simplex:"):
-                grid[name] = simplex_grid(float(values[len("simplex:"):]))
-            else:
-                points = []
-                for triple in values.split(";"):
-                    parts = triple.split(":")
-                    if len(parts) != 3:
-                        raise ConfigError(
-                            f"coefficient point must be a:b:c, got {triple!r}")
-                    points.append(tuple(float(p) for p in parts))
-                grid[name] = points
-        else:
-            grid[name] = [_coerce({name: v})[name]
-                          for v in values.split(",") if v != ""]
+        name, _, values = (part.strip() for part in spec.partition("="))
+        grid[name] = _grid_values(name, values)
         if not grid[name]:
             raise ConfigError(f"empty value list in grid spec {spec!r}")
-    return grid
+    return [{k: v for part in combo for k, v in part.items()}
+            for combo in itertools.product(*(grid[n] for n in sorted(grid)))]
 
 
 def cmd_sweep(args) -> int:
     config = _build_config(args)
+    points = _parse_grid(args.grid)
     graph, embeddings, reasoner = _load_world(args, config)
     records = load_benchmark(args.benchmark)
-    grid = _parse_grid(args.grid)
-    rows = sweep(records, graph, config, grid, reasoner, embeddings)
+    rows = sweep(records, graph, config, points, reasoner, embeddings)
     if args.out:
         write_sweep_csv(rows, args.out)
     for row in rows:

@@ -249,17 +249,24 @@ class FileEmbeddings:
 
     @classmethod
     def load(cls, source) -> "FileEmbeddings":
-        """Read ``label<TAB>v1,v2,...`` lines; a label given on two lines
-        raises ``ParseError`` naming both."""
+        """Read ``label<TAB>v1,v2,...`` lines; a repeated label, a value
+        that is no finite number or a length other than the first line's
+        raises ``ParseError`` naming the line."""
         vectors: dict[str, np.ndarray] = {}
+        dimension = 0
         for lineno, (label, values) in read_keyed(source, "label",
                                                   "v1,v2,..."):
             try:
-                vectors[label] = np.array(
-                    [float(x) for x in values.split(",")], dtype=float
-                )
+                vec = np.array([float(x) for x in values.split(",")])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
+            if not np.isfinite(vec).all():
+                raise ParseError(f"non-finite embedding for {label!r}", lineno)
+            dimension = dimension or len(vec)
+            if len(vec) != dimension:
+                raise ParseError(f"embedding for {label!r} has {len(vec)} "
+                                 f"values, expected {dimension}", lineno)
+            vectors[label] = vec
         return cls(vectors)
 
     def embed(self, label: str) -> np.ndarray:
@@ -318,7 +325,7 @@ class ServiceEmbeddings:
 
 def _retry_after_seconds(value: str | None) -> float | None:
     """A ``Retry-After`` header in seconds: delay-seconds or an HTTP date.
-    ``None`` when the header is absent or unreadable."""
+    ``None`` when the header is absent, unreadable or negative."""
     if not value:
         return None
     try:
@@ -331,7 +338,7 @@ def _retry_after_seconds(value: str | None) -> float | None:
         if when.tzinfo is None:  # "-0000": UTC with no stated zone
             when = when.replace(tzinfo=timezone.utc)
         seconds = max((when - datetime.now(timezone.utc)).total_seconds(), 0.0)
-    return seconds if math.isfinite(seconds) else None
+    return seconds if 0.0 <= seconds < math.inf else None
 
 
 class JsonService:

@@ -8,11 +8,10 @@ times excluded unless explicitly requested via ``include_timings``.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .config import RunConfig
 from .embeddings import running_sum
@@ -378,45 +377,27 @@ def simplex_grid(step: float) -> list[tuple[float, float, float]]:
     return out
 
 
-def expand_grid(grid: dict[str, list]) -> list[dict]:
-    """Cartesian product of per-parameter value lists, as override dicts.
-    The special key ``"alpha,beta,gamma"`` takes coefficient triples."""
-    if not grid:
-        raise ValueError("empty sweep grid")
-    names = sorted(grid)
-    points = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        overrides = {}
-        for name, value in zip(names, combo):
-            if name == "alpha,beta,gamma":
-                overrides["alpha"], overrides["beta"], overrides["gamma"] = value
-            else:
-                overrides[name] = value
-        points.append(overrides)
-    return points
-
-
 def sweep(
     records: list[BenchmarkRecord],
     graph: KnowledgeGraph,
     base_config: RunConfig,
-    grid: dict[str, list],
+    points: list[dict],
     reasoner,
     embeddings,
     scorer=None,
     verifier=None,
 ) -> list[dict]:
-    """Run the benchmark at every grid point with a shared RNG seed so rows
-    differ only through the swept parameters. Returns one flat row per
-    point: overrides plus the overall aggregate."""
+    """Run the benchmark at every point, a dict of ``RunConfig`` field
+    overrides, with a shared RNG seed so rows differ only through the
+    overrides. Every point's config is built before the first run, so a
+    bad point raises ``ConfigError`` before any work. Returns one flat row
+    per point: its overrides plus the overall aggregate."""
+    configs = [base_config.with_overrides(**point) for point in points]
     rows = []
-    for overrides in expand_grid(grid):
-        config = replace(base_config, **overrides)
+    for point, config in zip(points, configs):
         report = run_benchmark(records, graph, config, reasoner, embeddings,
                                scorer=scorer, verifier=verifier)
-        row = dict(sorted(overrides.items()))
-        row.update(report["overall"])
-        rows.append(row)
+        rows.append({**dict(sorted(point.items())), **report["overall"]})
     return rows
 
 

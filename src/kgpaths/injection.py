@@ -166,11 +166,11 @@ def alignment_loss(alphas: dict[int, float], masses: dict[int, float]) -> float:
 def causal_effect(reasoner, question: str, selected, path) -> float:
     """Answer log-probability drop when ``path``, one of the ``selected``
     candidates (by identity), is ablated from the selection, by the
-    reasoner's ``answer_for`` and ``log_prob``. A reasoner without
-    ``log_prob`` raises ``CapabilityError``, and a ``path`` that is not
-    one of ``selected`` ``ValueError``."""
-    if not hasattr(reasoner, "log_prob"):
-        raise CapabilityError("reasoner does not expose log-probabilities")
+    reasoner's ``answer_for`` and ``log_prob``. A reasoner without either
+    raises ``CapabilityError``, and a ``path`` that is not one of
+    ``selected`` ``ValueError``."""
+    if not all(hasattr(reasoner, m) for m in ("answer_for", "log_prob")):
+        raise CapabilityError("reasoner lacks answer_for or log_prob")
     if not any(c is path for c in selected):
         raise ValueError(f"path {path!r} is not one of the selected "
                          "candidates")

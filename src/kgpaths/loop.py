@@ -525,7 +525,6 @@ def run_loop(
     embeddings,
     scorer=None,
     verifier=None,
-    trace_file=None,
 ) -> EpisodeResult:
     """Run one retrieval-reasoning episode of up to ``config.rounds`` rounds.
     ``config`` is used as given: a ``RunConfig`` checks its values when it
@@ -572,8 +571,6 @@ def run_loop(
             reasoner_calls=episode.reasoner_calls, tokens=episode.tokens,
             edits_applied=episode.edits_applied, **round_fields)
         episode.rounds.append(state)
-        if trace_file is not None:
-            trace_file.write(state.to_json() + "\n")
 
     def forced_expand(t: int, num_candidates: int = 0):
         top_seed = max(seeds, key=lambda s: (s.confidence, -s.entity))

@@ -165,18 +165,73 @@ def test_malformed_probes_exit_1(argo_files, body, capsys, tmp_path):
 
 
 def test_parse_grid():
-    grid = _parse_grid(["tau=0.1,0.2,0.5"])
-    assert grid == {"tau": [0.1, 0.2, 0.5]}
-    grid = _parse_grid(["alpha,beta,gamma=1:0:0;0:1:0"])
-    assert grid["alpha,beta,gamma"] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    assert len(_parse_grid(["alpha,beta,gamma=simplex:0.2"])
-               ["alpha,beta,gamma"]) == 21
+    assert _parse_grid(["tau=0.1,0.2,0.5"]) == [
+        {"tau": 0.1}, {"tau": 0.2}, {"tau": 0.5}]
+    assert _parse_grid(["alpha,beta,gamma=1:0:0;0:1:0"]) == [
+        {"alpha": 1.0, "beta": 0.0, "gamma": 0.0},
+        {"alpha": 0.0, "beta": 1.0, "gamma": 0.0}]
+    assert len(_parse_grid(["alpha,beta,gamma=simplex:0.2"])) == 21
     with pytest.raises(ConfigError):
         _parse_grid(["tau"])
     with pytest.raises(ConfigError):
         _parse_grid(["alpha,beta,gamma=1:0"])
     with pytest.raises(ConfigError):
         _parse_grid(["tau="])
+
+
+def test_parse_grid_points_are_the_product_in_name_order():
+    assert _parse_grid(["tau=0.1,0.2", "K=10"]) == [
+        {"K": 10, "tau": 0.1}, {"K": 10, "tau": 0.2}]
+    # a later spec of a name replaces an earlier one
+    assert _parse_grid(["tau=0.1", "tau=0.3"]) == [{"tau": 0.3}]
+
+
+def test_parse_grid_coefficients_override_a_swept_alpha():
+    points = _parse_grid(["alpha=0.1,0.2", "alpha,beta,gamma=simplex:1"])
+    triples = [{"alpha": 0.0, "beta": 0.0, "gamma": 1.0},
+               {"alpha": 0.0, "beta": 1.0, "gamma": 0.0},
+               {"alpha": 1.0, "beta": 0.0, "gamma": 0.0}]
+    assert points == triples + triples
+
+
+@pytest.mark.parametrize("grid", ["alpha,beta,gamma=simplex:abc",
+                                  "alpha,beta,gamma=simplex:0.3",
+                                  "alpha,beta,gamma=0.5:x:0.5"])
+def test_bad_coefficient_grid_exits_2(metrics_files, grid, capsys):
+    with pytest.raises(ConfigError):
+        _parse_grid([grid])
+    argv = ["sweep", metrics_files["triples.tsv"],
+            metrics_files["bench.jsonl"], "--grid", grid]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_bad_point_exits_2_before_any_run(metrics_files, monkeypatch,
+                                                capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr("kgpaths.evaluation.run_benchmark", no_run)
+    argv = ["sweep", metrics_files["triples.tsv"],
+            metrics_files["bench.jsonl"], "--grid", "K=200,100,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_candidates" in captured.err
+
+
+@pytest.mark.parametrize("pair", [
+    ["--embeddings", "emb.tsv", "--embed-service", "http://localhost:1"],
+    ["--probes", "probes.json", "--reasoner-url", "http://localhost:1"],
+])
+def test_contradictory_flags_exit_2(pair):
+    """Each pair names one source two ways; neither is dropped in
+    silence."""
+    for command in (["query", "triples.tsv", "q", "--seed-entity", "Argo"],
+                    ["bench", "triples.tsv", "bench.jsonl"],
+                    ["sweep", "triples.tsv", "bench.jsonl", "--grid", "K=1"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + pair)
+        assert exc.value.code == 2, command + pair
 
 
 def test_sweep_command(metrics_files, capsys, tmp_path):

@@ -19,6 +19,7 @@ from kgpaths.embeddings import (
     FileEmbeddings,
     HashEmbeddings,
     ServiceEmbeddings,
+    _retry_after_seconds,
     cosine,
     query_embedding,
     row_dot,
@@ -139,6 +140,17 @@ def test_file_embeddings_load_and_errors(tmp_path):
     with pytest.raises(ValueError, match="non-finite embedding for 'b'"):
         FileEmbeddings({"a": [1.0, 0.0], "b": [1.0, np.inf],
                         "c": [np.nan, 0.0]})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a\t1,0\nb\tnan,1\n", "line 2: non-finite embedding for 'b'"),
+    ("a\t1,0\nb\t1,0,0\n", "line 2: embedding for 'b' has 3 values, "
+                              "expected 2"),
+])
+def test_file_embeddings_load_names_the_bad_line(text, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        FileEmbeddings.load(io.StringIO(text))
+    assert exc.value.line_number == 2
 
 
 def test_file_embeddings_keep_the_callers_arrays():
@@ -359,3 +371,9 @@ def test_service_embeddings_retry_after_http_date(header, expected):
         emb.embed("x")
     assert exc.value.retryable and exc.value.status == 429
     assert exc.value.retry_after == expected
+
+
+@pytest.mark.parametrize("header", ["-5", "-0.5"])
+def test_retry_after_refuses_negative_seconds(header):
+    """A delay-seconds is a non-negative count (RFC 9110 section 10.2.3)."""
+    assert _retry_after_seconds(header) is None

@@ -10,14 +10,13 @@ import pytest
 import kgpaths.embeddings
 from kgpaths.config import RunConfig
 from kgpaths.embeddings import HashEmbeddings
-from kgpaths.errors import ParseError
+from kgpaths.errors import ConfigError, ParseError
 from kgpaths.evaluation import (
     BenchmarkRecord,
     answer_metrics,
     average_precision,
     coverage,
     evaluate_episode,
-    expand_grid,
     load_benchmark,
     median_mad,
     rank_metrics,
@@ -291,19 +290,10 @@ def test_simplex_grid_counts():
         simplex_grid(0.3)
 
 
-def test_expand_grid():
-    points = expand_grid({"tau": [0.1, 0.2], "K": [10]})
-    assert points == [{"K": 10, "tau": 0.1}, {"K": 10, "tau": 0.2}]
-    triple = expand_grid({"alpha,beta,gamma": [(1.0, 0.0, 0.0)]})
-    assert triple == [{"alpha": 1.0, "beta": 0.0, "gamma": 0.0}]
-    with pytest.raises(ValueError):
-        expand_grid({})
-
-
 def test_sweep_single_point_matches_run_benchmark(tmp_path):
     fx = metrics_fixture()
     reasoner = ScriptedReasoner(fx.graph)
-    rows = sweep(fx.records, fx.graph, fx.config, {"tau": [fx.config.tau]},
+    rows = sweep(fx.records, fx.graph, fx.config, [{"tau": fx.config.tau}],
                  reasoner, fx.embeddings)
     direct = run_benchmark(fx.records, fx.graph, fx.config, reasoner,
                            fx.embeddings)
@@ -313,6 +303,23 @@ def test_sweep_single_point_matches_run_benchmark(tmp_path):
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, out)
     assert out.read_text().startswith("coverage,")
+
+
+def test_sweep_checks_every_point_before_the_first_run(monkeypatch):
+    """A bad point is refused before any benchmark runs, not after the
+    points before it have run."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr("kgpaths.evaluation.run_benchmark", no_run)
+    fx = metrics_fixture()
+    points = [{"K": 200}, {"K": 100}, {"K": 0}]
+    with pytest.raises(ConfigError, match="max_candidates"):
+        sweep(fx.records, fx.graph, fx.config, points,
+              ScriptedReasoner(fx.graph), fx.embeddings)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        sweep(fx.records, fx.graph, fx.config, [{"tau": 0.1}, {"bogus": 1}],
+              ScriptedReasoner(fx.graph), fx.embeddings)
 
 
 def test_evaluate_episode_compares_id_paths_with_the_gold_paths(chain_graph):

@@ -203,6 +203,16 @@ def test_causal_effect_requires_capability():
         causal_effect(NoLogProbs(), "q", [], None)
 
 
+def test_causal_effect_requires_answer_for():
+    class NoAnswerFor:
+        def log_prob(self, question, selected, answer):
+            return 0.0
+
+    candidate = ScoredCandidate(Path([Triple(0, 0, 1)]))
+    with pytest.raises(CapabilityError, match="answer_for"):
+        causal_effect(NoAnswerFor(), "q", [candidate], candidate)
+
+
 def test_causal_effect_refuses_a_path_not_among_selected(chain_graph):
     """``path`` is one of the ``selected`` candidates, by identity: their
     ``Path``, or an equal candidate, would ablate nothing."""

@@ -774,24 +774,26 @@ def test_external_reasoner_env_url(monkeypatch, chain_graph):
 # --- run_loop --------------------------------------------------------------------
 
 
-def test_run_loop_argo_trace_structure(tmp_path):
+def test_run_loop_argo_trace_structure():
     fx = argo_fixture()
     reasoner = ScriptedReasoner(fx.graph, conf_threshold=0.4, probes=fx.probes)
     seeds = [SeedCandidate(fx.graph.entity_id("Argo"), 1.0)]
-    trace = io.StringIO()
     result = run_loop(ARGO_QUESTION, seeds, fx.graph, fx.config, reasoner,
-                      fx.embeddings, trace_file=trace)
+                      fx.embeddings)
     assert result.answer == "New_York_City"
     assert len(result.rounds) == 2
     assert result.reasoner_calls == 2
     assert result.edits_applied == 1
-    lines = [json.loads(l) for l in trace.getvalue().splitlines()]
+    # the returned rounds are the trace: run_loop writes no file
+    lines = [json.loads(l) for l in result.trace_jsonl().splitlines()]
     assert [l["round"] for l in lines] == [0, 1]
     assert lines[0]["answer"] == "Boston"
     assert lines[0]["edits"] == \
         ["RefuteTriple(Boston, host_event, 1976_Summer_Olympics)"]
     assert lines[1]["edits"] == []
-    assert result.trace_jsonl() == trace.getvalue().rstrip("\n")
+    with pytest.raises(TypeError, match="trace_file"):
+        run_loop(ARGO_QUESTION, seeds, fx.graph, fx.config, reasoner,
+                 fx.embeddings, trace_file=io.StringIO())
     # injection-vs-attention diagnostics are populated for scripted replies
     assert lines[0]["alignment"] == pytest.approx(0.0)
 
@@ -1228,11 +1230,10 @@ def test_failure_before_first_round_fails_one_row_and_the_run_continues(knn):
             # a question the table lacks falls back to its tokens: the
             # first token lookup fails too
             flaky = _FlakyEmbeddings(flaky, 2, error)
-        trace = io.StringIO()
         result = run_loop(ARGO_QUESTION, seeds, fx.graph, config, reasoner,
-                          flaky, trace_file=trace)
+                          flaky)
         assert result.failed and "unavailable" in result.failure, error
-        assert result.rounds == [] and trace.getvalue() == ""
+        assert result.rounds == [] and result.trace_jsonl() == ""
         assert result.answer is None and result.reasoner_calls == 0
 
     report = run_benchmark(fx.records * 2, fx.graph, config, reasoner,

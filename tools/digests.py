@@ -192,10 +192,10 @@ def run_artefacts(suites, prefix: str, overrides: dict,
         for record in suite.records:
             seeds = [SeedCandidate(graph.entity_id(label), conf)
                      for label, conf in record.seeds]
-            trace = io.StringIO()
             result = run_loop(record.question, seeds, graph, config,
-                              reasoner(), suite.embeddings, trace_file=trace)
-            parts["trace"].append(trace.getvalue())
+                              reasoner(), suite.embeddings)
+            parts["trace"].append(
+                "".join(r.to_json() + "\n" for r in result.rounds))
             parts["paths"].append(json.dumps(result.retrieved_paths))
             sub = result.subgraph
             parts["subgraph"].append("" if sub is None else json.dumps([
