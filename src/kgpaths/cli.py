@@ -207,7 +207,8 @@ def _grid_values(name: str, values: str) -> list[dict]:
 def _parse_grid(specs: list[str]) -> list[dict]:
     """The sweep points of ``--grid`` specs, as override dicts: the product
     over the names in sorted order (a later spec of a name replaces an
-    earlier one), so ``alpha,beta,gamma`` overrides a swept ``alpha``."""
+    earlier one), so ``alpha,beta,gamma`` overrides a swept ``alpha``. A
+    point equal to an earlier one is dropped, so each runs once."""
     grid: dict[str, list[dict]] = {}
     for spec in specs:
         if "=" not in spec:
@@ -216,8 +217,11 @@ def _parse_grid(specs: list[str]) -> list[dict]:
         grid[name] = _grid_values(name, values)
         if not grid[name]:
             raise ConfigError(f"empty value list in grid spec {spec!r}")
-    return [{k: v for part in combo for k, v in part.items()}
-            for combo in itertools.product(*(grid[n] for n in sorted(grid)))]
+    points: dict[tuple, dict] = {}
+    for combo in itertools.product(*(grid[n] for n in sorted(grid))):
+        point = {k: v for part in combo for k, v in part.items()}
+        points.setdefault(tuple(sorted(point.items())), point)
+    return list(points.values())
 
 
 def cmd_sweep(args) -> int:

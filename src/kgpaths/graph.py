@@ -4,9 +4,12 @@ Entities and relations are interned to dense integer ids in first-come
 order. The base graph keeps each entity's out-edges as a sorted list of
 triples with their tail ids as a tuple in the same order, and each
 entity's in-edge head ids as a tuple, built once when the graph is
-loaded; it is immutable after that. All per-query state (working node
-set, soft edge multipliers, refutations, prunes) lives on
-:class:`Subgraph` values owned by a single query episode.
+loaded; its triples, labels and priors do not change after that. The
+graph also keeps the weighting store (``KnowledgeGraph.weighting``), what
+no question changes about its edge weights, across episodes. All
+per-query state (working node set, soft edge multipliers, refutations,
+prunes) lives on :class:`Subgraph` values owned by a single query
+episode.
 
 A subgraph stores only its nodes. Its edges follow from them by one rule:
 a base triple is an edge when both its ends are nodes and it is not
@@ -118,8 +121,18 @@ class KnowledgeGraph:
     in ``triples``, sorted after ``finalize()``, which also sets
     ``out_tails[h]`` to the tail ids of ``out_adj[h]`` in list order and
     ``in_heads[t]`` to the head ids of the triples with tail ``t`` in
-    triple order (by head, then relation), both as tuples. Immutable after
-    construction; safe for concurrent readers.
+    triple order (by head, then relation), both as tuples.
+
+    ``weighting`` is the graph's weighting store (``weights.WeightStore``)
+    or ``None``: what no question changes, for one embedding provider and
+    one set of coefficients α, β, γ, kept across episodes. The first
+    ``ScoreTable`` built on the graph sets it, and a table built with
+    another provider or other coefficients replaces it; the store holds
+    its provider, so the graph keeps that provider alive until then, or
+    for its life. ``add_triple``, ``finalize`` and ``set_prior_cost``
+    drop it. The triples, labels and priors do not change after
+    construction, but reads fill the store: one episode at a time may
+    read a graph, and concurrent readers each need their own copy.
     """
 
     def __init__(self):
@@ -133,6 +146,7 @@ class KnowledgeGraph:
         self.out_tails: list[tuple[int, ...]] = []  # set by finalize()
         self.in_heads: list[tuple[int, ...]] = []  # set by finalize()
         self._prior_cost: list[float] = []
+        self.weighting = None
 
     # -- interning -----------------------------------------------------
 
@@ -181,9 +195,12 @@ class KnowledgeGraph:
         return self._prior_cost[relation]
 
     def set_prior_cost(self, relation: int, cost: float) -> None:
+        if isinstance(relation, bool) or not 0 <= relation < self.num_relations:
+            raise UnknownRelationError(f"unknown relation id: {relation!r}")
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"prior cost {cost} outside [0, 1]")
         self._prior_cost[relation] = cost
+        self.weighting = None
 
     def out_degree(self, entity: int) -> int:
         return len(self.out_adj[entity])
@@ -203,6 +220,7 @@ class KnowledgeGraph:
         t = self._intern_entity(tail)
         triple = Triple(h, r, t)
         self.relation_frequency[r] += 1
+        self.weighting = None
         if triple not in self.triples:
             self.triples.add(triple)
             self.out_adj[h].append(triple)
@@ -212,6 +230,7 @@ class KnowledgeGraph:
         """Sort the out-adjacency for deterministic traversal, keep its tail
         ids and each entity's in-edge head ids as tuples, and derive default
         relation priors from frequency (rare relations cost more)."""
+        self.weighting = None
         for adj in self.out_adj:
             adj.sort()
         self.out_tails = [tuple([e.tail for e in adj]) for adj in self.out_adj]

@@ -584,9 +584,11 @@ def run_loop(
              edits=[_edit_repr(edit, graph)], forced_expand=True,
              num_candidates=num_candidates)
 
-    # every weight, pooled vector and semantic match of the episode, each
-    # computed once; costs and scores, which the soft multipliers set, are
-    # dropped at the start of each round, after the previous round's edits
+    # every pooled vector and semantic match of the episode, each computed
+    # once, over the graph's weighting store, which keeps label vectors,
+    # norms and weight totals across episodes; costs and scores, which the
+    # soft multipliers set, are dropped at the start of each round, after
+    # the previous round's edits
     table = ScoreTable(subgraph, coeffs, embeddings, qvec)
     # the candidates of the last round the reasoner answered
     answered: list[ScoredCandidate] = []

@@ -12,11 +12,14 @@ Soft multipliers lower effective traversal cost multiplicatively
 shortest-path search.
 
 ``ScoreTable`` holds one episode's values, each computed once, when first
-read. What depends only on a label, edge or path (a label's vector, an
-edge's weight, a path's pooled vector and semantic match) is kept for the
-whole episode; what a round's soft multipliers change (effective costs and
-path scores) is dropped by ``new_round``. Path enumeration, candidate
-scoring, the verifier and latent injection all read the same table.
+read. What no question changes (a label's vector, an entity's norm, an
+edge's weight total) lives in the graph's ``WeightStore`` and is kept
+across episodes, for as long as the graph keeps the same provider,
+coefficients α, β, γ, triples and priors. What depends on the query (a
+path's pooled vector and semantic match) is kept for the whole episode;
+what a round's soft multipliers change (effective costs and path scores)
+is dropped by ``new_round``. Path enumeration, candidate scoring, the
+verifier and latent injection all read the same table.
 ``edge_weight``, ``effective_cost``, ``semantic_match`` and ``path_score``
 are the uncached reference forms; they and the table share the kernels
 ``edge_terms``, ``pool_vectors`` and ``normed_cosine``, and every dot
@@ -158,6 +161,51 @@ class _Memo(dict):
         return value
 
 
+class WeightStore:
+    """What no question changes about a graph's weighting, for one
+    embedding provider and one set of coefficients α, β, γ: the entity and
+    relation vectors by id, each entity's float view and norm, and each
+    edge's weight total. Each value is computed when first read and kept
+    until the store is dropped; a read that raises stores nothing.
+
+    A graph holds one store, ``KnowledgeGraph.weighting``, which every
+    ``ScoreTable`` on it takes its memos from (``of``), and which holds the
+    provider. The memos' functions hold the graph's label lists, not the
+    graph, so graph and store form no reference cycle; the weight totals
+    are filled by the tables, which read the graph's priors.
+    """
+
+    def __init__(self, graph: KnowledgeGraph, embeddings,
+                 coeffs: WeightCoefficients):
+        self.embeddings = embeddings
+        self.coefficients = (coeffs.alpha, coeffs.beta, coeffs.gamma)
+        embed = embeddings.embed
+        entity_labels = graph.entity_labels
+        relation_labels = graph.relation_labels
+        entities = self.entities = _Memo(lambda n: embed(entity_labels[n]))
+        self.relations = _Memo(lambda r: embed(relation_labels[r]))
+
+        def float_and_norm(n: int) -> tuple[np.ndarray, float]:
+            vec = np.asarray(entities[n], dtype=float)
+            return vec, math.sqrt(row_dot(vec, vec))
+
+        self.normed = _Memo(float_and_norm)
+        self.totals: dict[Triple, float] = {}
+
+    @classmethod
+    def of(cls, graph: KnowledgeGraph, embeddings,
+           coeffs: WeightCoefficients) -> WeightStore:
+        """``graph``'s store if it serves ``embeddings`` (compared with
+        ``is``) and ``coeffs``' α, β, γ; else a new, empty one, which
+        replaces it on the graph."""
+        store = graph.weighting
+        if (store is None or store.embeddings is not embeddings
+                or store.coefficients != (coeffs.alpha, coeffs.beta,
+                                          coeffs.gamma)):
+            store = graph.weighting = cls(graph, embeddings, coeffs)
+        return store
+
+
 class ScoreTable(dict):
     """One episode's weighting values, each computed once, when first read.
 
@@ -166,9 +214,12 @@ class ScoreTable(dict):
     semantic match and score, keyed by ``path.key()``. A table built
     without a query embedding serves costs and vectors only.
 
-    Each label is embedded once per table: the table keeps the provider's
-    entity and relation vectors by id, each entity's float view and norm,
-    and the query's. The values equal the reference functions'
+    Each label is embedded once per graph: the table reads the entity and
+    relation vectors by id, each entity's float view and norm, and each
+    edge's weight total from the graph's ``WeightStore``, and fills it, so
+    the episodes on one graph share them. It keeps the query's norm, and
+    the pooled vectors, semantic matches, costs and scores, itself. The
+    values equal the reference functions'
     (``effective_cost``, ``pool_path_vector``, ``semantic_match``,
     ``path_score``) because both call the same kernels on the same
     vectors: ``edge_terms`` for a weight, ``pool_vectors`` for a pooled
@@ -184,11 +235,11 @@ class ScoreTable(dict):
     read; batches of fewer than ``BATCH_ROWS`` rows are left to the
     one-edge and one-path forms.
 
-    An edge's weight total and a path's vector and semantic match depend
-    only on the edge or path, the graph, the provider, the coefficients and
-    the query, so they hold for the table's life. Effective costs and
-    scores hold while the soft multipliers stay as they are: call
-    ``new_round`` after edits. A lookup that raises stores nothing.
+    A path's vector and semantic match depend only on the path, the graph,
+    the provider and the query, so they hold for the table's life.
+    Effective costs and scores hold while the soft multipliers stay as
+    they are: call ``new_round`` after edits. A lookup that raises stores
+    nothing.
     """
 
     def __init__(self, subgraph: Subgraph, coeffs: WeightCoefficients,
@@ -199,26 +250,19 @@ class ScoreTable(dict):
         self.coeffs = coeffs
         self.embeddings = embeddings
         self.query_embedding = query_embedding
-        # the memos' functions hold no reference to the table, so a table
-        # is freed when its episode ends rather than by the cycle collector
-        embed = embeddings.embed
-        entities = self._entity_vectors = _Memo(
-            lambda n: embed(graph.entity_labels[n]))
-        self._relation_vectors = _Memo(
-            lambda r: embed(graph.relation_labels[r]))
-
-        def float_and_norm(n: int) -> tuple[np.ndarray, float]:
-            vec = np.asarray(entities[n], dtype=float)
-            return vec, math.sqrt(row_dot(vec, vec))
-
-        self._normed = _Memo(float_and_norm)
+        # the store holds no reference to the table, so a table is freed
+        # when its episode ends rather than by the cycle collector
+        store = WeightStore.of(graph, embeddings, coeffs)
+        self._entity_vectors = store.entities
+        self._relation_vectors = store.relations
+        self._normed = store.normed
+        self._totals = store.totals
         # as ``cosine`` reads it; with no query, ``sem`` raises as
         # ``cosine(vector, None)`` does, and no norm of the 0-d array is
         # taken
         query = self._query = np.asarray(query_embedding, dtype=float)
         self._query_norm = (math.sqrt(row_dot(query, query))
                             if query.ndim == 1 else math.nan)
-        self._totals: dict[Triple, float] = {}
         self._vectors: dict[tuple, np.ndarray] = {}
         self._sems: dict[tuple, float] = {}
         self._scores: dict[tuple, float] = {}
@@ -242,11 +286,11 @@ class ScoreTable(dict):
 
     def weigh(self, edges: list[Triple]) -> None:
         """Weigh ``edges``, which all leave one node, as a batch: fill the
-        weight totals that ``__missing__`` reads for those the table does
+        weight totals that ``__missing__`` reads for those the store does
         not hold yet.
 
         One ``row_dots`` call takes the tails' norms, and one more the
-        head-tail cosines; ``edge_terms`` then makes each total. The table
+        head-tail cosines; ``edge_terms`` then makes each total. The store
         keeps the norms of tails it held none for. Fewer than
         ``BATCH_ROWS`` edges, or a batch that meets a provider error, a
         shape mismatch or a zero vector, store nothing: those edges are

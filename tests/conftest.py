@@ -38,6 +38,25 @@ def random_graph(rng: random.Random, max_nodes=12, max_edges=30):
     return graph
 
 
+def simple_edge_paths(sub, max_length):
+    """Every simple path of at most ``max_length`` edges, as edge tuples."""
+    adj = {}
+    for e in sorted(sub.edges):
+        adj.setdefault(e.head, []).append(e)
+    out = []
+
+    def grow(edges, nodes):
+        out.append(edges)
+        if len(edges) < max_length:
+            for e in adj.get(edges[-1].tail, []):
+                if e.tail not in nodes:
+                    grow(edges + (e,), nodes | {e.tail})
+
+    for e in sorted(sub.edges):
+        grow((e,), {e.head, e.tail})
+    return out
+
+
 def random_multigraph(rng: random.Random, max_nodes=10, max_pairs=20):
     """A graph like ``random_graph``'s that also has self-loops and
     parallel edges: about a fifth of the drawn pairs are loops, and each

@@ -191,7 +191,14 @@ def test_parse_grid_coefficients_override_a_swept_alpha():
     triples = [{"alpha": 0.0, "beta": 0.0, "gamma": 1.0},
                {"alpha": 0.0, "beta": 1.0, "gamma": 0.0},
                {"alpha": 1.0, "beta": 0.0, "gamma": 0.0}]
-    assert points == triples + triples
+    assert points == triples
+
+
+def test_parse_grid_runs_each_point_once():
+    assert _parse_grid(["tau=0.1,0.1"]) == [{"tau": 0.1}]
+    # first occurrence order; 0.2 and 0.20 are one value
+    assert _parse_grid(["tau=0.2,0.1,0.20,0.1"]) == [{"tau": 0.2},
+                                                      {"tau": 0.1}]
 
 
 @pytest.mark.parametrize("grid", ["alpha,beta,gamma=simplex:abc",

@@ -28,7 +28,13 @@ from kgpaths.weights import (
     semantic_match,
 )
 
-from conftest import build_graph, full_subgraph, pool_oracle, random_graph
+from conftest import (
+    build_graph,
+    full_subgraph,
+    pool_oracle,
+    random_graph,
+    simple_edge_paths,
+)
 
 
 def test_path_validation():
@@ -156,7 +162,7 @@ def test_score_table_matches_reference(graph_seed, lambda_sem, dimension):
     coeffs = WeightCoefficients(lambda_sem=lambda_sem)
     q = emb.embed("q")
     table = ScoreTable(sub, coeffs, emb, q)
-    paths = [Path(edges) for edges in _simple_edge_paths(sub, 3)]
+    paths = [Path(edges) for edges in simple_edge_paths(sub, 3)]
     for _ in range(2):  # the second pass reads cached values
         for p in paths:
             assert np.array_equal(table.vector(p), pool_path_vector(p, emb, g))
@@ -206,7 +212,7 @@ def test_batched_fills_match_reference(graph_seed, dimension, cutoff):
     coeffs = WeightCoefficients()
     q = emb.embed("q")
     table = ScoreTable(sub, coeffs, emb, q)
-    paths = [Path(edges) for edges in _simple_edge_paths(sub, 4)[:600]]
+    paths = [Path(edges) for edges in simple_edge_paths(sub, 4)[:600]]
     with pytest.MonkeyPatch.context() as mp:
         if cutoff is not None:
             mp.setattr(kgpaths.weights, "BATCH_ROWS", cutoff)
@@ -339,7 +345,7 @@ def test_score_table_embeds_each_label_once():
                             for label in ("a", "b", "c", "r", "s")})
     table = ScoreTable(full_subgraph(g), WeightCoefficients(), emb,
                        rng.standard_normal(4))
-    paths = [Path(edges) for edges in _simple_edge_paths(table.subgraph, 2)]
+    paths = [Path(edges) for edges in simple_edge_paths(table.subgraph, 2)]
     for _ in range(2):
         for p in paths:
             table.score(p)
@@ -393,25 +399,6 @@ def test_score_table_raises_as_the_reference_does(vectors, query, error):
     assert (e in table) == isinstance(got[0], float)
 
 
-def _simple_edge_paths(sub, max_length):
-    """Every simple path of at most ``max_length`` edges, as edge tuples."""
-    adj = {}
-    for e in sorted(sub.edges):
-        adj.setdefault(e.head, []).append(e)
-    out = []
-
-    def grow(edges, nodes):
-        out.append(edges)
-        if len(edges) < max_length:
-            for e in adj.get(edges[-1].tail, []):
-                if e.tail not in nodes:
-                    grow(edges + (e,), nodes | {e.tail})
-
-    for e in sorted(sub.edges):
-        grow((e,), {e.head, e.tail})
-    return out
-
-
 def test_coefficients_validation():
     with pytest.raises(ValueError):
         WeightCoefficients(alpha=-0.1)
@@ -421,7 +408,7 @@ def test_score_table_is_freed_without_the_cycle_collector(chain_graph):
     emb = HashEmbeddings(dimension=8, seed=0)
     table = ScoreTable(full_subgraph(chain_graph), WeightCoefficients(), emb,
                        emb.embed("q"))
-    for edges in _simple_edge_paths(table.subgraph, 3):
+    for edges in simple_edge_paths(table.subgraph, 3):
         table.score(Path(edges))
     ref = weakref.ref(table)
     gc.disable()
