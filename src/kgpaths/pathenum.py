@@ -26,14 +26,19 @@ node and call, the cumulative inverse costs of those edges, so a step
 whose options no visited node cuts short draws straight from them.
 
 Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
-with a ``target`` reads the subgraph's hop table to the target
+with a ``target`` first asks ``Subgraph.reaches`` whether the seed can reach
+the target within L hops at all: a breadth-first search from both ends that
+always grows the smaller frontier (Pohl, "Bi-directional search", 1971), so
+a seed on an island costs about the island, not the target's side. Only a
+seed that can reach it reads the subgraph's hop table to the target
 (``Subgraph.hops_to``, a backwards breadth-first search over the base
 graph's ``in_heads`` limited to subgraph nodes and bounded by L, kept until
-the node set changes), and never pushes a partial path whose tail cannot
-reach the target in the hops left. The hop bound ignores prunes and the
-simple-path rule, so it counts hops over a superset of the subgraph's edges
-and never overestimates the distance: only partial paths with no completion
-are dropped, and the output is exactly the unpruned one.
+the node set changes), and the search never pushes a partial path whose
+tail cannot reach the target in the hops left. Both searches read the same
+edges. The hop bound ignores prunes and the simple-path rule, so it counts
+hops over a superset of the subgraph's edges and never overestimates the
+distance: only partial paths with no completion are dropped, and the
+output is exactly the unpruned one.
 
 In both modes, a k-shortest search that returns fewer than K paths has
 listed every simple path of length <= L it could: with no target, every
@@ -117,7 +122,9 @@ def k_shortest_weighted(
     are exactly some with no completion, the heap pops the remaining ones
     in the same order, and the output equals the unpruned search's. A seed
     with no out-edge, or that cannot reach the target within L hops, costs
-    no expansion at all.
+    no expansion at all, and no hop table: ``Subgraph.reaches`` rules the
+    pair out first, searching from both ends, and ``hops_to`` is read only
+    for a seed that can reach the target.
     """
     subgraph = table.subgraph
     if seed not in subgraph.nodes:
@@ -128,10 +135,10 @@ def k_shortest_weighted(
     max_length = budget.max_length
     if target is None:
         hops = None
-    else:
+    elif subgraph.reaches(seed, target, max_length):
         hops = subgraph.hops_to(target, max_length)
-        if seed not in hops:
-            return []
+    else:
+        return []
 
     def too_far(node: int, left: int) -> bool:
         """Whether ``node`` cannot reach the target in ``left`` more hops."""

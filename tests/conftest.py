@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ def full_subgraph(graph):
     sub = Subgraph(graph=graph)
     sub.add_nodes(range(graph.num_entities), 0)
     return sub
+
+
+def edge_count_oracle(sub):
+    """``Subgraph.num_edges`` counted in plain Python: the nodes' out-tail
+    ids that are nodes, less the pruned triples between two nodes."""
+    nodes, out_tails = sub.nodes, sub.graph.out_tails
+    ids = chain.from_iterable(map(out_tails.__getitem__, nodes))
+    return sum(map(nodes.__contains__, ids)) - sum(
+        1 for h, _, t in sub.pruned if h in nodes and t in nodes)
 
 
 def random_graph(rng: random.Random, max_nodes=12, max_edges=30):

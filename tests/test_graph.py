@@ -33,6 +33,7 @@ from kgpaths.graph import (
     Subgraph,
     SwapSeed,
     Triple,
+    _nearest,
     apply_edits,
     expand_neighborhood,
     load_prior_overrides,
@@ -43,6 +44,7 @@ from kgpaths.scoring import LinearScorer, LinearVerifier
 
 from conftest import (
     build_graph,
+    edge_count_oracle,
     full_subgraph,
     random_graph,
     random_multigraph,
@@ -699,6 +701,91 @@ def test_adding_nodes_hashes_no_triple_while_nothing_is_pruned():
     g.out_adj = g.out_tails = g.in_heads = None
     sub.add_nodes(range(n), 3)
     assert sub.num_edges == total
+
+
+_COUNT_STEPS = st.sampled_from(["add", "remove", "prune", "knn"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(_COUNT_STEPS,
+                          st.lists(st.integers(0, 11), max_size=5),
+                          st.integers(0, 11)), max_size=10))
+def test_the_array_edge_count_matches_the_python_count(make_graph,
+                                                      graph_seed, steps):
+    """``num_edges``, counted from the graph's flat tail ids, equals the
+    plain count and the edges listed, from the empty subgraph on, after
+    every step of a random sequence of node adds, removals, prunes and
+    knn-style adds (the nearest entities by embedding, whatever their
+    distance in the graph)."""
+    g = make_graph(random.Random(graph_seed))
+    n = g.num_entities
+    vecs = [HashEmbeddings(dimension=4, seed=graph_seed).embed(label)
+            for label in g.entity_labels]
+    sub = Subgraph(graph=g)
+    assert sub.num_edges == 0 == edge_count_oracle(sub)
+    for round_index, (kind, batch, a) in enumerate(steps, start=1):
+        batch, a = [x % n for x in batch], a % n
+        if kind == "add":
+            sub.add_nodes(batch, round_index)
+        elif kind == "remove":
+            sub.remove_node(a)
+        elif kind == "knn":
+            sub.add_nodes(_nearest(vecs, batch or [a], 2), round_index)
+        elif sub.edges:
+            sub.prune(sorted(sub.edges)[a % len(sub.edges)])
+        assert sub.num_edges == edge_count_oracle(sub) == \
+            len(list(sub.edges)) == len(scratch_edges(sub))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.sampled_from(["remove", "prune"]),
+                          st.integers(0, 11)), max_size=6))
+def test_reaches_is_membership_in_the_hop_table(make_graph, graph_seed,
+                                                steps):
+    """``reaches(s, t, L)`` is ``s in hops_to(t, L)`` for every pair of
+    entities, a node or not (and an id past the graph's last), and every
+    L up to 5, on graphs with and without self-loops and parallel edges,
+    after random node removals and prunes."""
+    rng = random.Random(graph_seed)
+    g = make_graph(rng)
+    n = g.num_entities
+    sub = Subgraph(graph=g)
+    sub.add_nodes([v for v in range(n) if rng.random() < 0.8], 0)
+    for kind, a in steps:
+        if kind == "remove":
+            sub.remove_node(a % n)
+        elif sub.edges:
+            sub.prune(sorted(sub.edges)[a % len(sub.edges)])
+    ends = range(n + 1)
+    for max_hops in range(6):
+        for t in ends:
+            hops = sub.hops_to(t, max_hops)
+            for s in ends:
+                assert sub.reaches(s, t, max_hops) == (s in hops), \
+                    (s, t, max_hops)
+
+
+def test_a_graph_edited_after_finalize_is_expanded_only_once_finalized_again():
+    g = build_graph([("a", "r", "b"), ("b", "s", "c")])
+    kept = expand_neighborhood(g, [SeedCandidate(0)], radius=2)
+    g.add_triple("a", "s", "c")
+    with pytest.raises(ValueError, match=r"finalize\(\)"):
+        expand_neighborhood(g, [SeedCandidate(0)], radius=2)
+    with pytest.raises(ValueError, match=r"finalize\(\)"):
+        apply_edits(kept, [ExpandSeed(0, 1)], 1)
+    g.add_triple("c", "r", "d")  # a new entity
+    with pytest.raises(ValueError, match=r"finalize\(\)"):
+        expand_neighborhood(g, [SeedCandidate(0)], radius=2)
+    g.finalize()
+    sub = expand_neighborhood(g, [SeedCandidate(0)], radius=3)
+    assert sub.num_edges == len(list(sub.edges)) == 4 == \
+        edge_count_oracle(sub)
+    assert set(sub.edges) == g.triples
+    apply_edits(kept, [ExpandSeed(0, 1)], 1)  # edits are taken again
 
 
 @pytest.mark.parametrize("radius", [0, -1])

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgpaths.embeddings import HashEmbeddings
-from kgpaths.graph import PruneEdge, Subgraph, Triple, apply_edits
+from kgpaths.graph import (
+    KnowledgeGraph,
+    PruneEdge,
+    Subgraph,
+    Triple,
+    apply_edits,
+)
 from kgpaths.pathenum import (
     EnumerationBudget,
     beam_expand,
@@ -231,6 +237,64 @@ def enumerate_reference(sub, seeds, budget, q, rng_seed, pair_mode):
         -path_score(p, q, COEFFS, EMB, sub.graph, sub),
         p.nodes, p.relations))
     return [p.key() for p in ranked[:budget.max_candidates]]
+
+
+def island_graph(rng):
+    """Two ``random_graph``s in one graph, their entities renamed apart
+    (``an0``... and ``bn0``...): no edge joins the two parts."""
+    g = KnowledgeGraph()
+    parts = [("a", random_graph(rng, max_nodes=8)),
+             ("b", random_graph(rng, max_nodes=6))]
+    for prefix, part in parts:
+        for label in part.entity_labels:
+            g._intern_entity(prefix + label)
+    for prefix, part in parts:
+        for e in sorted(part.triples):
+            h, r, t = part.triple_labels(e)
+            g.add_triple(prefix + h, r, prefix + t)
+    g.finalize()
+    return g
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 8),
+       st.integers(1, 4), st.sampled_from(["full", "partial", "pruned"]))
+def test_k_shortest_brute_force_property_with_islands(graph_seed, k, length,
+                                                      view):
+    """Pair mode on a graph of two parts, toward every entity as target:
+    targets in the seed's part (reachable within L or not) and in the other
+    part (never reachable) all give the brute force's paths."""
+    rng = random.Random(graph_seed)
+    g = island_graph(rng)
+    seed = rng.randrange(g.num_entities)
+    sub = (full_subgraph(g) if view == "full"
+           else partial_subgraph(g, rng, seed, prune=view == "pruned"))
+    costs = edge_costs(sub, COEFFS, EMB)
+    budget = EnumerationBudget(max_length=length)
+    for target in range(g.num_entities):
+        got = k_shortest_weighted(costs, seed, k, budget, target=target)
+        want = brute_force(sub, seed, k, length, costs, target=target)
+        assert [(p.edges, p.nodes, p.relations) for p in got] == \
+            [(edges, nodes, rels) for _, nodes, rels, edges in want]
+
+
+def test_a_pair_that_cannot_meet_builds_no_hop_table(monkeypatch):
+    """Seeds on two islands, or too far apart for L, end their k-shortest
+    search before any hop table is built."""
+    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("x", "r", "y")])
+    a, c, x = (g.entity_id(label) for label in "acx")
+
+    def no_table(*args):
+        raise AssertionError("hop table built")
+
+    monkeypatch.setattr(Subgraph, "hops_to", no_table)
+    table = edge_costs(full_subgraph(g), COEFFS, EMB)
+    budget = EnumerationBudget(max_length=3)
+    assert k_shortest_weighted(table, a, 10, budget, target=x) == []
+    assert k_shortest_weighted(table, x, 10, budget, target=a) == []
+    assert k_shortest_weighted(table, a, 10, EnumerationBudget(max_length=1),
+                               target=c) == []
+    assert enumerate_paths(table, [a, x], budget, pair_mode=True) == []
 
 
 @settings(max_examples=60, deadline=None)
