@@ -3,13 +3,17 @@
 Entities and relations are interned to dense integer ids in first-come
 order. The base graph keeps each entity's out-edges as a sorted list of
 triples with their tail ids as a tuple in the same order, and each
-entity's in-edge head ids as a tuple, built once when the graph is
-loaded; its triples, labels and priors do not change after that. The
-graph also keeps the weighting store (``KnowledgeGraph.weighting``), what
-no question changes about its edge weights, across episodes. All
-per-query state (working node set, soft edge multipliers, refutations,
-prunes) lives on :class:`Subgraph` values owned by a single query
-episode.
+entity's in-edge head ids as a tuple, built once by ``finalize()`` when
+the graph is loaded. A graph's life runs one way: triples are added, then
+``finalize()`` runs once and freezes the triples and labels (a further
+``add_triple`` or ``finalize()`` raises ``ValueError``), and a
+:class:`Subgraph` exists only over a finalized graph, so every expansion,
+edit, weighting and path search reads a graph that no longer changes; a
+relation prior may still be overridden. The graph also keeps the
+weighting store (``KnowledgeGraph.weighting``), what no question changes
+about its edge weights, across episodes. All per-query state (working
+node set, soft edge multipliers, refutations, prunes) lives on
+:class:`Subgraph` values owned by a single query episode.
 
 A subgraph stores only its nodes. Its edges follow from them by one rule:
 a base triple is an edge when both its ends are nodes and it is not
@@ -125,10 +129,11 @@ class KnowledgeGraph:
     triple order (by head, then relation), both as tuples. ``finalize()``
     also keeps every ``out_tails`` entry in one flat numpy array,
     ``tail_ids``, entity by entity, with ``tail_offsets[h]`` the offset of
-    ``out_tails[h]`` in it and one more offset at the end. ``add_triple``
-    marks all of these stale: until ``finalize()`` runs again,
-    ``expand_neighborhood`` and ``apply_edits`` raise ``ValueError``
-    rather than read them.
+    ``out_tails[h]`` in it and one more offset at the end. ``finalize()``
+    runs once, after the last ``add_triple``, and freezes the triples,
+    labels and end ids: from then on ``add_triple`` and ``finalize()``
+    raise ``ValueError`` before changing anything, and ``set_prior_cost``
+    is the one change the graph takes.
 
     ``weighting`` is the graph's weighting store (``weights.WeightStore``)
     or ``None``: what no question changes, for one embedding provider and
@@ -136,10 +141,9 @@ class KnowledgeGraph:
     ``ScoreTable`` built on the graph sets it, and a table built with
     another provider or other coefficients replaces it; the store holds
     its provider, so the graph keeps that provider alive until then, or
-    for its life. ``add_triple``, ``finalize`` and ``set_prior_cost``
-    drop it. The triples, labels and priors do not change after
-    construction, but reads fill the store: one episode at a time may
-    read a graph, and concurrent readers each need their own copy.
+    for its life. ``set_prior_cost`` drops it. Reads fill the store, so
+    one episode at a time may read a graph, and concurrent readers each
+    need their own copy.
     """
 
     def __init__(self):
@@ -150,13 +154,9 @@ class KnowledgeGraph:
         self.relation_frequency: list[int] = []
         self.triples: set[Triple] = set()
         self.out_adj: list[list[Triple]] = []  # entity -> triples out of it
-        self.out_tails: list[tuple[int, ...]] = []  # set by finalize()
-        self.in_heads: list[tuple[int, ...]] = []  # set by finalize()
-        # every out-tail id, entity by entity, and each entity's offset
-        # into it (one more offset than entities); set by finalize()
-        self.tail_ids = np.zeros(0, np.intp)
-        self.tail_offsets = np.zeros(1, np.intp)
-        self._stale = False  # edited since finalize()
+        # out_tails, in_heads, tail_ids and tail_offsets, the end ids, exist
+        # from finalize() on: nothing reads them before it
+        self._finalized = False
         self._prior_cost: list[float] = []
         self.weighting = None
 
@@ -227,13 +227,15 @@ class KnowledgeGraph:
     # -- construction ------------------------------------------------------
 
     def add_triple(self, head: str, relation: str, tail: str) -> Triple:
+        """Add ``head relation tail``, interning new labels; ``ValueError``
+        once the graph is finalized, before any label is interned."""
+        if self._finalized:
+            raise ValueError("graph is finalized: it takes no more triples")
         h = self._intern_entity(head)
         r = self._intern_relation(relation)
         t = self._intern_entity(tail)
         triple = Triple(h, r, t)
         self.relation_frequency[r] += 1
-        self.weighting = None
-        self._stale = True
         if triple not in self.triples:
             self.triples.add(triple)
             self.out_adj[h].append(triple)
@@ -242,9 +244,11 @@ class KnowledgeGraph:
     def finalize(self) -> None:
         """Sort the out-adjacency for deterministic traversal, keep its tail
         ids and each entity's in-edge head ids as tuples, and derive default
-        relation priors from frequency (rare relations cost more)."""
-        self.weighting = None
-        self._stale = False
+        relation priors from frequency (rare relations cost more). Runs
+        once: the graph is frozen after it, and a second call raises
+        ``ValueError``."""
+        if self._finalized:
+            raise ValueError("graph is already finalized")
         for adj in self.out_adj:
             adj.sort()
         self.out_tails = [tuple([e.tail for e in adj]) for adj in self.out_adj]
@@ -265,6 +269,7 @@ class KnowledgeGraph:
             self._prior_cost = [
                 1.0 - f / max_freq for f in self.relation_frequency
             ]
+        self._finalized = True
 
 
 @contextmanager
@@ -353,10 +358,9 @@ def load_prior_overrides(graph: KnowledgeGraph, source) -> None:
     """Apply a relation-prior override TSV: ``relation<TAB>prior_cost``,
     one line per relation."""
     for lineno, (label, cost) in read_keyed(source, "relation", "prior_cost"):
-        relation = graph.relation_id(label)
         try:
-            graph.set_prior_cost(relation, float(cost))
-        except ValueError as exc:
+            graph.set_prior_cost(graph.relation_id(label), float(cost))
+        except (UnknownRelationError, ValueError) as exc:
             raise ParseError(str(exc), lineno) from None
 
 
@@ -427,15 +431,16 @@ class Subgraph:
     ``add_nodes`` and ``remove_node`` are the only ways in and out. Also
     holds soft edge multipliers, the episode's refuted and pruned triples
     and its edit warnings, which only the edits set. So a subgraph is built
-    empty, ``graph`` its only argument. Mutated only by its owning query
-    loop. Nothing reads ``nodes`` in insertion order.
+    empty, ``graph`` its only argument, and ``graph`` must be finalized
+    (``ValueError`` otherwise): the triples and end ids a subgraph reads
+    never change under it. Mutated only by its owning query loop. Nothing
+    reads ``nodes`` in insertion order.
 
-    The ``hops_to`` tables, the ``out_edges`` lists (see :class:`OutEdges`)
-    and ``num_edges`` are computed when first read and kept until a node is
-    added or removed; a prune drops its edge's head's list and the count.
-    ``reaches`` answers whether a node is in a hop table without building
-    one. A subgraph reads its graph's end ids as they stand: one built
-    before an ``add_triple`` is not brought up to date by ``finalize()``.
+    The ``hops_to`` tables, the ``reaches`` answers, the ``out_edges``
+    lists (see :class:`OutEdges`) and ``num_edges`` are computed when first
+    read and kept until a node is added or removed; a prune drops its
+    edge's head's list and the count. ``reaches`` answers whether a node
+    is in a hop table without building one.
     """
 
     graph: KnowledgeGraph
@@ -444,15 +449,12 @@ class Subgraph:
     refuted: set[Triple] = field(default_factory=set, init=False)
     pruned: set[Triple] = field(default_factory=set, init=False)
     warnings: list[str] = field(default_factory=list, init=False)
-    # (target, max_hops) -> hops_to table, valid for the current node set
-    _hops: dict[tuple[int, int], dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    out_edges: OutEdges = field(init=False, repr=False, compare=False)
-    _num_edges: int | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.graph._finalized:
+            raise ValueError("a subgraph needs a finalized graph")
         self.out_edges = OutEdges(self)
+        self._nodes_changed()
 
     def multiplier(self, triple: Triple) -> float:
         return self.soft.get(triple, 0.0)
@@ -498,10 +500,14 @@ class Subgraph:
         return self._num_edges
 
     def _nodes_changed(self) -> None:
-        """Drop what is kept for the current node set."""
-        self._hops.clear()
+        """Start afresh what is kept for the current node set: the
+        ``hops_to`` tables by (target, max_hops), the ``reaches`` answers
+        by (source, target, max_hops), the out-edge lists and the edge
+        count."""
+        self._hops: dict[tuple[int, int], dict[int, int]] = {}
+        self._reached: dict[tuple[int, int, int], bool] = {}
         self.out_edges.clear()
-        self._num_edges = None
+        self._num_edges: int | None = None
 
     def add_nodes(self, entities: Iterable[int], round_index: int) -> None:
         """Add the absent ones of ``entities`` at ``round_index``, in order."""
@@ -562,14 +568,25 @@ class Subgraph:
     def reaches(self, source: int, target: int, max_hops: int) -> bool:
         """Whether ``source`` reaches ``target`` within ``max_hops`` hops:
         exactly ``source in self.hops_to(target, max_hops)``, with no table
-        built or kept.
+        built. A kept table answers; otherwise the answer of a search from
+        both ends (:meth:`_meets`) is kept, like the tables, until a node
+        is added or removed."""
+        hops = self._hops.get((target, max_hops))
+        if hops is not None:
+            return source in hops
+        key = (source, target, max_hops)
+        found = self._reached.get(key)
+        if found is None:
+            found = self._reached[key] = self._meets(*key)
+        return found
 
-        A breadth-first search from both ends over the edges ``hops_to``
-        reads, the base graph's out-tail ids forward from ``source`` and
-        in-edge head ids back from ``target``, limited to the nodes and
-        ignoring prunes. Each hop grows the smaller frontier, so a pair
-        with no connection costs at most the smaller side's search.
-        """
+    def _meets(self, source: int, target: int, max_hops: int) -> bool:
+        """``reaches`` by a breadth-first search from both ends over the
+        edges ``hops_to`` reads, the base graph's out-tail ids forward from
+        ``source`` and in-edge head ids back from ``target``, limited to
+        the nodes and ignoring prunes. Each hop grows the smaller frontier,
+        so a pair with no connection costs at most the smaller side's
+        search."""
         nodes = self.nodes
         if source not in nodes or target not in nodes:
             return False
@@ -649,14 +666,6 @@ def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
     subgraph.add_nodes(found, round_index)
 
 
-def _check_finalized(graph: KnowledgeGraph) -> None:
-    """``ValueError`` if ``graph`` was edited since its last ``finalize()``:
-    its end ids would not match its triples."""
-    if graph._stale:
-        raise ValueError("graph edited since finalize(): call finalize() "
-                         "before expanding")
-
-
 def _nearest(vecs: list, seeds: list[int], knn: int) -> list[int]:
     """The ``knn`` entities other than each seed whose vectors in ``vecs``
     (indexed by entity id) have the highest cosine with the seed's, seed by
@@ -699,7 +708,6 @@ def expand_neighborhood(
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    _check_finalized(graph)
     for seed in seeds:
         if seed.entity >= graph.num_entities or seed.entity < 0:
             raise UnknownEntityError(f"unknown seed entity id: {seed.entity}")
@@ -729,7 +737,6 @@ def apply_edits(
     referencing entities outside ``subgraph.graph`` raise
     :class:`EditError`.
     """
-    _check_finalized(subgraph.graph)
     num_entities = subgraph.graph.num_entities
 
     def check_entity(eid: int):

@@ -29,8 +29,10 @@ Pair mode (paths between two seeds) is goal-directed. ``k_shortest_weighted``
 with a ``target`` first asks ``Subgraph.reaches`` whether the seed can reach
 the target within L hops at all: a breadth-first search from both ends that
 always grows the smaller frontier (Pohl, "Bi-directional search", 1971), so
-a seed on an island costs about the island, not the target's side. Only a
-seed that can reach it reads the subgraph's hop table to the target
+a seed on an island costs about the island, not the target's side. A kept
+hop table answers instead, and the search's answer is kept like the tables
+until the node set changes, so a round that adds no node asks for free.
+Only a seed that can reach it reads the subgraph's hop table to the target
 (``Subgraph.hops_to``, a backwards breadth-first search over the base
 graph's ``in_heads`` limited to subgraph nodes and bounded by L, kept until
 the node set changes), and the search never pushes a partial path whose

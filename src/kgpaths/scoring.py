@@ -206,8 +206,8 @@ def select_and_inject(
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
+    if not 0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     gated = [(c.soft_weight * c.verifier, c) for c in candidates]
     passing = [(g, c) for g, c in gated if g >= threshold]
     passing.sort(key=lambda gc: (-gc[0], gc[1].path.nodes, gc[1].path.relations))

@@ -166,7 +166,11 @@ class WeightStore:
     embedding provider and one set of coefficients α, β, γ: the entity and
     relation vectors by id, each entity's float view and norm, and each
     edge's weight total. Each value is computed when first read and kept
-    until the store is dropped; a read that raises stores nothing.
+    until the store is dropped; a read that raises stores nothing. A
+    ``ScoreTable`` reaches the store through its subgraph, whose graph is
+    finalized, so the labels and triples read by id no longer change; a
+    prior does (``set_prior_cost``, the one change a finalized graph
+    takes), and it drops the store.
 
     A graph holds one store, ``KnowledgeGraph.weighting``, which every
     ``ScoreTable`` on it takes its memos from (``of``), and which holds the

@@ -27,6 +27,7 @@ from kgpaths.errors import (
 from kgpaths.graph import (
     ConfirmTriple,
     ExpandSeed,
+    KnowledgeGraph,
     PruneEdge,
     RefuteTriple,
     SeedCandidate,
@@ -147,7 +148,7 @@ _LOADERS = {
     "triples": (load_triples, ("a\tr\tb", "a\tr\tb"),
                 ["a\tr", "a\t \tb", "a\tr\tb\tc"]),
     "priors": (_load_priors, ("r\t0.5", "s\t0.5"),
-               ["s", "s\t0.5\t1", "s\tcheap"]),
+               ["s", "s\t0.5\t1", "s\tcheap", "zz\t0.5"]),
     "embeddings": (FileEmbeddings.load, ("a\t1.0,0.0", "b\t0.0,1.0"),
                    ["a", " \t1.0,0.0", "b\t1.0,oops"]),
     "weights": (LinearScorer.load, ("bias\t1.0", "cost\t1.0"),
@@ -763,29 +764,124 @@ def test_reaches_is_membership_in_the_hop_table(make_graph, graph_seed,
     ends = range(n + 1)
     for max_hops in range(6):
         for t in ends:
-            hops = sub.hops_to(t, max_hops)
-            for s in ends:
-                assert sub.reaches(s, t, max_hops) == (s in hops), \
-                    (s, t, max_hops)
+            # each pair asked twice, with the hop table read before or after
+            table_first = (t + max_hops) % 2 == 0
+            if table_first:
+                hops = sub.hops_to(t, max_hops)
+            asked = [[sub.reaches(s, t, max_hops) for s in ends]
+                     for _ in range(2)]
+            if not table_first:
+                hops = sub.hops_to(t, max_hops)
+                asked.append([sub.reaches(s, t, max_hops) for s in ends])
+            for answers in asked:
+                assert answers == [s in hops for s in ends], \
+                    (t, max_hops, table_first)
 
 
-def test_a_graph_edited_after_finalize_is_expanded_only_once_finalized_again():
+class CountingReads(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_reaches_answers_are_kept_until_the_nodes_change():
+    """A repeated ``reaches`` on an unchanged node set, or one a kept hop
+    table answers, reads no end ids; a prune keeps the answers, and adding
+    or removing a node drops them."""
+    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"),
+                     ("x", "r", "y")])
+    a, b, c, d, x, y = map(g.entity_id, "abcdxy")
+    sub = Subgraph(graph=g)
+    sub.add_nodes([a, b, c, x, y], 0)
+    g.out_tails = CountingReads(g.out_tails)
+    g.in_heads = CountingReads(g.in_heads)
+
+    def reads():
+        count = g.out_tails.reads + g.in_heads.reads
+        g.out_tails.reads = g.in_heads.reads = 0
+        return count
+
+    pairs = [(a, c, 2), (a, c, 1), (a, d, 3), (x, y, 1), (a, y, 3)]
+    expected = [True, False, False, True, False]
+    assert [sub.reaches(*p) for p in pairs] == expected
+    assert reads() > 0
+    assert [sub.reaches(*p) for p in pairs] == expected
+    assert reads() == 0
+    sub.prune(Triple(a, 0, b))
+    assert [sub.reaches(*p) for p in pairs] == expected
+    assert reads() == 0
+    sub.add_nodes([d], 1)
+    assert [sub.reaches(*p) for p in pairs] == [True, False, True, True,
+                                                False]
+    assert reads() > 0
+    sub.remove_node(b)
+    assert [sub.reaches(*p) for p in pairs] == [False, False, False, True,
+                                                False]
+    assert reads() > 0
+    sub.hops_to(c, 3)
+    reads()
+    assert [sub.reaches(v, c, 3) for v in (a, c, d, x)] == [False, True,
+                                                            False, False]
+    assert reads() == 0
+
+
+def test_a_finalized_graph_takes_no_more_triples():
+    """``add_triple`` after ``finalize()`` raises before it interns a label
+    or counts a relation, whether the triple names known labels or new
+    ones, so a subgraph built before it and one built after read the same
+    graph."""
     g = build_graph([("a", "r", "b"), ("b", "s", "c")])
     kept = expand_neighborhood(g, [SeedCandidate(0)], radius=2)
-    g.add_triple("a", "s", "c")
-    with pytest.raises(ValueError, match=r"finalize\(\)"):
-        expand_neighborhood(g, [SeedCandidate(0)], radius=2)
-    with pytest.raises(ValueError, match=r"finalize\(\)"):
-        apply_edits(kept, [ExpandSeed(0, 1)], 1)
-    g.add_triple("c", "r", "d")  # a new entity
-    with pytest.raises(ValueError, match=r"finalize\(\)"):
-        expand_neighborhood(g, [SeedCandidate(0)], radius=2)
-    g.finalize()
+
+    def state():
+        return (g.num_entities, g.num_relations, list(g.entity_labels),
+                list(g.relation_labels), list(g.relation_frequency),
+                set(g.triples))
+
+    before = state()
+    for triple in [("a", "s", "c"), ("c", "r", "d"), ("x", "new", "y")]:
+        with pytest.raises(ValueError, match="finalized"):
+            g.add_triple(*triple)
+        assert state() == before
+    with pytest.raises(UnknownEntityError):
+        g.entity_id("d")
+    assert kept.num_edges == len(list(kept.edges)) == 2 == \
+        edge_count_oracle(kept)
+    assert set(kept.edges) == g.triples
+    apply_edits(kept, [ExpandSeed(0, 1)], 1)
     sub = expand_neighborhood(g, [SeedCandidate(0)], radius=3)
-    assert sub.num_edges == len(list(sub.edges)) == 4 == \
-        edge_count_oracle(sub)
-    assert set(sub.edges) == g.triples
-    apply_edits(kept, [ExpandSeed(0, 1)], 1)  # edits are taken again
+    assert sub.edges == kept.edges
+
+
+def test_a_second_finalize_raises_and_keeps_a_prior_override():
+    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("b", "s", "c")])
+    s = g.relation_id("s")
+    g.set_prior_cost(s, 0.9)
+    sorted_adj = [list(adj) for adj in g.out_adj]
+    with pytest.raises(ValueError, match="already finalized"):
+        g.finalize()
+    assert g.prior_cost(s) == 0.9
+    assert g.out_adj == sorted_adj
+
+
+def test_a_subgraph_needs_a_finalized_graph():
+    empty = KnowledgeGraph()
+    g = KnowledgeGraph()
+    g.add_triple("a", "r", "b")
+    for graph in (empty, g):
+        with pytest.raises(ValueError, match="finalized graph"):
+            Subgraph(graph=graph)
+        with pytest.raises(ValueError, match="finalized graph"):
+            expand_neighborhood(graph, [], radius=1)
+    with pytest.raises(ValueError, match="finalized graph"):
+        expand_neighborhood(g, [SeedCandidate(0)], radius=1)
+    g.finalize()
+    assert expand_neighborhood(g, [SeedCandidate(0)], radius=1).nodes == \
+        {0: 0, 1: 0}
 
 
 @pytest.mark.parametrize("radius", [0, -1])

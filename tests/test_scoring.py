@@ -181,5 +181,6 @@ def test_seed_confidence_attenuation():
 def test_select_validation():
     with pytest.raises(ValueError):
         select([0.0], [1.0], top_k=0)
-    with pytest.raises(ValueError):
-        select([0.0], [1.0], rho=-1.0)
+    for rho in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            select([0.0], [1.0], rho=rho)

@@ -87,16 +87,19 @@ def test_store_is_kept_for_one_provider_and_alpha_beta_gamma():
 
 @pytest.mark.parametrize("change", [
     lambda g: g.set_prior_cost(0, 0.5),
-    lambda g: g.add_triple("c", "r", "a"),
-    lambda g: g.finalize(),
+    lambda g: pytest.raises(ValueError, g.add_triple, "c", "r", "a"),
+    lambda g: pytest.raises(ValueError, g.finalize),
 ])
 def test_graph_changes_drop_the_store(change):
+    """A prior, the one change a finalized graph takes, drops the store; a
+    triple or a second ``finalize()`` is refused and leaves it in place."""
     g = build_graph([("a", "r", "b"), ("b", "s", "c")])
     ScoreTable(full_subgraph(g), WeightCoefficients(),
                HashEmbeddings(dimension=8, seed=0))
-    assert g.weighting is not None
-    change(g)
-    assert g.weighting is None
+    store = g.weighting
+    assert store is not None
+    refused = change(g) is not None  # pytest.raises returns what it caught
+    assert g.weighting is (store if refused else None)
 
 
 class _FailsOnce:
