@@ -539,30 +539,24 @@ class Subgraph:
         ``max_hops``; empty when ``target`` is not a node. Callers must not
         change the returned table.
 
-        A backwards breadth-first search over the base graph's in-edge head
-        ids, limited to the subgraph's nodes. It ignores prunes, so it walks
-        a superset of the subgraph's edges and never overestimates a node's
-        distance; because it reads only the node set, the table is kept
-        until a node is added or removed.
+        A backwards breadth-first search (:func:`_hop`) over the base
+        graph's in-edge head ids, limited to the subgraph's nodes, that
+        stops at the first hop finding no new node, so a ``max_hops``
+        beyond the graph's size costs no more than the size. It ignores
+        prunes, so it walks a superset of the subgraph's edges and never
+        overestimates a node's distance; because it reads only the node
+        set, the table is kept until a node is added or removed.
         """
         hops = self._hops.get((target, max_hops))
-        if hops is not None:
-            return hops
-        nodes = self.nodes
-        hops = {}
-        if target in nodes:
-            in_heads = self.graph.in_heads
-            hops[target] = 0
-            frontier = [target]
-            for d in range(1, max_hops + 1):
-                nxt = []
-                for node in frontier:
-                    for head in in_heads[node]:
-                        if head not in hops and head in nodes:
-                            hops[head] = d
-                            nxt.append(head)
-                frontier = nxt
-        self._hops[(target, max_hops)] = hops
+        if hops is None:
+            hops = self._hops[(target, max_hops)] = {}
+            if target in self.nodes:
+                hops[target] = 0
+                layer, d = [target], 0
+                while layer and d < max_hops:
+                    d += 1
+                    layer = _hop(layer, self.graph.in_heads, hops, d,
+                                 self.nodes)
         return hops
 
     def reaches(self, source: int, target: int, max_hops: int) -> bool:
@@ -584,35 +578,29 @@ class Subgraph:
         """``reaches`` by a breadth-first search from both ends over the
         edges ``hops_to`` reads, the base graph's out-tail ids forward from
         ``source`` and in-edge head ids back from ``target``, limited to
-        the nodes and ignoring prunes. Each hop grows the smaller frontier,
-        so a pair with no connection costs at most the smaller side's
-        search."""
+        the nodes and ignoring prunes, one :func:`_hop` at a time. Each hop
+        grows the smaller side's last hop, the forward side's on a tie, so
+        a pair with no connection costs at most the smaller side's search;
+        the first hop that finds nothing ends it."""
         nodes = self.nodes
         if source not in nodes or target not in nodes:
             return False
         if source == target:
             return True
-        # each side: its frontier, the nodes it has found, the ids it reads
-        fwd = [[source], {source}, self.graph.out_tails]
-        bwd = [[target], {target}, self.graph.in_heads]
+        # each side: its last hop, the ids it has found by hop, the ids it
+        # reads
+        fwd = [[source], {source: 0}, self.graph.out_tails]
+        bwd = [[target], {target: 0}, self.graph.in_heads]
         for _ in range(max_hops):
-            if len(fwd[0]) <= len(bwd[0]):
-                near, far = fwd, bwd
-            else:
-                near, far = bwd, fwd
-            front, seen, ends = near
-            other = far[1]
-            nxt = []
-            for node in front:
-                for v in ends[node]:
-                    if v not in seen and v in nodes:
-                        if v in other:
-                            return True
-                        seen.add(v)
-                        nxt.append(v)
-            if not nxt:  # that side is done without meeting the other
+            small = len(fwd[0]) <= len(bwd[0])
+            near, far = (fwd, bwd) if small else (bwd, fwd)
+            layer, found, ends = near
+            d = found[layer[0]] + 1  # the hop after the side's last
+            layer = near[0] = _hop(layer, ends, found, d, nodes)
+            if not layer:  # that side is done without meeting the other
                 return False
-            near[0] = nxt
+            if not far[1].keys().isdisjoint(layer):
+                return True
         return False
 
     def to_json(self) -> str:
@@ -640,30 +628,41 @@ class Subgraph:
         return json.dumps(payload, sort_keys=True)
 
 
+def _hop(layer: list[int], ends: list[tuple[int, ...]],
+         found: dict[int, int], d: int, within=None) -> list[int]:
+    """One breadth-first hop, the neighbour loop of every graph search
+    here: the ids that ``ends`` (a graph's ``out_tails`` or ``in_heads``)
+    lists for the nodes of ``layer``, each once and in reading order, less
+    those already in ``found`` and, unless ``within`` is None, those not
+    in ``within``. Each returned id is entered in ``found`` at hop ``d``.
+    An empty list ends the search: no later hop can find anything."""
+    nxt = []
+    for node in layer:
+        for v in ends[node]:
+            if v not in found and (within is None or v in within):
+                found[v] = d
+                nxt.append(v)
+    return nxt
+
+
 def _bfs_add(subgraph: Subgraph, starts: Iterable[int], radius: int,
              round_index: int) -> None:
     """Add at ``round_index`` every node within ``radius`` out-hops of each
-    of ``starts``, in one batch, ordered by start and then breadth-first.
-    A start's search ends once a hop finds no new node, so a radius beyond
-    the graph's size costs no more than the size."""
+    of ``starts``, in one batch, ordered by start and then breadth-first:
+    per start, the start, then each :func:`_hop`'s new tails in
+    ``out_tails`` order. A start's search ends at the first hop that finds
+    no new node, so a radius beyond the graph's size costs no more than
+    the size."""
     out_tails = subgraph.graph.out_tails
-    found = []
+    order = []
     for start in starts:
-        seen = {start}
-        found.append(start)
-        frontier = [start]
-        for _ in range(radius):
-            if not frontier:
-                break
-            nxt = []
-            for node in frontier:
-                for t in out_tails[node]:
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            found += nxt
-            frontier = nxt
-    subgraph.add_nodes(found, round_index)
+        found = {start: 0}
+        layer, d = [start], 0
+        while layer and d < radius:
+            d += 1
+            layer = _hop(layer, out_tails, found, d)
+        order += found
+    subgraph.add_nodes(order, round_index)
 
 
 def _nearest(vecs: list, seeds: list[int], knn: int) -> list[int]:
@@ -708,6 +707,8 @@ def expand_neighborhood(
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if knn < 0:
+        raise ValueError("knn must be >= 0")
     for seed in seeds:
         if seed.entity >= graph.num_entities or seed.entity < 0:
             raise UnknownEntityError(f"unknown seed entity id: {seed.entity}")

@@ -34,13 +34,15 @@ hop table answers instead, and the search's answer is kept like the tables
 until the node set changes, so a round that adds no node asks for free.
 Only a seed that can reach it reads the subgraph's hop table to the target
 (``Subgraph.hops_to``, a backwards breadth-first search over the base
-graph's ``in_heads`` limited to subgraph nodes and bounded by L, kept until
-the node set changes), and the search never pushes a partial path whose
-tail cannot reach the target in the hops left. Both searches read the same
-edges. The hop bound ignores prunes and the simple-path rule, so it counts
-hops over a superset of the subgraph's edges and never overestimates the
-distance: only partial paths with no completion are dropped, and the
-output is exactly the unpruned one.
+graph's ``in_heads`` limited to subgraph nodes, kept until the node set
+changes), and the search never pushes a partial path whose tail cannot
+reach the target in the hops left. Both searches read the same edges,
+and each stops at the first hop that finds no new node, so both are
+bounded by L and by the graph: an L beyond the subgraph's size costs no
+more than the size. The hop bound ignores prunes and the simple-path
+rule, so it counts hops over a superset of the subgraph's edges and never
+overestimates the distance: only partial paths with no completion are
+dropped, and the output is exactly the unpruned one.
 
 In both modes, a k-shortest search that returns fewer than K paths has
 listed every simple path of length <= L it could: with no target, every

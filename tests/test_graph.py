@@ -433,6 +433,8 @@ def test_expand_neighborhood_validates():
         expand_neighborhood(g, [SeedCandidate(0)], radius=0)
     with pytest.raises(ValueError):
         expand_neighborhood(g, [SeedCandidate(0)], radius=1, knn=2)
+    with pytest.raises(ValueError, match="knn must be >= 0"):
+        expand_neighborhood(g, [SeedCandidate(0)], radius=1, knn=-1)
 
 
 def test_apply_edits_confirm_refute_multipliers(chain_graph):
@@ -628,6 +630,79 @@ def test_kept_hop_tables_match_a_fresh_search(graph_seed, steps, queries):
     for target, max_hops in queries:
         assert sub.hops_to(target, max_hops) == \
             hops_oracle(sub, target, max_hops)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000),
+       st.lists(st.integers(0, 11), min_size=1, max_size=4))
+def test_an_unbounded_hop_limit_costs_nothing(make_graph, graph_seed,
+                                              removed):
+    """With L = 10**12, ``reaches`` and ``hops_to`` give what they give
+    with L = the entity count, and the table is the oracle's, for every
+    target, with every node present and after some are removed. A search
+    that ran all L hops would not finish: each stops at its first hop
+    that finds nothing."""
+    g = make_graph(random.Random(graph_seed))
+    n = g.num_entities
+    sub = full_subgraph(g)
+    for _ in range(2):
+        for t in range(n):
+            # asked before any table for (t, 10**12) is kept
+            far = [sub.reaches(s, t, 10**12) for s in range(n)]
+            hops = sub.hops_to(t, 10**12)
+            assert hops == sub.hops_to(t, n) == hops_oracle(sub, t, n)
+            assert far == [s in hops for s in range(n)]
+        for x in removed:
+            sub.remove_node(x % n)
+
+
+def bfs_order_reference(g, starts, radius):
+    """The nodes within ``radius`` out-hops of ``starts``, in the order
+    expansion enters them: per start, the start, then each hop's new tails
+    in ``out_tails`` order, keeping each node's first occurrence."""
+    order = []
+    for start in starts:
+        reached, layer = [start], [start]
+        for _ in range(min(radius, g.num_entities)):
+            layer = [t for v in layer for t in g.out_tails[v]]
+            layer = [t for t in dict.fromkeys(layer) if t not in reached]
+            reached += layer
+        order += reached
+    return list(dict.fromkeys(order))
+
+
+_RADII = st.sampled_from([1, 2, 3, 4, 10**12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([random_graph, random_multigraph]),
+       st.integers(min_value=0, max_value=10_000),
+       st.lists(st.integers(0, 11), min_size=1, max_size=3), _RADII,
+       st.integers(0, 11), _RADII, st.integers(0, 11), st.integers(0, 11))
+def test_expansion_enters_nodes_in_breadth_first_order(
+        make_graph, graph_seed, seed_ids, radius, start, edit_radius, old,
+        new):
+    """``expand_neighborhood`` with one to three seeds, then an
+    ``ExpandSeed`` and a ``SwapSeed``, enter their nodes in the order of a
+    plain breadth-first search, each at its round, on graphs with and
+    without self-loops and parallel edges."""
+    g = make_graph(random.Random(graph_seed))
+    n = g.num_entities
+    seeds = [x % n for x in seed_ids]
+    start, old, new = start % n, old % n, new % n
+    sub = expand_neighborhood(g, [SeedCandidate(x) for x in seeds], radius)
+    expected = dict.fromkeys(bfs_order_reference(g, seeds, radius), 0)
+    assert list(sub.nodes.items()) == list(expected.items())
+    apply_edits(sub, [ExpandSeed(start, edit_radius)], 1)
+    for v in bfs_order_reference(g, [start], edit_radius):
+        expected.setdefault(v, 1)
+    assert list(sub.nodes.items()) == list(expected.items())
+    apply_edits(sub, [SwapSeed(old, new)], 2)
+    expected.pop(old, None)
+    for v in bfs_order_reference(g, [new], 1):
+        expected.setdefault(v, 2)
+    assert list(sub.nodes.items()) == list(expected.items())
 
 
 def test_prunes_keep_the_hop_tables(chain_graph):

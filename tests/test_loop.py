@@ -1291,3 +1291,25 @@ def test_empty_selection_forces_expand_and_records_the_candidates():
     assert all(r.num_candidates > 0 for r in result.rounds)
     assert result.reasoner_calls == 0 and result.edits_applied == 3
     assert result.answer is None and not result.failed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.integers(0, 11), min_size=2, max_size=3))
+def test_pair_mode_with_an_unbounded_L_answers_as_with_L_the_graph_size(
+        graph_seed, seed_ids):
+    """No path, hop table or two-ended check is longer than the graph, so
+    pair mode with L = 10**12 gives the answer, trace and retrieved paths
+    it gives with L = the entity count; a search that ran all L hops
+    would not finish."""
+    g = random_graph(random.Random(graph_seed))
+    seeds = [SeedCandidate(s % g.num_entities, 1.0) for s in seed_ids]
+    short, unbounded = (
+        run_loop("q n1 r2", seeds, g,
+                 RunConfig(rounds=3, radius=2, L=L, K=8, walks=5,
+                           pair_mode=True, seed=graph_seed),
+                 ScriptedReasoner(g), EMB)
+        for L in (g.num_entities, 10**12))
+    assert unbounded.answer == short.answer
+    assert unbounded.trace_jsonl() == short.trace_jsonl()
+    assert unbounded.retrieved_keys == short.retrieved_keys
