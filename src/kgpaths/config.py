@@ -53,8 +53,15 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every value once, so an invalid config cannot be built
-        (``dataclasses.replace`` runs this too): the weighting, budget and
-        Gumbel values by building the objects that own them, the rest here."""
+        (``dataclasses.replace`` runs this too): first each value's type
+        against its field's, then the weighting, budget and Gumbel values
+        by building the objects that own them, the rest here."""
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, _TYPES[kind]) or (
+                    kind != "bool" and isinstance(value, bool)):
+                raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, "
+                                  f"not {value!r}")
         try:
             self.coefficients()
             self.budget()
@@ -101,6 +108,10 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# what each field type takes; a bool is an int to ``isinstance``, so
+# ``__post_init__`` refuses one outside the bool fields
+_TYPES = {"int": int, "float": (int, float), "bool": bool}
+_TYPE_NAMES = {"int": "an int", "float": "an int or a float", "bool": "a bool"}
 
 
 def _coerce(raw: dict) -> dict:

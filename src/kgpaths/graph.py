@@ -133,7 +133,9 @@ class KnowledgeGraph:
     runs once, after the last ``add_triple``, and freezes the triples,
     labels and end ids: from then on ``add_triple`` and ``finalize()``
     raise ``ValueError`` before changing anything, and ``set_prior_cost``
-    is the one change the graph takes.
+    is the one change the graph takes. It takes none before: ``finalize()``
+    derives every prior afresh, so ``set_prior_cost`` on a graph not yet
+    finalized raises ``ValueError`` rather than set a prior to be lost.
 
     ``weighting`` is the graph's weighting store (``weights.WeightStore``)
     or ``None``: what no question changes, for one embedding provider and
@@ -207,6 +209,9 @@ class KnowledgeGraph:
         return self._prior_cost[relation]
 
     def set_prior_cost(self, relation: int, cost: float) -> None:
+        if not self._finalized:
+            raise ValueError("graph is not finalized: finalize() sets the "
+                             "priors that an override replaces")
         if isinstance(relation, bool) or not 0 <= relation < self.num_relations:
             raise UnknownRelationError(f"unknown relation id: {relation!r}")
         if not 0.0 <= cost <= 1.0:

@@ -11,11 +11,12 @@ and scored, the first time anything asks for it, so a round pays only for
 the edges and paths its search touches, and nothing for a weight or vector
 an earlier round computed. The table outlives enumeration: the caller
 hands it on to candidate scoring, the verifier and injection. Where many
-values are read at once, they are filled as a batch first: k-shortest
-weighs a seed's out-edges (``ScoreTable.weigh``), and beam expansion and
-the final ranking pool and match the paths they rank
-(``ScoreTable.match``). A batched value has the same bits as the one the
-table computes alone.
+paths are ranked at once, they are pooled and matched as a batch first:
+beam expansion and the final ranking call ``ScoreTable.match`` on the
+paths they rank. A batched value has the same bits as the one the table
+computes alone. Edges are weighted one at a time: the graph's weighting
+store keeps each weight across episodes, so a batch would pay off only in
+a graph's first episodes.
 
 No generator builds adjacency of its own. All three read a node's
 subgraph out-edges from ``Subgraph.out_edges``, which the subgraph builds
@@ -151,11 +152,10 @@ def k_shortest_weighted(
     out: list[Path] = []
     # heap entries: (cost, node sequence, relation sequence, edges)
     heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
-    first = [e for e in adj[seed]
-             if e.tail != seed and not too_far(e.tail, max_length - 1)]
-    table.weigh(first)
-    for e in first:
-        heapq.heappush(heap, (table[e], (seed, e.tail), (e.relation,), (e,)))
+    for e in adj[seed]:
+        if e.tail != seed and not too_far(e.tail, max_length - 1):
+            heapq.heappush(heap,
+                           (table[e], (seed, e.tail), (e.relation,), (e,)))
 
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)

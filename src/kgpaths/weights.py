@@ -12,14 +12,15 @@ Soft multipliers lower effective traversal cost multiplicatively
 shortest-path search.
 
 ``ScoreTable`` holds one episode's values, each computed once, when first
-read. What no question changes (a label's vector, an entity's norm, an
-edge's weight total) lives in the graph's ``WeightStore`` and is kept
-across episodes, for as long as the graph keeps the same provider,
-coefficients α, β, γ, triples and priors. What depends on the query (a
-path's pooled vector and semantic match) is kept for the whole episode;
-what a round's soft multipliers change (effective costs and path scores)
-is dropped by ``new_round``. Path enumeration, candidate scoring, the
-verifier and latent injection all read the same table.
+read (paths are also pooled and matched in batches). What no question
+changes (a label's vector, an entity's norm, an edge's weight total) lives
+in the graph's ``WeightStore`` and is kept across episodes, for as long as
+the graph keeps the same provider, coefficients α, β, γ, triples and
+priors. What depends on the query (a path's pooled vector and semantic
+match) is kept for the whole episode; what a round's soft multipliers
+change (effective costs and path scores) is dropped by ``new_round``.
+Path enumeration, candidate scoring, the verifier and latent injection
+all read the same table.
 ``edge_weight``, ``effective_cost``, ``semantic_match`` and ``path_score``
 are the uncached reference forms; they and the table share the kernels
 ``edge_terms``, ``pool_vectors`` and ``normed_cosine``, and every dot
@@ -48,9 +49,9 @@ from .paths import Path, pool_path_vector
 
 DEFAULT_LAMBDA_SEM = 0.70
 DEFAULT_TAU = 0.2
-# the fewest rows ``ScoreTable.weigh`` and ``match`` compute in one kernel
-# call; smaller batches are left to the one-edge and one-path forms, which
-# cost less there
+# the fewest paths ``ScoreTable.match`` pools and matches in one kernel
+# call; smaller batches are left to the one-path forms, which cost less
+# there
 BATCH_ROWS = 8
 
 
@@ -232,12 +233,15 @@ class ScoreTable(dict):
     included, is a ``row_dot`` or ``row_dots`` call, whose bits do not
     depend on the batch a row is in.
 
-    ``weigh`` and ``match`` fill the same values for many edges or paths
-    at once, with one ``row_dots`` call per step (``normed_cosines``,
-    ``pool_vector_stack``), so a value is the same bits whichever way it
-    was computed. The path generators call them on what they are about to
-    read; batches of fewer than ``BATCH_ROWS`` rows are left to the
-    one-edge and one-path forms.
+    An edge's weight total is made one edge at a time, when first read,
+    and the store keeps it for every later episode. ``match`` fills the
+    vectors and semantic matches of many paths at once, with one
+    ``row_dots`` call per step (``normed_cosines``, ``pool_vector_stack``),
+    so a value is the same bits whichever way it was computed. Beam
+    expansion and the final ranking call it on the paths they are about
+    to rank; batches of fewer than ``BATCH_ROWS`` paths are left to the
+    one-path forms. Pooled vectors are kept per episode, so each episode
+    pools afresh.
 
     A path's vector and semantic match depend only on the path, the graph,
     the provider and the query, so they hold for the table's life.
@@ -287,38 +291,6 @@ class ScoreTable(dict):
                 normed_cosine(head, tail, head_norm, tail_norm))[3]
         cost = self[edge] = total / (1.0 + self.subgraph.multiplier(edge))
         return cost
-
-    def weigh(self, edges: list[Triple]) -> None:
-        """Weigh ``edges``, which all leave one node, as a batch: fill the
-        weight totals that ``__missing__`` reads for those the store does
-        not hold yet.
-
-        One ``row_dots`` call takes the tails' norms, and one more the
-        head-tail cosines; ``edge_terms`` then makes each total. The store
-        keeps the norms of tails it held none for. Fewer than
-        ``BATCH_ROWS`` edges, or a batch that meets a provider error, a
-        shape mismatch or a zero vector, store nothing: those edges are
-        left to ``__missing__``, which raises the same error when the edge
-        is read.
-        """
-        totals = self._totals
-        edges = [e for e in edges if e not in totals]
-        if len(edges) < BATCH_ROWS:
-            return
-        normed = self._normed
-        entities = self._entity_vectors
-        try:
-            head, head_norm = normed[edges[0].head]
-            tails = np.array([entities[e.tail] for e in edges], dtype=float)
-            norms = np.sqrt(row_dots(tails, tails))
-            cosines = normed_cosines(tails, head, norms, head_norm)
-        except (KgError, ValueError):
-            return
-        coeffs, graph = self.coeffs, self.graph
-        for e, tail, norm, cos in zip(edges, tails, norms.tolist(),
-                                      cosines.tolist()):
-            normed.setdefault(e.tail, (tail, norm))
-            totals[e] = edge_terms(e, coeffs, graph, cos)[3]
 
     def match(self, paths) -> None:
         """Pool ``paths`` and match them against the query as batches, one

@@ -1,7 +1,11 @@
-"""``tools/ab.py``'s pairing and win counting; no timing."""
+"""``tools/ab.py``'s pairing, win counting and call counting; no
+timing."""
 
 import importlib.util
+import json
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,3 +52,41 @@ def test_arguments():
     assert (args.parent, args.change, args.workload) == ("a", "b",
                                                          "pair_island")
     assert (args.passes, args.profile) == (2, "change")
+
+
+def _leaf():
+    return 1
+
+
+def _outer():
+    total = 0
+    for _ in range(3):
+        total += _leaf()
+    json.dumps(total)  # stdlib code, outside the counted tree
+    return total
+
+
+def test_count_calls_counts_python_calls_under_the_prefix_only():
+    here = os.path.dirname(os.path.abspath(__file__)) + os.sep
+    assert ab.count_calls(here, _outer) == 4  # _outer, then _leaf 3 times
+    assert ab.count_calls(os.path.join(ROOT, "src") + os.sep, _outer) == 0
+
+
+def test_count_line_gives_change_minus_parent():
+    assert ab.count_line({"parent": 5480, "change": 5444}) == (
+        "calls into src/kgpaths/ in one warm pass: parent 5480, "
+        "change 5444, difference -36")
+    assert ab.count_line({"parent": 7, "change": 7}).endswith(
+        "difference 0")
+
+
+def test_a_count_child_repeats_its_count():
+    args = ab.parse_args([ROOT, ROOT, "--workload", "pair_island",
+                          "--passes", "1"])
+    counts = [ab.run_child(ROOT, args, "count")["calls"] for _ in range(2)]
+    assert counts[0] == counts[1] > 0
+
+
+def test_an_unknown_child_mode_is_refused():
+    with pytest.raises(SystemExit, match="unknown child mode"):
+        ab.main([ab.CHILD, ROOT, "pair_island", "1", "1", "1"])

@@ -25,6 +25,12 @@ from kgpaths.synthetic import FIXTURES
     ("tau", math.nan), ("tau", math.inf), ("select_threshold", math.nan),
     ("select_threshold", -math.inf), ("select_threshold", math.inf),
     ("rho", math.inf),
+    # values of the wrong type: an int field takes an int, a float field an
+    # int or a float, a bool field a bool, and no number field a bool
+    ("rounds", 2.0), ("K", 3.5), ("select_top_k", 2.5), ("edit_budget", 1.5),
+    ("knn", 0.5), ("L", 2.5), ("radius", 1.5), ("beam", 2.5), ("walks", 3.5),
+    ("embed_dim", 8.0), ("seed", 1.5), ("rounds", True), ("alpha", True),
+    ("tau", False), ("pair_mode", 1), ("deterministic", None),
 ])
 def test_validate_rejects_each_bad_value_as_config_error(key, value):
     # construction, dataclasses.replace (the sweep path) and the string
@@ -35,6 +41,20 @@ def test_validate_rejects_each_bad_value_as_config_error(key, value):
         replace(RunConfig(), **{key: value})
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         RunConfig().with_overrides(**{key: value})
+
+
+@pytest.mark.parametrize("key, text, value", [
+    ("pair_mode", "no", False), ("L", "3", 3), ("alpha", "1", 1.0),
+])
+def test_a_string_is_refused_unless_an_override_converts_it(key, text, value):
+    # --set and config files give strings, which with_overrides converts;
+    # a string given to the constructor or to replace is the wrong type
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        RunConfig(**{key: text})
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        replace(RunConfig(), **{key: text})
+    assert RunConfig().with_overrides(**{key: text}) == RunConfig(
+        **{key: value})
 
 
 def test_struct_mode_is_an_unknown_key():

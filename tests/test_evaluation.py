@@ -205,9 +205,9 @@ def test_fixture_reports_equal_under_numpy_formula_kernels(monkeypatch):
     reference functions share, against numpy's formulas, end to end: the
     one-value forms ``normed_cosine`` and ``pool_vectors``, and the batched
     forms ``normed_cosines`` and ``pool_vector_stack``, which the table's
-    ``weigh`` and ``match`` call on the coverage suite's wide rounds. The
-    cosine oracle recomputes both norms, so the norms the table keeps,
-    batched or not, are checked too."""
+    ``match`` calls on the coverage suite's wide rounds. The cosine oracle
+    recomputes both norms, so the norms the table keeps, and those that
+    ``match`` takes in a batch, are checked too."""
     shipped = _fixture_reports()
     calls = Counter()
 

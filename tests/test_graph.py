@@ -932,6 +932,21 @@ def test_a_finalized_graph_takes_no_more_triples():
     assert sub.edges == kept.edges
 
 
+def test_a_prior_override_before_finalize_raises_and_changes_nothing():
+    """``finalize()`` derives every prior from frequencies, so an override
+    set before it would be lost: it is refused instead."""
+    triples = [("a", "r", "b"), ("b", "r", "c"), ("b", "s", "c")]
+    g = KnowledgeGraph()
+    for h, r, t in triples:
+        g.add_triple(h, r, t)
+    with pytest.raises(ValueError, match="not finalized"):
+        g.set_prior_cost(g.relation_id("s"), 0.9)
+    g.finalize()
+    twin = build_graph(triples)
+    assert [g.prior_cost(r) for r in range(g.num_relations)] == [
+        twin.prior_cost(r) for r in range(twin.num_relations)] == [0.0, 0.5]
+
+
 def test_a_second_finalize_raises_and_keeps_a_prior_override():
     g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("b", "s", "c")])
     s = g.relation_id("s")

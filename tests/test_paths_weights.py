@@ -174,8 +174,8 @@ def test_score_table_matches_reference(graph_seed, lambda_sem, dimension):
 
 
 def _count_batch_rows(mp):
-    """Counters of the rows that ``weigh`` and ``match`` batch from now on:
-    the edges weighed and the paths pooled in one kernel call each."""
+    """Counters of the rows that ``match`` batches from now on: the paths
+    pooled, and those matched against the query, in one kernel call each."""
     rows = Counter()
     cosines_ref = kgpaths.weights.normed_cosines
     stack_ref = kgpaths.weights.pool_vector_stack
@@ -197,12 +197,13 @@ def _count_batch_rows(mp):
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from([1, 2, 3, 8, 64]), st.sampled_from([1, 3, None]))
 def test_batched_fills_match_reference(graph_seed, dimension, cutoff):
-    """``weigh`` on every node's out-edges and ``match`` on the simple
-    paths of up to 4 edges (the first 600) fill the values that the
-    reference functions give, by ``==``, with the cut-off at 1 (every
-    batch), 3 or its own value (most batches left to the one-value forms).
-    A 4-edge path pools 9 vectors, where numpy's pairwise summation would
-    part from the row order. At d = 1, ``match`` pools nothing."""
+    """``match`` on the simple paths of up to 4 edges (the first 600)
+    fills the values that the reference functions give, by ``==``, with
+    the cut-off at 1 (every batch), 3 or its own value (most batches left
+    to the one-value forms); every edge cost, made one edge at a time, is
+    the reference's too. A 4-edge path pools 9 vectors, where numpy's
+    pairwise summation would part from the row order. At d = 1, ``match``
+    pools nothing."""
     rng = random.Random(graph_seed)
     g = random_graph(rng, max_nodes=12, max_edges=60)
     sub = full_subgraph(g)
@@ -217,16 +218,12 @@ def test_batched_fills_match_reference(graph_seed, dimension, cutoff):
         if cutoff is not None:
             mp.setattr(kgpaths.weights, "BATCH_ROWS", cutoff)
         rows = _count_batch_rows(mp)
-        for node in sorted(sub.nodes):
-            table.weigh(sub.out_edges[node])
         table.match(paths)
         cutoff = kgpaths.weights.BATCH_ROWS
     lengths = Counter(len(p) for p in paths)
     assert rows["pooled"] == (0 if dimension == 1 else sum(
         n for n in lengths.values() if n >= cutoff))
-    out_degrees = [len(sub.out_edges[node]) for node in sub.nodes]
-    assert rows["cosines"] == rows["pooled"] + sum(
-        n for n in out_degrees if n >= cutoff)
+    assert rows["cosines"] == rows["pooled"]
     for e in sub.edges:
         assert table[e] == effective_cost(e, coeffs, emb, g, sub)
     for p in paths:
@@ -271,10 +268,9 @@ def test_a_batch_that_meets_an_error_stores_nothing(bad, kind, error):
     paths = [Path([e]) for e in edges]
     with pytest.MonkeyPatch.context() as mp:
         rows = _count_batch_rows(mp)
-        table.weigh(edges)
         table.match(paths)
     if error is None:
-        assert rows == Counter(cosines=18, pooled=9)
+        assert rows == Counter(cosines=9, pooled=9)
 
     def outcome(read):
         try:
@@ -293,11 +289,12 @@ def test_a_batch_that_meets_an_error_stores_nothing(bad, kind, error):
         got = [[outcome(read) for read in (
             lambda: table[e], lambda: table.vector(p), lambda: table.sem(p),
             lambda: table.score(p))] for e, p in zip(edges, paths)]
-    # ``weigh`` meets what is wrong with an entity vector, ``match`` what
-    # is wrong with any vector or with a pooled one; with a zero head, no
-    # edge has a weight to make
-    assert bool(one_value["edge_terms"]) == (
-        kind in ("zero", "missing") and bad != "s")
+    # every weight is made one edge at a time, except where a zero or
+    # missing endpoint leaves none to make (with a zero head, no edge has
+    # one); ``match`` meets what is wrong with any vector or with a pooled
+    # one
+    assert one_value["edge_terms"] == (
+        0 if bad == "s" else 8 if kind in ("zero", "missing") else 9)
     assert bool(one_value["pool_vectors"]) == (
         kind in ("cancel", "ragged", "missing"))
     for e, p, values in zip(edges, paths, got):

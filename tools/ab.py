@@ -16,8 +16,14 @@ shorter wins the round.
 It prints each child's pass times, the winner of each round, and per
 side: the median pass, the full (generation 2) collections and their time
 per pass, read through ``gc.callbacks``, and the objects the collector
-tracks after loading. ``--profile SIDE`` then runs one more child of that
-side under cProfile and prints its top functions by cumulative time.
+tracks after loading. Then one more child per side counts the Python
+calls into its checkout's ``src/kgpaths/`` code during one pass after the
+warm one, with a ``sys.setprofile`` hook that no timed pass carries, and
+the tool prints both counts and their difference. The counts repeat
+exactly from run to run, so they show a change in the work done that
+timing is too noisy to resolve; an A/A run prints a difference of 0.
+``--profile SIDE`` then runs one more child of that side under cProfile
+and prints its top functions by cumulative time.
 
 It is a second opinion beside the benchmark's pairs of runs, not a
 replacement: one process per side, no set-up or memory measurement.
@@ -38,8 +44,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 PROFILE_TOP = 25
 # the first argument of a child process: CHILD CHECKOUT WORKLOAD SEED PASSES
-# PROFILE(0|1)
+# MODE, with MODE one of MODES
 CHILD = "--child"
+MODES = ("time", "profile", "count")
 
 
 def parse_args(argv=None):
@@ -77,14 +84,42 @@ def count_wins(winners: list[str]) -> dict[str, int]:
     return {side: winners.count(side) for side in (*SIDES, "tie")}
 
 
+def count_line(calls: dict[str, int]) -> str:
+    """The line that reports each side's call count and their
+    difference, change minus parent."""
+    return (f"calls into src/kgpaths/ in one warm pass: parent "
+            f"{calls['parent']}, change {calls['change']}, difference "
+            f"{calls['change'] - calls['parent']}")
+
+
 # --- the child: one checkout, one workload -----------------------------------
 
 
+def count_calls(prefix: str, run) -> int:
+    """The Python calls into code under ``prefix`` while ``run()`` runs,
+    each function call and generator resumption counted once by a
+    ``sys.setprofile`` hook; builtins and code elsewhere count nothing."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def child(checkout: str, workload: str, seed: int, passes: int,
-          profile: bool) -> dict:
-    """Build ``workload`` from ``checkout``, run a warm pass and ``passes``
-    timed ones; per-pass times and collector counts, or with ``profile``
-    the cProfile top list of the timed passes."""
+          mode: str) -> dict:
+    """Build ``workload`` from ``checkout`` and run a warm pass; then, by
+    ``mode``: ``passes`` timed passes, giving per-pass times and collector
+    counts; ``passes`` passes under cProfile, giving its top list; or one
+    pass under ``count_calls``, giving the calls into ``kgpaths``."""
     sys.dont_write_bytecode = True
     src = os.path.join(checkout, "src")
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
@@ -109,7 +144,9 @@ def child(checkout: str, workload: str, seed: int, passes: int,
                                   reasoner, suite.embeddings)
 
     one_pass()  # warm
-    if profile:
+    if mode == "count":
+        return {"calls": count_calls(where + os.sep, one_pass)}
+    if mode == "profile":
         import cProfile
         import io
         import pstats
@@ -146,12 +183,12 @@ def child(checkout: str, workload: str, seed: int, passes: int,
             "full_collections": full["count"], "gc_seconds": full["seconds"]}
 
 
-def run_child(checkout: str, args, profile: bool = False) -> dict:
+def run_child(checkout: str, args, mode: str = "time") -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     env.update((var, "1") for var in BLAS_THREAD_VARS)
     argv = [sys.executable, os.path.abspath(__file__), CHILD, checkout,
-            args.workload, str(args.seed), str(args.passes), str(int(profile))]
+            args.workload, str(args.seed), str(args.passes), mode]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
@@ -169,9 +206,11 @@ def _ms(seconds: float) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == [CHILD]:
-        checkout, workload, seed, passes, profile = argv[1:]
+        checkout, workload, seed, passes, mode = argv[1:]
+        if mode not in MODES:
+            raise SystemExit(f"unknown child mode {mode!r}")
         print(json.dumps(child(checkout, workload, int(seed), int(passes),
-                               profile == "1")))
+                               mode)))
         return 0
     args = parse_args(argv)
     dirs = {side: os.path.abspath(getattr(args, side)) for side in SIDES}
@@ -210,9 +249,11 @@ def main(argv=None) -> int:
     wins = count_wins(winners)
     print(f"wins: change {wins['change']}, parent {wins['parent']}, "
           f"tie {wins['tie']} of {args.rounds} rounds")
+    print(count_line({side: run_child(dirs[side], args, "count")["calls"]
+                      for side in SIDES}))
     if args.profile:
         print(f"profile of {args.profile}, {args.passes} passes:")
-        print(run_child(dirs[args.profile], args, profile=True)["profile"])
+        print(run_child(dirs[args.profile], args, "profile")["profile"])
     return 0
 
 
