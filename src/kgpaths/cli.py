@@ -160,7 +160,7 @@ def cmd_query(args) -> int:
                       embeddings)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as trace:
-            trace.writelines(r.to_json() + "\n" for r in result.rounds)
+            trace.write(result.trace_jsonl())
     print(f"answer: {result.answer}")
     print(f"confidence: {result.confidence}")
     print(f"rounds: {len(result.rounds)}")

@@ -455,7 +455,9 @@ class EpisodeResult:
                 for nodes, rels in self.retrieved_keys]
 
     def trace_jsonl(self) -> str:
-        return "\n".join(r.to_json() for r in self.rounds)
+        """The trace file's text: one JSON line per round, each ending in a
+        newline; empty when no round ran."""
+        return "".join(r.to_json() + "\n" for r in self.rounds)
 
 
 def _edit_repr(edit: GraphEdit, graph: KnowledgeGraph) -> str:

@@ -12,11 +12,12 @@ the edges and paths its search touches, and nothing for a weight or vector
 an earlier round computed. The table outlives enumeration: the caller
 hands it on to candidate scoring, the verifier and injection. Where many
 paths are ranked at once, they are pooled and matched as a batch first:
-beam expansion and the final ranking call ``ScoreTable.match`` on the
-paths they rank. A batched value has the same bits as the one the table
-computes alone. Edges are weighted one at a time: the graph's weighting
-store keeps each weight across episodes, so a batch would pay off only in
-a graph's first episodes.
+each beam depth and the final ranking go through one rank-and-cut, which
+calls ``ScoreTable.match`` on the paths it ranks, then keeps the best by
+(-score, node sequence, relation sequence). A batched value has the same
+bits as the one the table computes alone. Edges are weighted one at a
+time: the graph's weighting store keeps each weight across episodes, so a
+batch would pay off only in a graph's first episodes.
 
 No generator builds adjacency of its own. All three read a node's
 subgraph out-edges from ``Subgraph.out_edges``, which the subgraph builds
@@ -116,7 +117,9 @@ def k_shortest_weighted(
     costs, popping in (cost, node-sequence, relation-sequence) order emits
     complete paths in exactly nondecreasing cost order with lexicographic
     node-id tie-breaking. ``target`` restricts output to paths ending there
-    (pair mode); by default any endpoint counts.
+    (pair mode); by default any endpoint counts. The heap starts from the
+    seed's zero-length prefix, which is extended like every later pop but
+    never emitted, so a seed's self-loop is skipped as a revisit.
 
     With a ``target``, the search is goal-directed: the subgraph's hop table
     (``Subgraph.hops_to``) gives each node's fewest hops to the target, and
@@ -145,21 +148,14 @@ def k_shortest_weighted(
     else:
         return []
 
-    def too_far(node: int, left: int) -> bool:
-        """Whether ``node`` cannot reach the target in ``left`` more hops."""
-        return hops is not None and hops.get(node, left + 1) > left
-
     out: list[Path] = []
-    # heap entries: (cost, node sequence, relation sequence, edges)
-    heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]] = []
-    for e in adj[seed]:
-        if e.tail != seed and not too_far(e.tail, max_length - 1):
-            heapq.heappush(heap,
-                           (table[e], (seed, e.tail), (e.relation,), (e,)))
-
+    # heap entries: (cost, node sequence, relation sequence, edges); the
+    # first is the seed's zero-length prefix, which is not a path
+    heap: list[tuple[float, tuple[int, ...], tuple[int, ...], tuple[Triple, ...]]]
+    heap = [(0.0, (seed,), (), ())]
     while heap and len(out) < k:
         cost, nodes, rels, edges = heapq.heappop(heap)
-        if target is None or nodes[-1] == target:
+        if edges and (target is None or nodes[-1] == target):
             out.append(Path.unchecked(edges, nodes, rels))
             if target is not None:
                 continue
@@ -167,7 +163,8 @@ def k_shortest_weighted(
             visited = set(nodes)
             left = max_length - len(edges) - 1
             for e in adj[nodes[-1]]:
-                if e.tail in visited or too_far(e.tail, left):
+                if e.tail in visited or hops is not None and hops.get(
+                        e.tail, left + 1) > left:  # no way to the target
                     continue
                 heapq.heappush(
                     heap,
@@ -175,6 +172,18 @@ def k_shortest_weighted(
                      edges + (e,)),
                 )
     return out
+
+
+def _best(table: ScoreTable, paths, n: int) -> list[Path]:
+    """The ``n`` highest-scoring of ``paths``, best first, ties broken by
+    node sequence, then relation sequence; matched as a batch first.
+
+    The (-score, nodes, relations) keys are unique, so ``heapq.nsmallest``
+    keeps exactly what a full sort cut to ``n`` would."""
+    table.match(paths)
+    score = table.score
+    return heapq.nsmallest(
+        n, paths, key=lambda p: (-score(p), p.nodes, p.relations))
 
 
 def beam_expand(
@@ -186,41 +195,28 @@ def beam_expand(
     highest-scoring partial paths per depth; every retained prefix is
     returned as a candidate.
 
-    Each depth keeps the B smallest (-score, node sequence, relation
-    sequence) keys, which are unique, so ``heapq.nsmallest`` keeps what a
-    full sort cut to B would. An extension is built from its prefix's
-    tuples, with no check: its edge leaves the prefix's terminal for a node
-    the prefix does not visit. A seed's self-loop is no simple path and is
-    skipped, as at every later depth.
+    The frontier holds prefixes as (edges, nodes, relations) tuples and
+    starts from each seed's zero-length prefix; each of the L depths
+    extends every prefix by one edge and keeps the B best extensions, by
+    the rank-and-cut that also gives ``enumerate_paths`` its final
+    ranking. An extension is built from its prefix's tuples, with no
+    check: its edge leaves the prefix's terminal for a node the prefix
+    does not visit. A seed's self-loop is no simple path and is skipped,
+    as at every later depth.
     """
     adj = table.subgraph.out_edges
-    score = table.score
-    beam_size = budget.beam_size
-
-    def rank(p: Path):
-        return (-score(p), p.nodes, p.relations)
-
-    first = [Path.unchecked((e,), (s, e.tail), (e.relation,))
-             for s in sorted(set(seeds)) for e in adj[s] if e.tail != s]
-    table.match(first)
-    frontier = heapq.nsmallest(beam_size, first, key=rank)
-
-    retained: list[Path] = list(frontier)
-    for _depth in range(1, budget.max_length):
-        nxt: list[Path] = []
-        for p in frontier:
-            edges, nodes, rels = p.edges, p.nodes, p.relations
-            visited = set(nodes)
-            for e in adj[nodes[-1]]:
-                if e.tail in visited:
-                    continue
-                nxt.append(Path.unchecked(edges + (e,), nodes + (e.tail,),
-                                          rels + (e.relation,)))
+    frontier = [((), (s,), ()) for s in sorted(set(seeds))]
+    retained: list[Path] = []
+    for _depth in range(budget.max_length):
+        nxt = [Path.unchecked(edges + (e,), nodes + (e.tail,),
+                              rels + (e.relation,))
+               for edges, nodes, rels in frontier
+               for e in adj[nodes[-1]] if e.tail not in nodes]
         if not nxt:
             break
-        table.match(nxt)
-        frontier = heapq.nsmallest(beam_size, nxt, key=rank)
-        retained.extend(frontier)
+        kept = _best(table, nxt, budget.beam_size)
+        retained.extend(kept)
+        frontier = [(p.edges, p.nodes, p.relations) for p in kept]
     return retained
 
 
@@ -334,7 +330,4 @@ def enumerate_paths(
         seed_set = set(seeds)
         candidates = [p for p in candidates
                       if p.terminal in seed_set and p.terminal != p.nodes[0]]
-    table.match(candidates)
-    ranked = sorted(
-        candidates, key=lambda p: (-table.score(p), p.nodes, p.relations))
-    return ranked[:k]
+    return _best(table, candidates, k)

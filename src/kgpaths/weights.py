@@ -237,11 +237,11 @@ class ScoreTable(dict):
     and the store keeps it for every later episode. ``match`` fills the
     vectors and semantic matches of many paths at once, with one
     ``row_dots`` call per step (``normed_cosines``, ``pool_vector_stack``),
-    so a value is the same bits whichever way it was computed. Beam
-    expansion and the final ranking call it on the paths they are about
-    to rank; batches of fewer than ``BATCH_ROWS`` paths are left to the
-    one-path forms. Pooled vectors are kept per episode, so each episode
-    pools afresh.
+    so a value is the same bits whichever way it was computed.
+    ``pathenum``'s one rank-and-cut, which serves each beam depth and the
+    final ranking, calls it on the paths it is about to rank; batches of
+    fewer than ``BATCH_ROWS`` paths are left to the one-path forms.
+    Pooled vectors are kept per episode, so each episode pools afresh.
 
     A path's vector and semantic match depend only on the path, the graph,
     the provider and the query, so they hold for the table's life.

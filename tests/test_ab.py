@@ -1,5 +1,5 @@
-"""``tools/ab.py``'s pairing, win counting and call counting; no
-timing."""
+"""``tools/ab.py``'s pairing, win counting, call counting and code-line
+counting; no timing."""
 
 import importlib.util
 import json
@@ -90,3 +90,62 @@ def test_a_count_child_repeats_its_count():
 def test_an_unknown_child_mode_is_refused():
     with pytest.raises(SystemExit, match="unknown child mode"):
         ab.main([ab.CHILD, ROOT, "pair_island", "1", "1", "1"])
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+class Thing:
+    """A class docstring."""
+
+    LABEL = """a string
+over two lines, not a docstring"""
+
+    # a comment line
+    def method(self):
+        """A function
+        docstring."""
+        "a string statement after the docstring"
+        return os.path.join(
+            "a",
+
+            "b",
+        )
+
+
+async def run():
+    """An async function's docstring."""
+    return 1
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    # import 1, class 1, LABEL 2, def 1, string statement 1, the call's
+    # lines 4 (the blank one inside it not counted), async def 1, return 1
+    assert ab.code_lines(SOURCE) == 12
+    assert ab.code_lines('"""Only a docstring."""\n') == 0
+    assert ab.code_lines("x = 1\n'a string after code, not a docstring'\n") \
+        == 2
+
+
+def test_package_code_lines_count_each_module():
+    counts = ab.package_code_lines(ROOT)
+    assert "pathenum.py" in counts and "__init__.py" in counts
+    with open(os.path.join(ROOT, "src", "kgpaths", "pathenum.py"),
+              encoding="utf-8") as f:
+        assert counts["pathenum.py"] == ab.code_lines(f.read())
+
+
+def test_code_line_report_gives_change_minus_parent():
+    same = {"a.py": 10, "b.py": 5}
+    assert ab.code_line_report({"parent": same, "change": dict(same)}) == [
+        "code lines in src/kgpaths/: parent 15, change 15, difference 0"]
+    assert ab.code_line_report({"parent": {"a.py": 10, "b.py": 5},
+                                "change": {"a.py": 7, "c.py": 2}}) == [
+        "code lines in src/kgpaths/: parent 15, change 9, difference -6",
+        "  a.py: parent 10, change 7, difference -3",
+        "  b.py: parent 5, change 0, difference -5",
+        "  c.py: parent 0, change 2, difference 2"]

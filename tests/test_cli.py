@@ -31,7 +31,9 @@ def test_query_dialogue(argo_files, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "answer: New_York_City" in out
     assert "rounds: 2" in out
-    rounds = [json.loads(line) for line in trace.read_text().splitlines()]
+    text = trace.read_text()
+    assert text.endswith("}\n")  # every line, the last too, ends
+    rounds = [json.loads(line) for line in text.splitlines()]
     assert len(rounds) == 2
     assert rounds[0]["answer"] == "Boston"
     assert rounds[0]["edits"] and rounds[1]["answer"] == "New_York_City"

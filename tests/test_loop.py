@@ -785,7 +785,9 @@ def test_run_loop_argo_trace_structure():
     assert result.reasoner_calls == 2
     assert result.edits_applied == 1
     # the returned rounds are the trace: run_loop writes no file
-    lines = [json.loads(l) for l in result.trace_jsonl().splitlines()]
+    trace = result.trace_jsonl()
+    assert trace.endswith("}\n") and trace.count("\n") == 2
+    lines = [json.loads(l) for l in trace.splitlines()]
     assert [l["round"] for l in lines] == [0, 1]
     assert lines[0]["answer"] == "Boston"
     assert lines[0]["edits"] == \

@@ -28,6 +28,10 @@ from conftest import build_graph, full_subgraph, random_graph, random_multigraph
 
 EMB = HashEmbeddings(dimension=8, seed=0)
 COEFFS = WeightCoefficients()
+# uniform edge costs and no semantic term: paths of one length tie on
+# score, and the node and relation sequences order them
+STRUCTURAL = WeightCoefficients(alpha=1.0, beta=0.0, gamma=0.0,
+                                lambda_sem=0.0)
 
 
 def brute_force(subgraph, seed, k, max_length, costs, target=None):
@@ -213,11 +217,11 @@ def test_enumerate_paths_pair_mode():
     assert [p.nodes for p in paths] == [(0, 1, 2)]
 
 
-def enumerate_reference(sub, seeds, budget, q, rng_seed, pair_mode):
+def enumerate_reference(sub, seeds, budget, q, rng_seed, pair_mode, coeffs):
     """``enumerate_paths`` with every generator run: the pooled k-shortest,
     beam and walk proposals (in pair mode filtered to seed-to-seed paths),
-    ranked by the uncached ``path_score`` and cut to K."""
-    table = ScoreTable(sub, COEFFS, EMB, q)
+    ranked by the uncached ``path_score`` with a full sort and cut to K."""
+    table = ScoreTable(sub, coeffs, EMB, q)
     present = sorted({s for s in seeds if s in sub.nodes})
     pool = {}
     proposals = [
@@ -234,7 +238,7 @@ def enumerate_reference(sub, seeds, budget, q, rng_seed, pair_mode):
                              and p.terminal != p.nodes[0]):
             pool.setdefault(p.key(), p)
     ranked = sorted(pool.values(), key=lambda p: (
-        -path_score(p, q, COEFFS, EMB, sub.graph, sub),
+        -path_score(p, q, coeffs, EMB, sub.graph, sub),
         p.nodes, p.relations))
     return [p.key() for p in ranked[:budget.max_candidates]]
 
@@ -298,42 +302,48 @@ def test_a_pair_that_cannot_meet_builds_no_hop_table(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@example(101, 2, 3, [0, 10])  # K saturated; beam adds a better-scoring path
+@example(101, 2, 3, [0, 10], COEFFS)  # K saturated; beam adds a better path
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from([1, 2, 3, 200]), st.integers(1, 4),
-       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.sampled_from([COEFFS, STRUCTURAL]))
 def test_enumerate_paths_pair_mode_matches_reference(graph_seed, k, length,
-                                                      seeds):
+                                                      seeds, coeffs):
+    """Also under ``STRUCTURAL``, whose ties at the K cut the node and
+    relation sequences settle."""
     g = random_graph(random.Random(graph_seed))
     sub = full_subgraph(g)
     budget = EnumerationBudget(max_length=length, max_candidates=k,
                                beam_size=4, walks=30)
     q = EMB.embed(f"q{graph_seed}")
-    got = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
+    got = enumerate_paths(ScoreTable(sub, coeffs, EMB, q), seeds, budget,
                           rng_seed=graph_seed, pair_mode=True)
-    assert [p.key() for p in got] == \
-        enumerate_reference(sub, seeds, budget, q, graph_seed, pair_mode=True)
+    assert [p.key() for p in got] == enumerate_reference(
+        sub, seeds, budget, q, graph_seed, True, coeffs)
 
 
 @settings(max_examples=60, deadline=None)
-@example(0, 2, 3, 2, 30, [0, 1])  # K saturated; beam adds a better path
-@example(0, 8, 3, 2, 30, [0, 1])  # K saturated; a walk adds a kept path
-@example(17, 8, 4, 3, 30, [0, 1, 2])  # 7 of K = 8: beam and walks skipped
+@example(0, 2, 3, 2, 30, [0, 1], COEFFS)  # K saturated; beam adds a path
+@example(0, 8, 3, 2, 30, [0, 1], COEFFS)  # K saturated; a walk adds one
+@example(17, 8, 4, 3, 30, [0, 1, 2], COEFFS)  # 7 of K = 8: beam, walks skipped
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from([1, 2, 3, 8, 200]), st.integers(1, 4),
        st.integers(1, 5), st.sampled_from([0, 30]),
-       st.lists(st.integers(0, 11), min_size=1, max_size=3))
+       st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       st.sampled_from([COEFFS, STRUCTURAL]))
 def test_enumerate_paths_matches_reference(graph_seed, k, length, beam, walks,
-                                           seeds):
+                                           seeds, coeffs):
+    """Also under ``STRUCTURAL``, whose ties at the K cut the node and
+    relation sequences settle."""
     g = random_graph(random.Random(graph_seed))
     sub = full_subgraph(g)
     budget = EnumerationBudget(max_length=length, max_candidates=k,
                                beam_size=beam, walks=walks)
     q = EMB.embed(f"q{graph_seed}")
-    got = enumerate_paths(ScoreTable(sub, COEFFS, EMB, q), seeds, budget,
+    got = enumerate_paths(ScoreTable(sub, coeffs, EMB, q), seeds, budget,
                           rng_seed=graph_seed)
-    assert [p.key() for p in got] == \
-        enumerate_reference(sub, seeds, budget, q, graph_seed, pair_mode=False)
+    assert [p.key() for p in got] == enumerate_reference(
+        sub, seeds, budget, q, graph_seed, False, coeffs)
 
 
 def beam_reference(table, seeds, budget):
@@ -356,12 +366,6 @@ def beam_reference(table, seeds, budget):
         frontier = sorted(nxt, key=key)[:budget.beam_size]
         retained.extend(frontier)
     return retained
-
-
-# uniform edge costs and no semantic term: paths of one length tie on
-# score, and the node and relation sequences order them
-STRUCTURAL = WeightCoefficients(alpha=1.0, beta=0.0, gamma=0.0,
-                                lambda_sem=0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,9 +403,44 @@ def test_a_seed_self_loop_is_no_path():
     assert [p.key() for p in k_shortest_weighted(table, a, 5, budget)] \
         == loop_free
     assert [p.key() for p in beam_expand(table, [a, b], budget)] == loop_free
+    # pair mode: the search toward b, and with L = 1 the first hop alone
+    for length in (3, 1):
+        assert [p.key() for p in k_shortest_weighted(
+            table, a, 5, EnumerationBudget(max_length=length), target=b)] \
+            == loop_free
     # K = 1 is reached, so beam expansion and walks run too
     assert [p.key() for p in enumerate_paths(table, [a, b], budget)] \
         == loop_free
+
+
+def test_score_ties_at_a_cut_keep_the_smaller_node_then_relation_sequence():
+    """Under ``STRUCTURAL`` every path of one length ties on score, so each
+    cut keeps the smallest (nodes, relations) keys: not the extensions of
+    a beam depth's first prefix, nor the first target's path in pair
+    mode."""
+    g = build_graph([("a", "r0", "b"), ("a", "r1", "b"), ("b", "r0", "c"),
+                     ("b", "r0", "d")])
+    a, b, c = (g.entity_id(label) for label in "abc")
+    table = ScoreTable(full_subgraph(g), STRUCTURAL, EMB, EMB.embed("q"))
+    budget = EnumerationBudget(max_length=2, beam_size=2)
+    r0, r1 = g.relation_id("r0"), g.relation_id("r1")
+    assert [p.key() for p in beam_expand(table, [a], budget)] == [
+        ((a, b), (r0,)), ((a, b), (r1,)),
+        ((a, b, c), (r0, r0)), ((a, b, c), (r1, r0))]
+
+    # k-shortest pools a's path to t before its path to u, whose nodes
+    # are smaller (w < x)
+    g = KnowledgeGraph()
+    for label in "atuwx":
+        g._intern_entity(label)
+    for h, t in [("a", "x"), ("x", "t"), ("a", "w"), ("w", "u")]:
+        g.add_triple(h, "r", t)
+    g.finalize()
+    a, t, u, w = (g.entity_id(label) for label in "atuw")
+    table = ScoreTable(full_subgraph(g), STRUCTURAL, EMB, EMB.embed("q"))
+    budget = EnumerationBudget(max_length=2, max_candidates=1, walks=5)
+    assert [p.nodes for p in enumerate_paths(table, [a, t, u], budget,
+                                             pair_mode=True)] == [(a, w, u)]
 
 
 def walks_reference(costs, seeds, budget, rng_seed):

@@ -22,6 +22,11 @@ warm one, with a ``sys.setprofile`` hook that no timed pass carries, and
 the tool prints both counts and their difference. The counts repeat
 exactly from run to run, so they show a change in the work done that
 timing is too noisy to resolve; an A/A run prints a difference of 0.
+Last come each side's code lines in ``src/kgpaths/``: lines that hold a
+token of code, so no blank line, comment or docstring (a string constant
+that is the first statement of a module, class or function) counts. One
+line gives both totals and their difference, then one line per module
+whose count differs.
 ``--profile SIDE`` then runs one more child of that side under cProfile
 and prints its top functions by cumulative time.
 
@@ -33,11 +38,15 @@ Passing the same directory twice (an A/A run) shows the noise.
 from __future__ import annotations
 
 import argparse
+import ast
+import glob
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 
 SIDES = ("parent", "change")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -84,12 +93,66 @@ def count_wins(winners: list[str]) -> dict[str, int]:
     return {side: winners.count(side) for side in (*SIDES, "tie")}
 
 
+def _versus(parent: int, change: int) -> str:
+    """Both sides' figures and their difference, change minus parent."""
+    return f"parent {parent}, change {change}, difference {change - parent}"
+
+
 def count_line(calls: dict[str, int]) -> str:
     """The line that reports each side's call count and their
     difference, change minus parent."""
-    return (f"calls into src/kgpaths/ in one warm pass: parent "
-            f"{calls['parent']}, change {calls['change']}, difference "
-            f"{calls['change'] - calls['parent']}")
+    return ("calls into src/kgpaths/ in one warm pass: "
+            + _versus(calls["parent"], calls["change"]))
+
+
+# --- code lines -------------------------------------------------------------
+
+NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token of code, every line of a
+    token that spans several counted; docstrings, comments and blank lines
+    count nothing."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def package_code_lines(checkout: str) -> dict[str, int]:
+    """``code_lines`` of each module in ``checkout``'s ``src/kgpaths/``."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "kgpaths",
+                                              "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            counts[os.path.basename(path)] = code_lines(f.read())
+    return counts
+
+
+def code_line_report(counts: dict[str, dict[str, int]]) -> list[str]:
+    """Both sides' code lines in ``src/kgpaths/`` and their difference,
+    change minus parent, then the same for each module whose count
+    differs (a module one side lacks counts 0 there)."""
+    parent, change = (counts[side] for side in SIDES)
+    report = ["code lines in src/kgpaths/: "
+              + _versus(sum(parent.values()), sum(change.values()))]
+    for module in sorted(parent.keys() | change.keys()):
+        before, after = parent.get(module, 0), change.get(module, 0)
+        if before != after:
+            report.append(f"  {module}: " + _versus(before, after))
+    return report
 
 
 # --- the child: one checkout, one workload -----------------------------------
@@ -251,6 +314,8 @@ def main(argv=None) -> int:
           f"tie {wins['tie']} of {args.rounds} rounds")
     print(count_line({side: run_child(dirs[side], args, "count")["calls"]
                       for side in SIDES}))
+    print("\n".join(code_line_report(
+        {side: package_code_lines(dirs[side]) for side in SIDES})))
     if args.profile:
         print(f"profile of {args.profile}, {args.passes} passes:")
         print(run_child(dirs[args.profile], args, "profile")["profile"])

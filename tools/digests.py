@@ -194,8 +194,7 @@ def run_artefacts(suites, prefix: str, overrides: dict,
                      for label, conf in record.seeds]
             result = run_loop(record.question, seeds, graph, config,
                               reasoner(), suite.embeddings)
-            parts["trace"].append(
-                "".join(r.to_json() + "\n" for r in result.rounds))
+            parts["trace"].append(result.trace_jsonl())
             parts["paths"].append(json.dumps(result.retrieved_paths))
             sub = result.subgraph
             parts["subgraph"].append("" if sub is None else json.dumps([
